@@ -20,15 +20,9 @@ from .groups import (
     dihedral,
     group_from_table,
     is_abelian,
-    is_monomorphism_to_bin,
     symmetric,
 )
-from .embedding import (
-    RegularEmbedding,
-    regular_embed,
-    verify_distributive,
-    verify_inverse_images,
-)
+from .embedding import RegularEmbedding, regular_embed, verify_inverse_images
 from .translate import (
     PermVector,
     alpha,
@@ -45,6 +39,7 @@ from .shelves import (
     close_monoid,
     idempotent_center_report,
     make_distributive_set,
+    verify_distributive,
 )
 from .search import (
     RackCatalog,
@@ -55,7 +50,7 @@ from .search import (
     compatibility_graph,
     enumerate_racks,
 )
-from .snf import IntMatrix, int_matrix, mat_mul, rank, smith_normal_form, zero_matrix
+from .snf import IntMatrix, int_matrix, rank, smith_normal_form
 from .homology import (
     ChainSpec,
     HomologyGroup,

@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import fixtures as fx
-from .embedding import regular_embed, verify_distributive, verify_inverse_images
+from .embedding import regular_embed, verify_inverse_images
 from .formats import (
     SchemaError,
     group_document,
@@ -22,12 +22,11 @@ from .formats import (
     load_set,
     load_table,
     save_table,
-    set_document,
     table_document,
 )
 from .groups import FiniteGroup, cyclic, dihedral, symmetric
-from .homology import CONVENTION, ChainSpec, homology_groups, verify_differential
-from .shelves import DistributivityError, make_distributive_set
+from .homology import CONVENTION, ChainSpec, homology_groups
+from .shelves import DistributivityError, make_distributive_set, verify_distributive
 from .search import certify_no_nonabelian
 from .tables import compose
 from .translate import alpha, conjugation_condition
@@ -48,7 +47,10 @@ def _emit(doc: dict, out: Optional[str]) -> None:
 def _parse_group(spec: str) -> FiniteGroup:
     for prefix, factory in (("cyclic", cyclic), ("dihedral", dihedral), ("symmetric", symmetric)):
         if spec.startswith(prefix + ":"):
-            return factory(int(spec.split(":", 1)[1]))
+            try:
+                return factory(int(spec.split(":", 1)[1]))
+            except ValueError as e:
+                raise ValueError(f"--group {spec}: {e}") from e
     return load_group(spec)
 
 
@@ -71,10 +73,7 @@ def _cmd_fixtures(args) -> int:
         for name, op in zip(names, ops):
             save_table(op, outdir / f"{name}.json")
         # written bytes must hash back to the bundled checksum
-        reread = json.loads(set_path.read_text())
-        import hashlib
-
-        if hashlib.sha256(json.dumps(reread, sort_keys=True).encode()).hexdigest() != checksum:
+        if fx.document_checksum(json.loads(set_path.read_text())) != checksum:
             print("checksum mismatch between bundled and written fixture", file=sys.stderr)
             return EXIT_WITNESS
         print(f"wrote {set_path}  sha256={checksum}")
@@ -147,9 +146,7 @@ def _cmd_search(args) -> int:
     seed = None
     if args.seed_pair:
         seed = (load_table(args.seed_pair[0]), load_table(args.seed_pair[1]))
-    report = certify_no_nonabelian(
-        args.n, budget=args.budget, seed_pair=seed, use_pruning=args.prune
-    )
+    report = certify_no_nonabelian(args.n, budget=args.budget, seed_pair=seed)
     _emit(report.to_document(), args.report)
     if report.conclusion == "nonabelian-found":
         return EXIT_WITNESS
@@ -160,12 +157,11 @@ def _cmd_search(args) -> int:
 
 def _cmd_homology(args) -> int:
     S = load_set(args.set)
-    weights = tuple(int(w) for w in args.weights.split(","))
-    spec = ChainSpec(S, weights, args.max_degree)
-    if not verify_differential(spec):
-        _emit({"error": "differential does not square to zero"}, args.out)
-        return EXIT_WITNESS
-    groups = homology_groups(spec, dim_budget=args.dim_budget)
+    try:
+        weights = tuple(int(w) for w in args.weights.split(","))
+    except ValueError as e:
+        raise ValueError(f"--weights {args.weights}: {e}") from e
+    groups = homology_groups(ChainSpec(S, weights, args.max_degree), dim_budget=args.dim_budget)
     doc = {
         "convention": CONVENTION,
         "basis_order": "lexicographic tuples over {0..n-1}",
@@ -182,7 +178,6 @@ def _cmd_homology(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="multishelf")
-    p.add_argument("--jobs", type=int, default=1, help="worker bound (currently sequential)")
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("fixtures", help="emit a bundled fixture (or 'list')")
@@ -216,7 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("search", help="certify absence of non-abelian subgroups")
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--prune", action=argparse.BooleanOptionalAction, default=True)
     sp.add_argument("--budget", type=float, help="seconds before reporting partial")
     sp.add_argument("--seed-pair", nargs=2, metavar="FILE")
     sp.add_argument("--report", help="report file (default stdout)")

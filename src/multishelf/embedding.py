@@ -8,10 +8,10 @@ as an executable proof.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 from .groups import FiniteGroup
-from .tables import OpTable, compose, distributive_witness, invert, right_trivial
+from .shelves import verify_distributive
+from .tables import OpTable, compose, invert, right_trivial
 
 
 @dataclass(frozen=True)
@@ -55,18 +55,6 @@ def regular_embed(G: FiniteGroup) -> RegularEmbedding:
     if len(set(images)) != G.m:
         raise AssertionError("images are not pairwise distinct")
     return RegularEmbedding(G, images)
-
-
-def verify_distributive(
-    images: Sequence[OpTable],
-) -> Optional[tuple[int, int, int, int, int]]:
-    """First (g1, g2, a, b, c) violating pairwise distributivity, or None."""
-    for g1, opA in enumerate(images):
-        for g2, opB in enumerate(images):
-            w = distributive_witness(opA, opB)
-            if w is not None:
-                return (g1, g2) + w
-    return None
 
 
 def verify_inverse_images(E: RegularEmbedding) -> bool:

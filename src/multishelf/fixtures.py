@@ -7,8 +7,9 @@ carrier — the smallest carrier where that is possible.
 ``xor``: XOR on {0,1}; invertible but not self-distributive, useful as a
 negative fixture.
 
-Each fixture carries the sha256 of its canonical set document; loaders
-verify the checksum so in-package data and files on disk cannot drift.
+Each fixture's canonical set document has a pinned sha256; ``fixture_ops``
+refuses a fixture whose tables no longer hash to it, so in-package data and
+files written from it cannot drift.
 """
 from __future__ import annotations
 
@@ -49,28 +50,49 @@ _FIXTURE_OPS: dict[str, tuple[OpTable, ...]] = {
     "xor": (XOR,),
 }
 
+_FIXTURE_SHA256 = {
+    "berman-d6": "a8c6c94ea76f17d0775b460c36b712d3ce18821e7ae023971da1c897bc9f9cee",
+    "xor": "81ecf75270c6a7168fc96cf138c145f0a48ef7cf5785338bd7bcd1d719fb7610",
+}
+
 
 def fixture_names() -> list[str]:
     return sorted(_FIXTURE_OPS)
 
 
 def fixture_ops(name: str) -> tuple[OpTable, ...]:
+    """The fixture's tables; raises if they do not hash to the pinned sha256."""
     if name not in _FIXTURE_OPS:
         raise KeyError(f"unknown fixture '{name}', have {fixture_names()}")
-    return _FIXTURE_OPS[name]
+    ops = _FIXTURE_OPS[name]
+    digest = document_checksum(_set_document(ops))
+    if digest != _FIXTURE_SHA256[name]:
+        raise ValueError(
+            f"fixture '{name}' hashes to {digest}, pinned {_FIXTURE_SHA256[name]}"
+        )
+    return ops
 
 
-def fixture_set_document(name: str) -> dict:
-    ops = fixture_ops(name)
+def _set_document(ops: tuple[OpTable, ...]) -> dict:
     return {
         "n": ops[0].n,
         "ops": [[list(row) for row in op.entries] for op in ops],
     }
 
 
-def fixture_checksum(name: str) -> str:
-    doc = fixture_set_document(name)
+def fixture_set_document(name: str) -> dict:
+    return _set_document(fixture_ops(name))
+
+
+def document_checksum(doc: dict) -> str:
+    """sha256 of a JSON document serialized with sorted keys."""
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+def fixture_checksum(name: str) -> str:
+    """The pinned sha256 of the fixture's set document, once its tables match it."""
+    fixture_ops(name)
+    return _FIXTURE_SHA256[name]
 
 
 def get_fixture(name: str, validate: bool = True) -> DistributiveSet:

@@ -5,8 +5,6 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .tables import OpTable, compose, right_trivial
-
 SYMMETRIC_DEGREE_BOUND = 5
 ISOMORPHISM_ORDER_BOUND = 8
 
@@ -19,9 +17,6 @@ class FiniteGroup:
     mul: tuple[tuple[int, ...], ...]
     identity: int
     inv: tuple[int, ...]
-
-    def op(self, a: int, b: int) -> int:
-        return self.mul[a][b]
 
 
 def group_from_table(m: int, mul: Sequence[Sequence[int]], identity: int) -> FiniteGroup:
@@ -90,13 +85,13 @@ def dihedral(k: int) -> FiniteGroup:
     return g
 
 
-def symmetric(k: int, degree_bound: int = SYMMETRIC_DEGREE_BOUND) -> FiniteGroup:
+def symmetric(k: int) -> FiniteGroup:
     """S_k with elements the one-line permutations of {0..k-1} in lex order.
 
     Product uses left-to-right application: (p.q)(x) = q(p(x)).
     """
-    if not (1 <= k <= degree_bound):
-        raise ValueError(f"degree {k} outside [1, {degree_bound}]")
+    if not (1 <= k <= SYMMETRIC_DEGREE_BOUND):
+        raise ValueError(f"degree {k} outside [1, {SYMMETRIC_DEGREE_BOUND}]")
     perms = sorted(itertools.permutations(range(k)))
     index = {p: i for i, p in enumerate(perms)}
     m = len(perms)
@@ -116,22 +111,6 @@ def is_abelian(G: FiniteGroup) -> bool:
     return all(
         G.mul[a][b] == G.mul[b][a] for a in range(G.m) for b in range(a + 1, G.m)
     )
-
-
-def is_monomorphism_to_bin(G: FiniteGroup, images: Sequence[OpTable]) -> bool:
-    """Check that g -> images[g] is an injective monoid map into the table monoid."""
-    if len(images) != G.m:
-        raise ValueError(f"expected {G.m} images, got {len(images)}")
-    n = images[0].n
-    if any(op.n != n for op in images):
-        raise ValueError("images must share one carrier")
-    if images[G.identity] != right_trivial(n):
-        return False
-    for g1 in range(G.m):
-        for g2 in range(G.m):
-            if compose(images[g1], images[g2]) != images[G.mul[g1][g2]]:
-                return False
-    return len(set(images)) == G.m
 
 
 def are_isomorphic(G: FiniteGroup, H: FiniteGroup) -> bool:

@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .shelves import DistributiveSet, close_group
 from .tables import OpTable, commutes, distributive_witness, relabel
+from .translate import PermVector, alpha_inverse, perm_inverse
 
 PRUNED_BOUND = 6
-UNPRUNED_BOUND = 4
 
 Perm = tuple[int, ...]
 
@@ -58,34 +58,6 @@ class SearchReport:
         return doc
 
 
-def _is_rack(entries: tuple[tuple[int, ...], ...], n: int) -> bool:
-    """Direct table-level self-distributivity; columns assumed bijective."""
-    for a in range(n):
-        ra = entries[a]
-        for b in range(n):
-            ab = ra[b]
-            rb = entries[b]
-            for c in range(n):
-                if entries[ab][c] != entries[ra[c]][rb[c]]:
-                    return False
-    return True
-
-
-def _table_from_columns(cols: Sequence[Perm], n: int) -> OpTable:
-    return OpTable(n, tuple(tuple(cols[y][x] for y in range(n)) for x in range(n)))
-
-
-def _enumerate_unpruned(n: int) -> list[OpTable]:
-    """Filter every invertible table (all column choices) by the table check."""
-    perms = sorted(itertools.permutations(range(n)))
-    found = []
-    for cols in itertools.product(perms, repeat=n):
-        entries = tuple(tuple(cols[y][x] for y in range(n)) for x in range(n))
-        if _is_rack(entries, n):
-            found.append(OpTable(n, entries))
-    return found
-
-
 def _conj(q: Perm, p: Perm, qinv: Perm) -> Perm:
     """x -> q(p(q^-1(x)))."""
     return tuple(q[p[qinv[x]]] for x in range(len(q)))
@@ -98,7 +70,7 @@ def _enumerate_pruned(n: int) -> tuple[list[OpTable], int]:
     Returns (racks, nodes_pruned).
     """
     perms = sorted(itertools.permutations(range(n)))
-    inverses = {p: tuple(sorted(range(n), key=lambda x: p[x])) for p in perms}
+    inverses = {p: perm_inverse(p) for p in perms}
     found: list[OpTable] = []
     pruned = 0
 
@@ -128,8 +100,8 @@ def _enumerate_pruned(n: int) -> tuple[list[OpTable], int]:
         try:
             y = cols.index(None)
         except ValueError:
-            table = _table_from_columns(cols, n)  # type: ignore[arg-type]
-            if _is_rack(table.entries, n):
+            table = alpha_inverse(PermVector(n, tuple(cols)))  # type: ignore[arg-type]
+            if distributive_witness(table, table) is None:
                 found.append(table)
             return
         for p in perms:
@@ -168,17 +140,15 @@ def canonical_form_set(ops: Sequence[OpTable]) -> tuple[OpTable, ...]:
     return tuple(OpTable(n, e) for e in best)
 
 
-def enumerate_racks(
-    n: int, use_pruning: bool = True, bound: Optional[int] = None
-) -> RackCatalog:
+def _check_size(n: int) -> None:
+    if not 1 <= n <= PRUNED_BOUND:
+        raise ValueError(f"n={n} outside [1, {PRUNED_BOUND}]")
+
+
+def enumerate_racks(n: int) -> RackCatalog:
     """Complete catalog of racks on n points, sorted by table encoding."""
-    limit = bound if bound is not None else (PRUNED_BOUND if use_pruning else UNPRUNED_BOUND)
-    if n < 1 or n > limit:
-        raise ValueError(f"n={n} outside [1, {limit}] for this mode")
-    if use_pruning:
-        racks, _ = _enumerate_pruned(n)
-    else:
-        racks = sorted(_enumerate_unpruned(n), key=lambda t: t.entries)
+    _check_size(n)
+    racks, _ = _enumerate_pruned(n)
     canon = sorted({canonical_form(r).entries for r in racks})
     return RackCatalog(n, tuple(racks), tuple(OpTable(n, e) for e in canon))
 
@@ -205,30 +175,25 @@ def certify_no_nonabelian(
     n: int,
     budget: Optional[float] = None,
     seed_pair: Optional[tuple[OpTable, OpTable]] = None,
-    use_pruning: bool = True,
 ) -> SearchReport:
     """Sweep compatible rack pairs and test the groups they generate.
 
     A pair of commuting generators always generates an abelian group, so the
     closure is only computed for non-commuting compatible pairs.  With
-    ``seed_pair`` the enumeration is skipped and only that pair is examined.
+    ``seed_pair`` the enumeration is skipped and the catalog is that pair.
     """
-    if n > PRUNED_BOUND:
-        raise ValueError(f"n={n} exceeds bound {PRUNED_BOUND}")
+    _check_size(n)
     start = time.monotonic()
-    nodes_pruned = 0
-    if seed_pair is not None:
-        racks = list(seed_pair)
-        pairs = [(0, 1)] if len(racks) == 2 else []
-        catalog = RackCatalog(n, tuple(racks), ())
+    if seed_pair is None:
+        racks, nodes_pruned = _enumerate_pruned(n)
     else:
-        if use_pruning:
-            rack_list, nodes_pruned = _enumerate_pruned(n)
-        else:
-            rack_list = sorted(_enumerate_unpruned(n), key=lambda t: t.entries)
-        catalog = RackCatalog(n, tuple(rack_list), ())
-        adj = compatibility_graph(catalog)
-        pairs = [(i, j) for i in sorted(adj) for j in adj[i] if i < j]
+        for op in seed_pair:
+            if op.n != n:
+                raise ValueError(f"seed pair table has carrier {op.n}, but n={n}")
+        racks, nodes_pruned = list(seed_pair), 0
+    catalog = RackCatalog(n, tuple(racks), ())
+    adj = compatibility_graph(catalog)
+    pairs = [(i, j) for i in sorted(adj) for j in adj[i] if i < j]
 
     nonabelian: list[dict] = []
     compatible = 0
@@ -238,12 +203,6 @@ def certify_no_nonabelian(
             partial = True
             break
         a, b = catalog.racks[i], catalog.racks[j]
-        if seed_pair is not None:
-            if (
-                distributive_witness(a, b) is not None
-                or distributive_witness(b, a) is not None
-            ):
-                continue
         compatible += 1
         if commutes(a, b):
             continue  # commuting generators give an abelian group

@@ -75,12 +75,23 @@ def make_distributive_set(
         raise ValueError(f"carrier mismatch: declared {n}, tables have {size}")
     if any(op.n != size for op in ops):
         raise ValueError("all tables must share one carrier")
+    w = verify_distributive(ops)
+    if w is not None:
+        raise DistributivityError(w[0], w[1], w[2:])
+    return DistributiveSet(size, tuple(ops))
+
+
+def verify_distributive(
+    ops: Sequence[OpTable],
+) -> Optional[tuple[int, int, int, int, int]]:
+    """First (i, j, a, b, c) where ops[i], ops[j] violate right
+    distributivity at (a, b, c), over all ordered pairs; None if there is none."""
     for i, opA in enumerate(ops):
         for j, opB in enumerate(ops):
             w = distributive_witness(opA, opB)
             if w is not None:
-                raise DistributivityError(i, j, w)
-    return DistributiveSet(size, tuple(ops))
+                return (i, j) + w
+    return None
 
 
 def _close(
@@ -132,33 +143,26 @@ def _cayley(members: Sequence[OpTable]) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def close_monoid(
-    S: DistributiveSet,
-    budget: int = DEFAULT_CLOSURE_BUDGET,
-    revalidate: bool = True,
-) -> ClosureResult:
+def close_monoid(S: DistributiveSet, budget: int = DEFAULT_CLOSURE_BUDGET) -> ClosureResult:
     """Least family containing S and the identity, closed under composition."""
     members = _close(S.ops, S.n, with_inverses=False, budget=budget)
-    if revalidate:
-        make_distributive_set(members)
-    cayley = _cayley(members)
-    return ClosureResult(tuple(members), "monoid", cayley, _is_abelian(cayley))
+    return _result(members, "monoid")
 
 
-def close_group(
-    S: DistributiveSet,
-    budget: int = DEFAULT_CLOSURE_BUDGET,
-    revalidate: bool = True,
-) -> ClosureResult:
+def close_group(S: DistributiveSet, budget: int = DEFAULT_CLOSURE_BUDGET) -> ClosureResult:
     """Least family containing S closed under composition and inversion."""
     for i, op in enumerate(S.ops):
         if not is_invertible(op):
             raise ValueError(f"member {i} is not invertible")
     members = _close(S.ops, S.n, with_inverses=True, budget=budget)
-    if revalidate:
-        make_distributive_set(members)
+    return _result(members, "group")
+
+
+def _result(members: list[OpTable], kind: str) -> ClosureResult:
+    """Revalidate the closure as a distributive set and tabulate it."""
+    make_distributive_set(members)
     cayley = _cayley(members)
-    return ClosureResult(tuple(members), "group", cayley, _is_abelian(cayley))
+    return ClosureResult(tuple(members), kind, cayley, _is_abelian(cayley))
 
 
 def _is_abelian(cayley: tuple[tuple[int, ...], ...]) -> bool:

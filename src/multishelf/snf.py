@@ -26,24 +26,6 @@ def int_matrix(data: Sequence[Sequence[int]], rows: int = None, cols: int = None
     return IntMatrix(r, c, tuple(tuple(int(v) for v in row) for row in data))
 
 
-def zero_matrix(rows: int, cols: int) -> IntMatrix:
-    return IntMatrix(rows, cols, tuple((0,) * cols for _ in range(rows)))
-
-
-def mat_mul(A: IntMatrix, B: IntMatrix) -> IntMatrix:
-    if A.cols != B.rows:
-        raise ValueError(f"shape mismatch: {A.rows}x{A.cols} * {B.rows}x{B.cols}")
-    bt = list(zip(*B.data)) if B.rows else [()] * B.cols
-    out = tuple(
-        tuple(sum(a * b for a, b in zip(row, col)) for col in bt) for row in A.data
-    )
-    return IntMatrix(A.rows, B.cols, out)
-
-
-def is_zero(A: IntMatrix) -> bool:
-    return all(v == 0 for row in A.data for v in row)
-
-
 def smith_normal_form(M: IntMatrix) -> list[int]:
     """Invariant factors d1 | d2 | ... (positive, nonzero ones only)."""
     a = [list(row) for row in M.data]

@@ -23,9 +23,6 @@ class OpTable:
     def __getitem__(self, a: int) -> Row:
         return self.entries[a]
 
-    def apply(self, a: int, b: int) -> int:
-        return self.entries[a][b]
-
     def column(self, y: int) -> tuple[int, ...]:
         """The map x -> x * y as a one-line image tuple."""
         return tuple(row[y] for row in self.entries)

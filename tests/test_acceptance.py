@@ -4,7 +4,6 @@ All criteria produce JSON-able report dicts; the determinism criterion
 rebuilds everything from scratch and requires byte-identical serialization.
 Random inputs use fixed seeds.
 """
-import itertools
 import json
 import math
 import os
@@ -44,6 +43,7 @@ from multishelf.fixtures import BERMAN_SIGMA, BERMAN_TAU
 from multishelf.search import compatibility_graph
 
 from test_homology import naive_snf
+from test_search import enumerate_racks_brute_force, invertible_tables
 
 
 # ---------------------------------------------------------------- criterion 1
@@ -93,18 +93,8 @@ def criterion_2():
 
 
 # ---------------------------------------------------------------- criterion 3
-def _invertible_tables(n):
-    from multishelf import OpTable
-
-    perms = sorted(itertools.permutations(range(n)))
-    return [
-        OpTable(n, tuple(tuple(cols[y][x] for y in range(n)) for x in range(n)))
-        for cols in itertools.product(perms, repeat=n)
-    ]
-
-
 def criterion_3():
-    tables = _invertible_tables(3)
+    tables = list(invertible_tables(3))
     vecs = [alpha(t) for t in tables]
     mismatches = 0
     distributive_pairs = 0
@@ -138,7 +128,7 @@ def criterion_4():
         for i, j in sorted(pairs):
             a, b = catalog.racks[i], catalog.racks[j]
             S = make_distributive_set([a, b] if i != j else [a])
-            cl = close_group(S)  # revalidates as a distributive set by default
+            cl = close_group(S)  # revalidates the closure as a distributive set
             closures_ok += 1
             make_distributive_set(list(S.ops) + [invert(a), invert(b)])
             inverses_ok += 1
@@ -213,12 +203,11 @@ def criterion_5():
 def criterion_6():
     report = {}
     for n in (1, 2, 3, 4):
-        pruned = enumerate_racks(n, use_pruning=True, bound=4)
-        unpruned = enumerate_racks(n, use_pruning=False)
+        pruned = enumerate_racks(n).racks
         cert = certify_no_nonabelian(n)
         report[str(n)] = {
-            "racks": len(pruned.racks),
-            "pruned_equals_unpruned": pruned.racks == unpruned.racks,
+            "racks": len(pruned),
+            "pruned_equals_unpruned": list(pruned) == enumerate_racks_brute_force(n),
             "compatible_pairs": cert.compatible_pairs,
             "conclusion": cert.conclusion,
         }

@@ -82,6 +82,11 @@ class TestEmbedRegularCommand:
         assert tables[0] == right_trivial(3)
         assert len(tables) == 3
 
+    def test_bad_group_spec_names_argument(self, tmp_path, capsys):
+        assert main(["embed-regular", "--group", "cyclic:x", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --group cyclic:x: invalid literal for int()")
+
     def test_symmetric_3(self, tmp_path, capsys):
         out = tmp_path / "s3"
         assert main(["embed-regular", "--group", "symmetric:3", "--out", str(out)]) == 0
@@ -154,6 +159,21 @@ class TestSearchCommand:
         assert main(["search", "--n", "3", "--budget", "0", "--report", str(report)]) == 2
         assert json.loads(report.read_text())["conclusion"] == "partial"
 
+    @pytest.mark.parametrize("n", ["0", "-2"])
+    def test_size_out_of_range(self, n, capsys):
+        assert main(["search", "--n", n]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: n={n} ")
+
+    def test_seed_pair_carrier_mismatch(self, tmp_path, capsys):
+        path = tmp_path / "rt3.json"
+        save_table(right_trivial(3), path)
+        assert main(["search", "--n", "6", "--seed-pair", str(path), str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: seed pair table has carrier 3, but n=6\n"
+
     def test_report_byte_identical(self, tmp_path):
         r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
         main(["search", "--n", "3", "--report", str(r1)])
@@ -188,3 +208,11 @@ class TestHomologyCommand:
         assert code == 0
         doc = json.loads(out.read_text())
         assert len(doc["groups"]) == 2
+
+    def test_bad_weights_names_argument(self, berman_dir, capsys):
+        code = main(
+            ["homology", "--set", str(berman_dir / "berman-d6.json"), "--weights", "1,x"]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --weights 1,x: invalid literal for int()")

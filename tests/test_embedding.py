@@ -50,6 +50,13 @@ class TestRegularEmbed:
             for opb in E.images:
                 assert commutes(opa, opb)
 
+    def test_rejects_non_injective_images(self, monkeypatch):
+        import multishelf.embedding as embedding
+
+        monkeypatch.setattr(embedding, "_image_table", lambda G, g: right_trivial(G.m))
+        with pytest.raises(AssertionError, match="injectivity"):
+            regular_embed(cyclic(2))
+
     def test_injectivity_column(self):
         G = dihedral(3)
         E = regular_embed(G)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from multishelf import cyclic, make_distributive_set, right_trivial
+from multishelf import cyclic, make_distributive_set, make_table, right_trivial
 from multishelf.fixtures import (
     BERMAN_SIGMA,
     BERMAN_TAU,
@@ -98,6 +98,24 @@ class TestFixtures:
     def test_checksums_stable(self):
         assert fixture_checksum("berman-d6") == fixture_checksum("berman-d6")
         assert fixture_checksum("berman-d6") != fixture_checksum("xor")
+
+    def test_checksums_pinned(self):
+        assert fixture_checksum("berman-d6") == (
+            "a8c6c94ea76f17d0775b460c36b712d3ce18821e7ae023971da1c897bc9f9cee"
+        )
+        assert fixture_checksum("xor") == (
+            "81ecf75270c6a7168fc96cf138c145f0a48ef7cf5785338bd7bcd1d719fb7610"
+        )
+
+    def test_tampered_table_raises(self, monkeypatch):
+        import multishelf.fixtures as fx
+
+        tampered = (make_table(2, [[1, 0], [0, 1]]),)
+        monkeypatch.setitem(fx._FIXTURE_OPS, "xor", tampered)
+        with pytest.raises(ValueError, match="pinned"):
+            fixture_ops("xor")
+        with pytest.raises(ValueError, match="pinned"):
+            get_fixture("xor", validate=False)
 
     def test_unknown_fixture(self):
         with pytest.raises(KeyError):

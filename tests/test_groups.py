@@ -6,9 +6,6 @@ from multishelf import (
     dihedral,
     group_from_table,
     is_abelian,
-    is_monomorphism_to_bin,
-    regular_embed,
-    right_trivial,
     symmetric,
 )
 
@@ -103,32 +100,3 @@ class TestAbelian:
         small = [cyclic(k) for k in range(1, 6)]
         small += [dihedral(1), dihedral(2), symmetric(1), symmetric(2)]
         assert all(is_abelian(g) for g in small if g.m <= 5)
-
-
-class TestMonomorphismToBin:
-    def test_trivial_group(self):
-        g = cyclic(1)
-        assert is_monomorphism_to_bin(g, [right_trivial(1)])
-
-    def test_regular_embedding_of_z2(self):
-        g = cyclic(2)
-        assert is_monomorphism_to_bin(g, list(regular_embed(g).images))
-
-    def test_constant_images_not_injective(self):
-        g = cyclic(2)
-        assert not is_monomorphism_to_bin(g, [right_trivial(2), right_trivial(2)])
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            is_monomorphism_to_bin(cyclic(2), [right_trivial(2)])
-
-    def test_invariant_under_target_relabeling(self):
-        from multishelf import relabel
-
-        g = cyclic(3)
-        images = list(regular_embed(g).images)
-        pi = [2, 0, 1]
-        relabeled = [relabel(op, pi) for op in images]
-        # simultaneous relabeling preserves composition, so still a hom;
-        # injectivity and identity-image likewise
-        assert is_monomorphism_to_bin(g, relabeled)

@@ -12,7 +12,6 @@ from multishelf import (
     homology_groups,
     int_matrix,
     make_distributive_set,
-    mat_mul,
     regular_embed,
     relabel,
     right_trivial,
@@ -20,7 +19,20 @@ from multishelf import (
     verify_differential,
 )
 from multishelf.fixtures import BERMAN_SIGMA, BERMAN_TAU, XOR
-from multishelf.snf import is_zero, rank
+from multishelf.snf import IntMatrix, rank
+
+
+def zero_matrix(rows, cols):
+    return IntMatrix(rows, cols, tuple((0,) * cols for _ in range(rows)))
+
+
+def mat_mul(A, B):
+    assert A.cols == B.rows, f"shape mismatch: {A.rows}x{A.cols} * {B.rows}x{B.cols}"
+    bt = list(zip(*B.data)) if B.rows else [()] * B.cols
+    out = tuple(
+        tuple(sum(a * b for a, b in zip(row, col)) for col in bt) for row in A.data
+    )
+    return IntMatrix(A.rows, B.cols, out)
 
 
 def naive_snf(data):
@@ -149,8 +161,8 @@ class TestBoundaryMatrix:
 
     def test_zero_weights_zero_matrix(self):
         spec = self.rt2_spec(weight=0)
-        assert is_zero(boundary_matrix(spec, 1))
-        assert is_zero(boundary_matrix(spec, 2))
+        assert boundary_matrix(spec, 1) == zero_matrix(2, 4)
+        assert boundary_matrix(spec, 2) == zero_matrix(4, 8)
 
     def test_right_trivial_degree1(self):
         # columns for basis (0,0),(0,1),(1,0),(1,1): 0, (1)-(0), (0)-(1), 0
@@ -175,7 +187,8 @@ class TestBoundaryMatrix:
 
     def test_composition_is_zero_matrix(self):
         spec = ChainSpec(make_distributive_set([BERMAN_TAU, BERMAN_SIGMA]), (1, -1), 2)
-        assert is_zero(mat_mul(boundary_matrix(spec, 1), boundary_matrix(spec, 2)))
+        d1, d2 = boundary_matrix(spec, 1), boundary_matrix(spec, 2)
+        assert mat_mul(d1, d2) == zero_matrix(d1.rows, d2.cols)
 
 
 class TestVerifyDifferential:

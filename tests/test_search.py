@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from multishelf import (
+    OpTable,
     canonical_form,
     canonical_form_set,
     certify_no_nonabelian,
@@ -15,7 +16,22 @@ from multishelf import (
     relabel,
     right_trivial,
 )
-from multishelf.fixtures import BERMAN_SIGMA, BERMAN_TAU
+from multishelf.fixtures import BERMAN_SIGMA, BERMAN_TAU, XOR
+
+
+def invertible_tables(n):
+    """Yield every invertible table on n points, one per choice of n column
+    permutations, in lexicographic order of the column choices."""
+    perms = sorted(itertools.permutations(range(n)))
+    for cols in itertools.product(perms, repeat=n):
+        yield OpTable(n, tuple(tuple(cols[y][x] for y in range(n)) for x in range(n)))
+
+
+def enumerate_racks_brute_force(n):
+    """Reference enumerator: the self-distributive invertible tables,
+    sorted by table encoding."""
+    racks = [t for t in invertible_tables(n) if distributive_witness(t, t) is None]
+    return sorted(racks, key=lambda t: t.entries)
 
 
 class TestEnumerateRacks:
@@ -31,9 +47,7 @@ class TestEnumerateRacks:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_pruned_matches_unpruned(self, n):
-        pruned = enumerate_racks(n, use_pruning=True, bound=4)
-        unpruned = enumerate_racks(n, use_pruning=False)
-        assert pruned.racks == unpruned.racks
+        assert list(enumerate_racks(n).racks) == enumerate_racks_brute_force(n)
 
     def test_every_member_is_a_rack(self):
         for rack in enumerate_racks(3).racks:
@@ -41,8 +55,10 @@ class TestEnumerateRacks:
             assert distributive_witness(rack, rack) is None
 
     def test_bound_enforced(self):
-        with pytest.raises(ValueError):
-            enumerate_racks(5, use_pruning=False)
+        for fn in (enumerate_racks, certify_no_nonabelian):
+            for n in (-2, 0, 7):
+                with pytest.raises(ValueError, match=f"n={n} "):
+                    fn(n)
 
     def test_known_isomorphism_class_counts(self):
         # racks on 1..4 points up to relabeling: 1, 2, 6, 19
@@ -114,6 +130,15 @@ class TestCertify:
         assert report.conclusion == "nonabelian-found"
         assert report.nonabelian_groups[0]["closure_order"] == 6
         assert report.seeded
+
+    def test_seed_pair_carrier_must_match_n(self):
+        with pytest.raises(ValueError, match="carrier 6, but n=5"):
+            certify_no_nonabelian(5, seed_pair=(BERMAN_TAU, BERMAN_SIGMA))
+
+    def test_seeded_incompatible_pair(self):
+        report = certify_no_nonabelian(2, seed_pair=(XOR, XOR))
+        assert (report.racks_found, report.compatible_pairs) == (2, 0)
+        assert report.conclusion == "commutative-only"
 
     def test_budget_zero_reports_partial(self):
         report = certify_no_nonabelian(3, budget=0.0)
