@@ -2,7 +2,8 @@
 
 Exit codes: 0 = success / certified, 1 = a witness falsified the property
 under test (or a non-abelian group was found), 2 = budget exhausted /
-partial result.  Malformed input files report the offending field and
+partial result.  Malformed input files report the offending field, and
+unreadable ones their path and the reason, on an ``error:`` line; both
 exit 1.
 """
 from __future__ import annotations
@@ -16,7 +17,6 @@ from typing import Optional, Sequence
 from . import fixtures as fx
 from .embedding import regular_embed, verify_inverse_images
 from .formats import (
-    SchemaError,
     group_document,
     load_group,
     load_set,
@@ -230,14 +230,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SchemaError as e:
+    except (ValueError, KeyError) as e:  # includes SchemaError, DistributivityError
         print(f"error: {e}", file=sys.stderr)
         return EXIT_WITNESS
-    except DistributivityError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_WITNESS
-    except (ValueError, KeyError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    except OSError as e:
+        print(f"error: {e.filename}: {e.strerror}", file=sys.stderr)
         return EXIT_WITNESS
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import time
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -25,9 +26,26 @@ Perm = tuple[int, ...]
 
 @dataclass(frozen=True)
 class RackCatalog:
+    """Racks sorted by table encoding, with their relabeling classes.
+
+    ``orbit[i]`` is the index of the first rack in the class of
+    ``racks[i]``.  Since the racks are sorted, that first rack is the least
+    relabeling of each member, i.e. its canonical form.
+    """
+
     n: int
     racks: tuple[OpTable, ...]
-    canonical: tuple[OpTable, ...]
+    orbit: tuple[int, ...]
+
+    @property
+    def representatives(self) -> list[int]:
+        """Index of the first rack of each class, in increasing order."""
+        return [i for i, o in enumerate(self.orbit) if o == i]
+
+    @property
+    def canonical(self) -> tuple[OpTable, ...]:
+        """One rack per relabeling class: its canonical form."""
+        return tuple(self.racks[i] for i in self.representatives)
 
 
 @dataclass
@@ -58,45 +76,58 @@ class SearchReport:
         return doc
 
 
+class _OutOfTime(Exception):
+    """The search deadline passed; ``certify_no_nonabelian`` reports partial."""
+
+
+def _check_deadline(deadline: Optional[float]) -> None:
+    if deadline is not None and time.monotonic() >= deadline:
+        raise _OutOfTime
+
+
 def _conj(q: Perm, p: Perm, qinv: Perm) -> Perm:
     """x -> q(p(q^-1(x)))."""
-    return tuple(q[p[qinv[x]]] for x in range(len(q)))
+    return tuple([q[p[v]] for v in qinv])
 
 
-def _enumerate_pruned(n: int) -> tuple[list[OpTable], int]:
+def _enumerate_pruned(n: int, deadline: Optional[float]) -> tuple[list[OpTable], int]:
     """Backtrack over columns with propagation of the self-conjugation
     constraint sigma_{sigma_z(y)} = sigma_z sigma_y sigma_z^-1.
 
-    Returns (racks, nodes_pruned).
+    Each newly assigned column is checked, in both directions, only against
+    the columns assigned so far.  Returns (racks, nodes_pruned).
     """
     perms = sorted(itertools.permutations(range(n)))
     inverses = {p: perm_inverse(p) for p in perms}
     found: list[OpTable] = []
     pruned = 0
 
-    def propagate(cols: list[Optional[Perm]]) -> bool:
-        changed = True
-        while changed:
-            changed = False
-            assigned = [y for y in range(n) if cols[y] is not None]
-            for z in assigned:
+    def assign(cols: list[Optional[Perm]], y: int, p: Perm) -> bool:
+        """Set column y to p and every column that forces; False on a conflict."""
+        cols[y] = p
+        new = [y]
+        while new:
+            x = new.pop()
+            sx = cols[x]
+            sxinv = inverses[sx]
+            for z in range(n):
                 sz = cols[z]
-                szinv = inverses[sz]
-                for y in assigned:
-                    sy = cols[y]
-                    if sy is None:
-                        continue
-                    w = sz[y]
-                    req = _conj(sz, sy, szinv)
+                if sz is None:
+                    continue
+                for w, req in (
+                    (sz[x], _conj(sz, sx, inverses[sz])),
+                    (sx[z], _conj(sx, sz, sxinv)),
+                ):
                     if cols[w] is None:
                         cols[w] = req
-                        changed = True
+                        new.append(w)
                     elif cols[w] != req:
                         return False
         return True
 
     def extend(cols: list[Optional[Perm]]):
         nonlocal pruned
+        _check_deadline(deadline)
         try:
             y = cols.index(None)
         except ValueError:
@@ -106,8 +137,7 @@ def _enumerate_pruned(n: int) -> tuple[list[OpTable], int]:
             return
         for p in perms:
             trial = list(cols)
-            trial[y] = p
-            if propagate(trial):
+            if assign(trial, y, p):
                 extend(trial)
             else:
                 pruned += 1
@@ -145,30 +175,73 @@ def _check_size(n: int) -> None:
         raise ValueError(f"n={n} outside [1, {PRUNED_BOUND}]")
 
 
+def _catalog(n: int, deadline: Optional[float]) -> tuple[RackCatalog, int]:
+    """Enumerate the racks and sort them into relabeling classes.
+
+    Only the first rack of each class is relabeled; every relabeling must
+    land in the catalog (a KeyError here would mean a missed rack).
+    """
+    racks, pruned = _enumerate_pruned(n, deadline)
+    index = {r.entries: i for i, r in enumerate(racks)}
+    orbit = [-1] * len(racks)
+    relabelings = list(itertools.permutations(range(n)))
+    for i, rack in enumerate(racks):
+        if orbit[i] < 0:
+            _check_deadline(deadline)
+            for pi in relabelings:
+                orbit[index[relabel(rack, pi).entries]] = i
+    return RackCatalog(n, tuple(racks), tuple(orbit)), pruned
+
+
 def enumerate_racks(n: int) -> RackCatalog:
     """Complete catalog of racks on n points, sorted by table encoding."""
     _check_size(n)
-    racks, _ = _enumerate_pruned(n)
-    canon = sorted({canonical_form(r).entries for r in racks})
-    return RackCatalog(n, tuple(racks), tuple(OpTable(n, e) for e in canon))
+    return _catalog(n, None)[0]
+
+
+def _graph(catalog: RackCatalog, deadline: Optional[float]) -> dict[int, list[int]]:
+    racks = catalog.racks
+    adj: dict[int, list[int]] = {}
+    for i in catalog.representatives:
+        _check_deadline(deadline)
+        a = racks[i]
+        adj[i] = [
+            j
+            for j, b in enumerate(racks)
+            if j != i
+            and distributive_witness(a, b) is None
+            and distributive_witness(b, a) is None
+        ]
+    return adj
 
 
 def compatibility_graph(catalog: RackCatalog) -> dict[int, list[int]]:
-    """Adjacency lists over rack indices; edge iff both ordered checks pass.
+    """Compatible partners of the first rack of each relabeling class.
 
-    Self-loops are implicit (every catalog member is self-distributive).
+    Partners j of rack i are listed in increasing order; j is a partner iff
+    both ordered distributivity checks pass.  Self-loops are implicit (every
+    catalog member is self-distributive).  The rows of the other racks are
+    relabelings of these, so with singleton classes this is the full graph.
     """
-    racks = catalog.racks
-    adj: dict[int, list[int]] = {i: [] for i in range(len(racks))}
-    for i in range(len(racks)):
-        for j in range(i + 1, len(racks)):
-            if (
-                distributive_witness(racks[i], racks[j]) is None
-                and distributive_witness(racks[j], racks[i]) is None
-            ):
-                adj[i].append(j)
-                adj[j].append(i)
-    return adj
+    return _graph(catalog, None)
+
+
+def _check_seed_pair(n: int, seed_pair: tuple[OpTable, OpTable]) -> None:
+    """A seed pair must be two racks on the searched carrier."""
+    for k, op in enumerate(seed_pair):
+        if op.n != n:
+            raise ValueError(f"seed pair table has carrier {op.n}, but n={n}")
+        for y in range(n):
+            if sorted(op.column(y)) != list(range(n)):
+                raise ValueError(
+                    f"seed pair table {k} is not invertible: column {y} is not a permutation"
+                )
+        w = distributive_witness(op, op)
+        if w is not None:
+            raise ValueError(
+                f"seed pair table {k} is not self-distributive: "
+                f"(a*b)*c != (a*c)*(b*c) at (a, b, c) = {w}"
+            )
 
 
 def certify_no_nonabelian(
@@ -178,42 +251,59 @@ def certify_no_nonabelian(
 ) -> SearchReport:
     """Sweep compatible rack pairs and test the groups they generate.
 
-    A pair of commuting generators always generates an abelian group, so the
-    closure is only computed for non-commuting compatible pairs.  With
-    ``seed_pair`` the enumeration is skipped and the catalog is that pair.
+    Compatibility, commutation and the generated group do not change under
+    a relabeling of the carrier, so the first rack of a pair ranges over
+    one representative per class and its partner over all racks.  A pair of
+    commuting generators always generates an abelian group, so the closure
+    is only computed for non-commuting compatible pairs; each non-abelian
+    group is listed once up to simultaneous relabeling.  With ``seed_pair``
+    the enumeration is skipped and the catalog is that pair, each table its
+    own class.  ``budget`` seconds bound every phase; when they run out the
+    conclusion is "partial" unless a non-abelian group was already found.
     """
     _check_size(n)
     start = time.monotonic()
-    if seed_pair is None:
-        racks, nodes_pruned = _enumerate_pruned(n)
-    else:
-        for op in seed_pair:
-            if op.n != n:
-                raise ValueError(f"seed pair table has carrier {op.n}, but n={n}")
-        racks, nodes_pruned = list(seed_pair), 0
-    catalog = RackCatalog(n, tuple(racks), ())
-    adj = compatibility_graph(catalog)
-    pairs = [(i, j) for i in sorted(adj) for j in adj[i] if i < j]
+    deadline = None if budget is None else start + budget
+    if seed_pair is not None:
+        _check_seed_pair(n, seed_pair)
 
+    racks_found = compatible = nodes_pruned = 0
     nonabelian: list[dict] = []
-    compatible = 0
+    seen: set[tuple[OpTable, ...]] = set()
     partial = False
-    for i, j in pairs:
-        if budget is not None and time.monotonic() - start > budget:
-            partial = True
-            break
-        a, b = catalog.racks[i], catalog.racks[j]
-        compatible += 1
-        if commutes(a, b):
-            continue  # commuting generators give an abelian group
-        closure = close_group(DistributiveSet(n, (a, b)))
-        if not closure.abelian:
-            nonabelian.append(
-                {
-                    "pair": [list(map(list, a.entries)), list(map(list, b.entries))],
-                    "closure_order": closure.order,
-                }
-            )
+    try:
+        if seed_pair is None:
+            catalog, nodes_pruned = _catalog(n, deadline)
+        else:
+            catalog = RackCatalog(n, tuple(seed_pair), (0, 1))
+        racks, orbit = catalog.racks, catalog.orbit
+        racks_found = len(racks)
+        adj = _graph(catalog, deadline)
+        size = Counter(orbit)
+        compatible = sum(size[i] * len(row) for i, row in adj.items()) // 2
+        for i, row in adj.items():
+            a = racks[i]
+            for j in row:
+                if orbit[j] < i:
+                    continue  # a relabeling of this pair is swept from rack orbit[j]
+                _check_deadline(deadline)
+                b = racks[j]
+                if commutes(a, b):
+                    continue  # commuting generators give an abelian group
+                closure = close_group(DistributiveSet(n, (a, b)))
+                if closure.abelian:
+                    continue
+                key = canonical_form_set(closure.ops)
+                if key not in seen:
+                    seen.add(key)
+                    nonabelian.append(
+                        {
+                            "pair": [list(map(list, a.entries)), list(map(list, b.entries))],
+                            "closure_order": closure.order,
+                        }
+                    )
+    except _OutOfTime:
+        partial = True
 
     if nonabelian:
         conclusion = "nonabelian-found"
@@ -223,7 +313,7 @@ def certify_no_nonabelian(
         conclusion = "commutative-only"
     return SearchReport(
         n=n,
-        racks_found=len(catalog.racks),
+        racks_found=racks_found,
         compatible_pairs=compatible,
         nonabelian_groups=nonabelian,
         conclusion=conclusion,

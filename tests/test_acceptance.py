@@ -6,7 +6,6 @@ Random inputs use fixed seeds.
 """
 import json
 import math
-import os
 import random
 import time
 
@@ -40,10 +39,13 @@ from multishelf import (
     verify_inverse_images,
 )
 from multishelf.fixtures import BERMAN_SIGMA, BERMAN_TAU
-from multishelf.search import compatibility_graph
 
 from test_homology import naive_snf
-from test_search import enumerate_racks_brute_force, invertible_tables
+from test_search import (
+    compatible_pairs_brute_force,
+    enumerate_racks_brute_force,
+    invertible_tables,
+)
 
 
 # ---------------------------------------------------------------- criterion 1
@@ -120,8 +122,7 @@ def criterion_4():
     report = {}
     for n in (1, 2, 3):
         catalog = enumerate_racks(n)
-        adj = compatibility_graph(catalog)
-        pairs = [(i, j) for i in sorted(adj) for j in adj[i] if i < j]
+        pairs = compatible_pairs_brute_force(catalog.racks)
         pairs += [(i, i) for i in range(len(catalog.racks))]
         closures_ok = 0
         inverses_ok = 0
@@ -342,14 +343,12 @@ def test_criterion_6_minimality(first_run):
     print("ACCEPTANCE 6: PASS - no non-abelian group below n=5; found at n=6")
 
 
-@pytest.mark.skipif(
-    not os.environ.get("MULTISHELF_N5"),
-    reason="n=5 certification is a flagged long-running mode (set MULTISHELF_N5=1)",
-)
-def test_criterion_6_n5_long_running():
-    report = certify_no_nonabelian(5, budget=float(os.environ.get("MULTISHELF_N5_BUDGET", "3600")))
-    assert report.conclusion in ("commutative-only", "partial")
-    print(f"ACCEPTANCE 6 (n=5): PASS - conclusion {report.conclusion}")
+def test_criterion_6_n5():
+    report = certify_no_nonabelian(5)
+    assert report.conclusion == "commutative-only"
+    assert (report.racks_found, report.compatible_pairs) == (1708, 42651)
+    assert len(enumerate_racks(5).canonical) == 74  # OEIS A181771
+    print("ACCEPTANCE 6 (n=5): PASS - commutative-only over 1708 racks in 74 classes")
 
 
 def test_criterion_7_homology_gates(first_run):

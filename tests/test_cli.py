@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -54,6 +55,11 @@ class TestValidateCommand:
         assert main(["validate", "--set", str(bad)]) == 1
         assert "invalid JSON" in capsys.readouterr().err
 
+    def test_missing_file(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["validate", "--set", "missing.json"]) == 1
+        assert capsys.readouterr().err == "error: missing.json: No such file or directory\n"
+
 
 class TestComposeCommand:
     def test_tau_tau_identity(self, berman_dir, tmp_path, capsys):
@@ -86,6 +92,11 @@ class TestEmbedRegularCommand:
         assert main(["embed-regular", "--group", "cyclic:x", "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: --group cyclic:x: invalid literal for int()")
+
+    def test_missing_group_file(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["embed-regular", "--group", "cyclic3", "--out", "out"]) == 1
+        assert capsys.readouterr().err == "error: cyclic3: No such file or directory\n"
 
     def test_symmetric_3(self, tmp_path, capsys):
         out = tmp_path / "s3"
@@ -159,6 +170,15 @@ class TestSearchCommand:
         assert main(["search", "--n", "3", "--budget", "0", "--report", str(report)]) == 2
         assert json.loads(report.read_text())["conclusion"] == "partial"
 
+    def test_budget_holds_at_n6(self, tmp_path):
+        # enumeration alone takes tens of seconds at n = 6
+        report = tmp_path / "r.json"
+        start = time.monotonic()
+        code = main(["search", "--n", "6", "--budget", "0.05", "--report", str(report)])
+        assert time.monotonic() - start < 1.0
+        assert code == 2
+        assert json.loads(report.read_text())["conclusion"] == "partial"
+
     @pytest.mark.parametrize("n", ["0", "-2"])
     def test_size_out_of_range(self, n, capsys):
         assert main(["search", "--n", n]) == 1
@@ -173,6 +193,18 @@ class TestSearchCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: seed pair table has carrier 3, but n=6\n"
+
+    def test_seed_pair_not_a_rack(self, tmp_path, capsys):
+        path = tmp_path / "const.json"
+        save_table(make_table(2, [[0, 0], [0, 0]]), path)
+        rt = tmp_path / "rt2.json"
+        save_table(right_trivial(2), rt)
+        assert main(["search", "--n", "2", "--seed-pair", str(rt), str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: seed pair table 1 is not invertible: column 0 is not a permutation\n"
+        )
 
     def test_report_byte_identical(self, tmp_path):
         r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -64,6 +65,24 @@ class TestEnumerateRacks:
         # racks on 1..4 points up to relabeling: 1, 2, 6, 19
         assert [len(enumerate_racks(n).canonical) for n in (1, 2, 3, 4)] == [1, 2, 6, 19]
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_canonical_matches_canonical_form(self, n):
+        catalog = enumerate_racks(n)
+        forms = {canonical_form(r) for r in catalog.racks}
+        assert catalog.canonical == tuple(sorted(forms, key=lambda t: t.entries))
+        for i, rack in enumerate(catalog.racks):
+            assert catalog.racks[catalog.orbit[i]] == canonical_form(rack)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_orbit_sizes(self, n):
+        catalog = enumerate_racks(n)
+        reps = catalog.representatives
+        relabelings = list(itertools.permutations(range(n)))
+        sizes = [len({relabel(catalog.racks[i], pi) for pi in relabelings}) for i in reps]
+        assert sizes == [catalog.orbit.count(i) for i in reps]
+        assert all(math.factorial(n) % k == 0 for k in sizes)
+        assert sum(sizes) == len(catalog.racks)
+
 
 class TestCanonicalForm:
     def test_right_trivial_fixed(self):
@@ -99,6 +118,16 @@ class TestCanonicalForm:
             assert canonical_form_set(moved) == c
 
 
+def compatible_pairs_brute_force(racks):
+    """Unordered pairs of distinct racks passing both ordered checks."""
+    return [
+        (i, j)
+        for i, a in enumerate(racks)
+        for j, b in enumerate(racks)
+        if i < j and distributive_witness(a, b) is None and distributive_witness(b, a) is None
+    ]
+
+
 class TestCompatibilityGraph:
     def test_n2_complete(self):
         adj = compatibility_graph(enumerate_racks(2))
@@ -109,6 +138,16 @@ class TestCompatibilityGraph:
         ident_idx = catalog.racks.index(right_trivial(3))
         adj = compatibility_graph(catalog)
         assert len(adj[ident_idx]) == len(catalog.racks) - 1
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_rows_of_representatives_only(self, n):
+        catalog = enumerate_racks(n)
+        adj = compatibility_graph(catalog)
+        assert sorted(adj) == [i for i in range(len(catalog.racks)) if catalog.orbit[i] == i]
+        pairs = set(compatible_pairs_brute_force(catalog.racks))
+        for i, row in adj.items():
+            want = [j for j in range(len(catalog.racks)) if (min(i, j), max(i, j)) in pairs]
+            assert row == want
 
     def test_berman_pair_mutually_compatible(self):
         assert distributive_witness(BERMAN_TAU, BERMAN_SIGMA) is None
@@ -136,9 +175,26 @@ class TestCertify:
             certify_no_nonabelian(5, seed_pair=(BERMAN_TAU, BERMAN_SIGMA))
 
     def test_seeded_incompatible_pair(self):
-        report = certify_no_nonabelian(2, seed_pair=(XOR, XOR))
+        a = make_table(3, [[0, 0, 0], [2, 2, 2], [1, 1, 1]])
+        b = make_table(3, [[0, 0, 1], [1, 1, 0], [2, 2, 2]])
+        report = certify_no_nonabelian(3, seed_pair=(a, b))
         assert (report.racks_found, report.compatible_pairs) == (2, 0)
         assert report.conclusion == "commutative-only"
+
+    def test_seed_table_must_be_invertible(self):
+        constant = make_table(2, [[0, 0], [0, 0]])
+        with pytest.raises(ValueError, match="seed pair table 0 is not invertible: column 0 "):
+            certify_no_nonabelian(2, seed_pair=(constant, right_trivial(2)))
+
+    def test_seed_table_must_be_self_distributive(self):
+        # XOR: (0 ^ 0) ^ 1 = 1, but (0 ^ 1) ^ (0 ^ 1) = 0
+        with pytest.raises(ValueError, match=r"seed pair table 1 is not self-distributive: .*\(0, 0, 1\)"):
+            certify_no_nonabelian(2, seed_pair=(right_trivial(2), XOR))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_compatible_pairs_brute_force(self, n):
+        racks = enumerate_racks(n).racks
+        assert certify_no_nonabelian(n).compatible_pairs == len(compatible_pairs_brute_force(racks))
 
     def test_budget_zero_reports_partial(self):
         report = certify_no_nonabelian(3, budget=0.0)
