@@ -25,8 +25,14 @@ from .formats import (
     table_document,
 )
 from .groups import FiniteGroup, cyclic, dihedral, symmetric
-from .homology import CONVENTION, ChainSpec, homology_groups
-from .shelves import DistributivityError, make_distributive_set, verify_distributive
+from .homology import (
+    CONVENTION,
+    DEFAULT_DIM_BUDGET,
+    DEFAULT_MAX_DEGREE,
+    ChainSpec,
+    homology_groups,
+)
+from .shelves import DistributivityError, verify_distributive
 from .search import certify_no_nonabelian
 from .tables import compose
 from .translate import alpha, conjugation_condition
@@ -83,9 +89,8 @@ def _cmd_fixtures(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    S = load_set(args.set, validate=False)
     try:
-        make_distributive_set(S.ops, n=S.n)
+        S = load_set(args.set)
     except DistributivityError as e:
         _emit({"valid": False, "pair": list(e.pair), "witness": list(e.triple)}, args.out)
         return EXIT_WITNESS
@@ -219,8 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("homology", help="multi-term distributive homology")
     sp.add_argument("--set", required=True)
     sp.add_argument("--weights", required=True, help="comma-separated integers")
-    sp.add_argument("--max-degree", type=int, default=3)
-    sp.add_argument("--dim-budget", type=int, default=50_000)
+    sp.add_argument("--max-degree", type=int, default=DEFAULT_MAX_DEGREE)
+    sp.add_argument("--dim-budget", type=int, default=DEFAULT_DIM_BUDGET)
     sp.add_argument("--out")
     sp.set_defaults(func=_cmd_homology)
     return p

@@ -16,7 +16,8 @@ from __future__ import annotations
 import hashlib
 import json
 
-from .shelves import DistributiveSet
+from .formats import set_document
+from .shelves import DistributiveSet, make_distributive_set
 from .tables import OpTable
 
 BERMAN_TAU = OpTable(
@@ -60,28 +61,24 @@ def fixture_names() -> list[str]:
     return sorted(_FIXTURE_OPS)
 
 
-def fixture_ops(name: str) -> tuple[OpTable, ...]:
-    """The fixture's tables; raises if they do not hash to the pinned sha256."""
+def fixture_set_document(name: str) -> dict:
+    """The fixture's set document; raises if it does not hash to the pinned sha256."""
     if name not in _FIXTURE_OPS:
         raise KeyError(f"unknown fixture '{name}', have {fixture_names()}")
     ops = _FIXTURE_OPS[name]
-    digest = document_checksum(_set_document(ops))
+    doc = set_document(DistributiveSet(ops[0].n, ops))
+    digest = document_checksum(doc)
     if digest != _FIXTURE_SHA256[name]:
         raise ValueError(
             f"fixture '{name}' hashes to {digest}, pinned {_FIXTURE_SHA256[name]}"
         )
-    return ops
+    return doc
 
 
-def _set_document(ops: tuple[OpTable, ...]) -> dict:
-    return {
-        "n": ops[0].n,
-        "ops": [[list(row) for row in op.entries] for op in ops],
-    }
-
-
-def fixture_set_document(name: str) -> dict:
-    return _set_document(fixture_ops(name))
+def fixture_ops(name: str) -> tuple[OpTable, ...]:
+    """The fixture's tables, once they hash to the pinned sha256."""
+    fixture_set_document(name)
+    return _FIXTURE_OPS[name]
 
 
 def document_checksum(doc: dict) -> str:
@@ -95,12 +92,7 @@ def fixture_checksum(name: str) -> str:
     return _FIXTURE_SHA256[name]
 
 
-def get_fixture(name: str, validate: bool = True) -> DistributiveSet:
-    """Fixture as a family of tables; distributivity revalidated on load
-    (skipped for deliberately non-distributive fixtures when validate=False)."""
-    from .shelves import make_distributive_set
-
-    ops = fixture_ops(name)
-    if validate:
-        return make_distributive_set(ops)
-    return DistributiveSet(ops[0].n, ops)
+def get_fixture(name: str) -> DistributiveSet:
+    """Fixture as a distributive set, revalidated on load; ``fixture_ops``
+    gives the tables of a deliberately non-distributive fixture."""
+    return make_distributive_set(fixture_ops(name))

@@ -74,8 +74,8 @@ def save_set(S: DistributiveSet, path: PathLike) -> None:
     _dump(set_document(S), path)
 
 
-def load_set(path: PathLike, validate: bool = True) -> DistributiveSet:
-    """Load a family of tables; validates distributivity unless disabled."""
+def load_set(path: PathLike) -> DistributiveSet:
+    """Load a family of tables; raises DistributivityError with the witness."""
     doc = _read_json(path)
     n = _require(doc, path, "n", int)
     raw_ops = _require(doc, path, "ops", list)
@@ -85,9 +85,7 @@ def load_set(path: PathLike, validate: bool = True) -> DistributiveSet:
             ops.append(make_table(n, raw))
         except (ValueError, TypeError) as e:
             raise SchemaError(str(path), f"ops[{k}]", str(e)) from e
-    if validate:
-        return make_distributive_set(ops, n=n)
-    return DistributiveSet(n, tuple(ops))
+    return make_distributive_set(ops, n=n)
 
 
 def group_document(G: FiniteGroup) -> dict:

@@ -8,13 +8,15 @@ lexicographically.  The one-term face map for an operation * is
 and the differential is the alternating sum over i = 0..d; the multi-term
 differential is the integer-weighted sum of one-term differentials.  The
 convention is certified mechanically: homology is only reported after the
-boundary-squares-to-zero check passes.
+boundary-squares-to-zero check passes.  The boundary matrices and that check
+both read the faces from one table per operation and degree.
 """
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .shelves import DistributiveSet
 from .snf import IntMatrix, smith_normal_form
@@ -55,30 +57,17 @@ def _tuple_index(t: Sequence[int], n: int) -> int:
     return idx
 
 
-def _one_term_boundary(op: OpTable, x: tuple[int, ...]) -> Iterable[tuple[int, tuple[int, ...]]]:
-    """(sign, face) terms of the one-term differential on a basis tuple."""
-    e = op.entries
-    for i in range(len(x)):
-        xi = x[i]
-        face = tuple(e[x[j]][xi] for j in range(i)) + x[i + 1 :]
-        yield (1 if i % 2 == 0 else -1), face
-
-
-def _apply_boundary(
-    ops: Sequence[OpTable], weights: Sequence[int], chain: dict[tuple[int, ...], int]
-) -> dict[tuple[int, ...], int]:
-    out: dict[tuple[int, ...], int] = {}
-    for x, coeff in chain.items():
-        for op, w in zip(ops, weights):
-            if w == 0:
-                continue
-            for sign, face in _one_term_boundary(op, x):
-                c = out.get(face, 0) + sign * w * coeff
-                if c:
-                    out[face] = c
-                else:
-                    out.pop(face, None)
-    return out
+def _face_table(op: OpTable, degree: int) -> list[tuple[int, ...]]:
+    """Row x lists the lex indices of the faces d_0 .. d_degree of the x-th
+    basis tuple of C_degree; face i enters the differential with sign (-1)^i."""
+    n, e = op.n, op.entries
+    return [
+        tuple(
+            _tuple_index(tuple(e[x[j]][x[i]] for j in range(i)) + x[i + 1 :], n)
+            for i in range(degree + 1)
+        )
+        for x in itertools.product(range(n), repeat=degree + 1)
+    ]
 
 
 def boundary_matrix(spec: ChainSpec, degree: int, dim_budget: int = DEFAULT_DIM_BUDGET) -> IntMatrix:
@@ -91,10 +80,11 @@ def boundary_matrix(spec: ChainSpec, degree: int, dim_budget: int = DEFAULT_DIM_
     if cols > dim_budget:
         raise ValueError(f"chain dimension {cols} exceeds budget {dim_budget}")
     data = [[0] * cols for _ in range(rows)]
-    for col, x in enumerate(itertools.product(range(n), repeat=degree + 1)):
-        acc = _apply_boundary(spec.S.ops, spec.weights, {x: 1})
-        for face, coeff in acc.items():
-            data[_tuple_index(face, n)][col] += coeff
+    for op, w in zip(spec.S.ops, spec.weights):
+        if w:
+            for x, faces in enumerate(_face_table(op, degree)):
+                for i, face in enumerate(faces):
+                    data[face][x] += -w if i % 2 else w
     return IntMatrix(rows, cols, tuple(tuple(r) for r in data))
 
 
@@ -102,35 +92,31 @@ def verify_differential(spec: ChainSpec) -> bool:
     """True iff the weighted differential squares to zero up to max_degree and
     the one-term differentials pairwise anticommute.
 
-    Checked symbolically on every basis tuple; false means the input is not
-    distributive or the face convention is inconsistent.
+    Checked exactly over the integers on every basis tuple x of C_{d+1},
+    d = 1..max_degree-1: from the products d_s d_t x of the one-term
+    differentials with nonzero weight, sum_{s,t} w_s w_t d_s d_t x and every
+    d_s d_t x + d_t d_s x (s = t included) must be 0.  False means the input
+    is not distributive or the face convention is inconsistent.
     """
-    n = spec.S.n
-    ops = spec.S.ops
+    active = [(op, w) for op, w in zip(spec.S.ops, spec.weights) if w]
+    lower = [_face_table(op, 1) for op, _ in active]
     for d in range(1, spec.max_degree):
-        for x in itertools.product(range(n), repeat=d + 2):
-            once = _apply_boundary(ops, spec.weights, {x: 1})
-            if _apply_boundary(ops, spec.weights, once):
+        upper = [_face_table(op, d + 1) for op, _ in active]
+        for x in range(spec.S.n ** (d + 2)):
+            prod = Counter()  # (s, t, z) -> coefficient of z in d_s d_t x
+            for t, up in enumerate(upper):
+                for i, y in enumerate(up[x]):
+                    for s, low in enumerate(lower):
+                        for j, z in enumerate(low[y]):
+                            prod[s, t, z] += -1 if (i + j) % 2 else 1
+            weighted = Counter()
+            for (s, t, z), c in prod.items():
+                if c + prod[t, s, z]:
+                    return False
+                weighted[z] += active[s][1] * active[t][1] * c
+            if any(weighted.values()):
                 return False
-            # pairwise anticommutation of the one-term differentials that
-            # actually contribute (nonzero weight)
-            active = [t for t, w in enumerate(spec.weights) if w != 0]
-            for s in active:
-                ws = tuple(1 if t == s else 0 for t in range(len(ops)))
-                ds = _apply_boundary(ops, ws, {x: 1})
-                for t in (u for u in active if u >= s):
-                    wt = tuple(1 if u == t else 0 for u in range(len(ops)))
-                    st = _apply_boundary(ops, wt, ds)
-                    ts = _apply_boundary(ops, ws, _apply_boundary(ops, wt, {x: 1}))
-                    total = dict(st)
-                    for face, c in ts.items():
-                        v = total.get(face, 0) + c
-                        if v:
-                            total[face] = v
-                        else:
-                            total.pop(face, None)
-                    if total:
-                        return False
+        lower = upper
     return True
 
 
@@ -138,22 +124,15 @@ def homology_groups(
     spec: ChainSpec, dim_budget: int = DEFAULT_DIM_BUDGET
 ) -> list[HomologyGroup]:
     """H_d = ker d_d / im d_{d+1} for d = 0..max_degree-1, via Smith normal form."""
+    # the matrices enforce dim_budget, which then also bounds the check's face tables
+    matrices = [boundary_matrix(spec, d, dim_budget) for d in range(1, spec.max_degree + 1)]
     if not verify_differential(spec):
         raise ValueError("differential does not square to zero; refusing to compute")
+    factors = {d: smith_normal_form(M) for d, M in enumerate(matrices, start=1)}
     n = spec.S.n
     groups = []
-    factors_by_degree: dict[int, list[int]] = {}
-
-    def factors(d: int) -> list[int]:
-        if d not in factors_by_degree:
-            factors_by_degree[d] = smith_normal_form(boundary_matrix(spec, d, dim_budget))
-        return factors_by_degree[d]
-
     for d in range(spec.max_degree):
-        dim = n ** (d + 1)
-        rank_d = 0 if d == 0 else len(factors(d))
-        above = factors(d + 1)
-        free_rank = dim - rank_d - len(above)
-        torsion = tuple(f for f in above if f > 1)
-        groups.append(HomologyGroup(d, free_rank, torsion))
+        above = factors[d + 1]
+        free_rank = n ** (d + 1) - len(factors.get(d, ())) - len(above)
+        groups.append(HomologyGroup(d, free_rank, tuple(f for f in above if f > 1)))
     return groups

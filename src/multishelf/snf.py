@@ -20,10 +20,9 @@ class IntMatrix:
             raise ValueError("data shape does not match declared dimensions")
 
 
-def int_matrix(data: Sequence[Sequence[int]], rows: int = None, cols: int = None) -> IntMatrix:
-    r = len(data) if rows is None else rows
-    c = (len(data[0]) if data else 0) if cols is None else cols
-    return IntMatrix(r, c, tuple(tuple(int(v) for v in row) for row in data))
+def int_matrix(data: Sequence[Sequence[int]]) -> IntMatrix:
+    cols = len(data[0]) if data else 0
+    return IntMatrix(len(data), cols, tuple(tuple(int(v) for v in row) for row in data))
 
 
 def smith_normal_form(M: IntMatrix) -> list[int]:

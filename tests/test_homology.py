@@ -9,9 +9,11 @@ from multishelf import (
     DistributiveSet,
     boundary_matrix,
     cyclic,
+    distributive_witness,
     homology_groups,
     int_matrix,
     make_distributive_set,
+    make_table,
     regular_embed,
     relabel,
     right_trivial,
@@ -33,6 +35,36 @@ def mat_mul(A, B):
         tuple(sum(a * b for a, b in zip(row, col)) for col in bt) for row in A.data
     )
     return IntMatrix(A.rows, B.cols, out)
+
+
+def differential_ops(name):
+    if name == "berman":
+        return (BERMAN_TAU, BERMAN_SIGMA)
+    if name == "xor":
+        return (XOR,)
+    return tuple(regular_embed(cyclic(3)).images)
+
+
+_rng = random.Random(2012)
+# (ops, weights, max_degree, expected).  Berman stops at degree 2: the dense
+# product at degree 3 is too slow for tier-1.  No case runs SNF, which takes
+# about two minutes on the 36x216 Berman d_2 at weights 2,5.
+DIFFERENTIAL_CASES = [
+    ("berman", (1, -1), 2, True),
+    ("berman", (2, 5), 2, True),
+    ("xor", (1,), 3, False),
+] + [("cyclic3", tuple(_rng.randint(-3, 3) for _ in range(3)), 3, True) for _ in range(3)]
+
+
+# Two racks on 3 points, each self-distributive, not mutually distributive.
+INCOMPATIBLE_RACKS = (
+    make_table(3, [[0, 0, 0], [1, 2, 2], [2, 1, 1]]),
+    make_table(3, [[0, 0, 1], [1, 1, 0], [2, 2, 2]]),
+)
+
+
+def _param_id(v):
+    return ",".join(map(str, v)) if isinstance(v, tuple) else str(v)
 
 
 def naive_snf(data):
@@ -185,10 +217,16 @@ class TestBoundaryMatrix:
         with pytest.raises(ValueError):
             boundary_matrix(self.rt2_spec(max_degree=2), 3)
 
-    def test_composition_is_zero_matrix(self):
-        spec = ChainSpec(make_distributive_set([BERMAN_TAU, BERMAN_SIGMA]), (1, -1), 2)
-        d1, d2 = boundary_matrix(spec, 1), boundary_matrix(spec, 2)
-        assert mat_mul(d1, d2) == zero_matrix(d1.rows, d2.cols)
+    @pytest.mark.parametrize("name, weights, max_degree, expected", DIFFERENTIAL_CASES, ids=_param_id)
+    def test_composition_is_zero_matrix(self, name, weights, max_degree, expected):
+        # oracle for verify_differential: the dense products d_d d_{d+1}
+        ops = differential_ops(name)
+        spec = ChainSpec(DistributiveSet(ops[0].n, ops), weights, max_degree)
+        mats = [boundary_matrix(spec, d) for d in range(1, max_degree + 1)]
+        squares_to_zero = all(
+            mat_mul(lo, hi) == zero_matrix(lo.rows, hi.cols) for lo, hi in zip(mats, mats[1:])
+        )
+        assert verify_differential(spec) == squares_to_zero == expected
 
 
 class TestVerifyDifferential:
@@ -205,11 +243,29 @@ class TestVerifyDifferential:
         assert not verify_differential(ChainSpec(bad, (1,), 3))
 
     def test_anticommutation_tracks_distributivity(self):
-        from multishelf import distributive_witness
-
         S = make_distributive_set([BERMAN_TAU, BERMAN_SIGMA])
         assert distributive_witness(BERMAN_TAU, BERMAN_SIGMA) is None
         assert verify_differential(ChainSpec(S, (1, 1), 2))
+
+    @pytest.mark.parametrize(
+        "weights, expected",
+        [((1, 1), False), ((1, -1), False), ((2, 3), False), ((1, 0), True)],
+        ids=_param_id,
+    )
+    def test_incompatible_racks_fail_anticommutation(self, weights, expected):
+        a, b = INCOMPATIBLE_RACKS
+        assert distributive_witness(a, a) is None and distributive_witness(b, b) is None
+        assert distributive_witness(a, b) is not None
+        assert verify_differential(ChainSpec(DistributiveSet(3, (a, b)), weights, 3)) is expected
+
+    def test_anticommutation_fails_where_weighted_square_vanishes(self):
+        # weights 1,1,-1 on (a, b, b) sum to the differential d_a, which squares
+        # to zero; only the anticommutator d_a d_b + d_b d_a is nonzero
+        a, b = INCOMPATIBLE_RACKS
+        spec = ChainSpec(DistributiveSet(3, (a, b, b)), (1, 1, -1), 2)
+        d1, d2 = boundary_matrix(spec, 1), boundary_matrix(spec, 2)
+        assert mat_mul(d1, d2) == zero_matrix(d1.rows, d2.cols)
+        assert not verify_differential(spec)
 
     def test_random_weights(self):
         rng = random.Random(2012)
@@ -238,6 +294,12 @@ class TestHomologyGroups:
         bad = DistributiveSet(2, (XOR,))
         with pytest.raises(ValueError, match="square"):
             homology_groups(ChainSpec(bad, (1,), 2))
+
+    def test_dim_budget_before_verification(self):
+        # the budget also bounds verify_differential's face tables
+        bad = DistributiveSet(2, (XOR,))
+        with pytest.raises(ValueError, match="budget"):
+            homology_groups(ChainSpec(bad, (1,), 3), dim_budget=4)
 
     def test_rank_nullity_consistency(self):
         S = make_distributive_set(list(regular_embed(cyclic(2)).images))
