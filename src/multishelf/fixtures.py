@@ -7,7 +7,7 @@ carrier — the smallest carrier where that is possible.
 ``xor``: XOR on {0,1}; invertible but not self-distributive, useful as a
 negative fixture.
 
-Each fixture's canonical set document has a pinned sha256; ``fixture_ops``
+Each fixture's canonical set document has a pinned sha256; ``fixture``
 refuses a fixture whose tables no longer hash to it, so in-package data and
 files written from it cannot drift.
 """
@@ -61,8 +61,9 @@ def fixture_names() -> list[str]:
     return sorted(_FIXTURE_OPS)
 
 
-def fixture_set_document(name: str) -> dict:
-    """The fixture's set document; raises if it does not hash to the pinned sha256."""
+def fixture(name: str) -> tuple[tuple[OpTable, ...], dict, str]:
+    """The fixture's tables, set document and pinned sha256; raises if the
+    document does not hash to that sha256."""
     if name not in _FIXTURE_OPS:
         raise KeyError(f"unknown fixture '{name}', have {fixture_names()}")
     ops = _FIXTURE_OPS[name]
@@ -72,13 +73,12 @@ def fixture_set_document(name: str) -> dict:
         raise ValueError(
             f"fixture '{name}' hashes to {digest}, pinned {_FIXTURE_SHA256[name]}"
         )
-    return doc
+    return ops, doc, digest
 
 
 def fixture_ops(name: str) -> tuple[OpTable, ...]:
     """The fixture's tables, once they hash to the pinned sha256."""
-    fixture_set_document(name)
-    return _FIXTURE_OPS[name]
+    return fixture(name)[0]
 
 
 def document_checksum(doc: dict) -> str:
@@ -88,8 +88,7 @@ def document_checksum(doc: dict) -> str:
 
 def fixture_checksum(name: str) -> str:
     """The pinned sha256 of the fixture's set document, once its tables match it."""
-    fixture_ops(name)
-    return _FIXTURE_SHA256[name]
+    return fixture(name)[2]
 
 
 def get_fixture(name: str) -> DistributiveSet:

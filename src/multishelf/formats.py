@@ -6,8 +6,9 @@ newline, so save/load round trips are byte-stable.
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
-from typing import Union
+from typing import Optional, Union
 
 from .groups import FiniteGroup, group_from_table
 from .shelves import DistributiveSet, make_distributive_set
@@ -44,8 +45,13 @@ def _require(doc: dict, path: PathLike, field: str, kind: type):
     return v
 
 
-def _dump(doc: dict, path: PathLike) -> None:
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+def write_document(doc: dict, path: Optional[PathLike] = None) -> None:
+    """Write the canonical text of ``doc`` to ``path``, or to stdout without one."""
+    text = json.dumps(doc, indent=2) + "\n"
+    if path:
+        Path(path).write_text(text)
+    else:
+        sys.stdout.write(text)
 
 
 def table_document(op: OpTable) -> dict:
@@ -53,7 +59,7 @@ def table_document(op: OpTable) -> dict:
 
 
 def save_table(op: OpTable, path: PathLike) -> None:
-    _dump(table_document(op), path)
+    write_document(table_document(op), path)
 
 
 def load_table(path: PathLike) -> OpTable:
@@ -71,7 +77,7 @@ def set_document(S: DistributiveSet) -> dict:
 
 
 def save_set(S: DistributiveSet, path: PathLike) -> None:
-    _dump(set_document(S), path)
+    write_document(set_document(S), path)
 
 
 def load_set(path: PathLike) -> DistributiveSet:
@@ -93,7 +99,7 @@ def group_document(G: FiniteGroup) -> dict:
 
 
 def save_group(G: FiniteGroup, path: PathLike) -> None:
-    _dump(group_document(G), path)
+    write_document(group_document(G), path)
 
 
 def load_group(path: PathLike) -> FiniteGroup:

@@ -30,12 +30,14 @@ class RackCatalog:
 
     ``orbit[i]`` is the index of the first rack in the class of
     ``racks[i]``.  Since the racks are sorted, that first rack is the least
-    relabeling of each member, i.e. its canonical form.
+    relabeling of each member, i.e. its canonical form.  ``nodes_pruned``
+    counts the enumerator's pruned search nodes (0 for a given catalog).
     """
 
     n: int
     racks: tuple[OpTable, ...]
     orbit: tuple[int, ...]
+    nodes_pruned: int = 0
 
     @property
     def representatives(self) -> list[int]:
@@ -76,13 +78,9 @@ class SearchReport:
         return doc
 
 
-class _OutOfTime(Exception):
-    """The search deadline passed; ``certify_no_nonabelian`` reports partial."""
-
-
 def _check_deadline(deadline: Optional[float]) -> None:
     if deadline is not None and time.monotonic() >= deadline:
-        raise _OutOfTime
+        raise TimeoutError("search deadline passed")
 
 
 def _conj(q: Perm, p: Perm, qinv: Perm) -> Perm:
@@ -175,12 +173,15 @@ def _check_size(n: int) -> None:
         raise ValueError(f"n={n} outside [1, {PRUNED_BOUND}]")
 
 
-def _catalog(n: int, deadline: Optional[float]) -> tuple[RackCatalog, int]:
-    """Enumerate the racks and sort them into relabeling classes.
+def enumerate_racks(n: int, deadline: Optional[float] = None) -> RackCatalog:
+    """Complete catalog of racks on n points, sorted by table encoding, with
+    their relabeling classes.
 
     Only the first rack of each class is relabeled; every relabeling must
-    land in the catalog (a KeyError here would mean a missed rack).
+    land in the catalog (a KeyError here would mean a missed rack).  Raises
+    TimeoutError once ``time.monotonic()`` passes ``deadline``.
     """
+    _check_size(n)
     racks, pruned = _enumerate_pruned(n, deadline)
     index = {r.entries: i for i, r in enumerate(racks)}
     orbit = [-1] * len(racks)
@@ -190,16 +191,20 @@ def _catalog(n: int, deadline: Optional[float]) -> tuple[RackCatalog, int]:
             _check_deadline(deadline)
             for pi in relabelings:
                 orbit[index[relabel(rack, pi).entries]] = i
-    return RackCatalog(n, tuple(racks), tuple(orbit)), pruned
+    return RackCatalog(n, tuple(racks), tuple(orbit), pruned)
 
 
-def enumerate_racks(n: int) -> RackCatalog:
-    """Complete catalog of racks on n points, sorted by table encoding."""
-    _check_size(n)
-    return _catalog(n, None)[0]
+def compatibility_graph(
+    catalog: RackCatalog, deadline: Optional[float] = None
+) -> dict[int, list[int]]:
+    """Compatible partners of the first rack of each relabeling class.
 
-
-def _graph(catalog: RackCatalog, deadline: Optional[float]) -> dict[int, list[int]]:
+    Partners j of rack i are listed in increasing order; j is a partner iff
+    both ordered distributivity checks pass.  Self-loops are implicit (every
+    catalog member is self-distributive).  The rows of the other racks are
+    relabelings of these, so with singleton classes this is the full graph.
+    Raises TimeoutError once ``time.monotonic()`` passes ``deadline``.
+    """
     racks = catalog.racks
     adj: dict[int, list[int]] = {}
     for i in catalog.representatives:
@@ -213,17 +218,6 @@ def _graph(catalog: RackCatalog, deadline: Optional[float]) -> dict[int, list[in
             and distributive_witness(b, a) is None
         ]
     return adj
-
-
-def compatibility_graph(catalog: RackCatalog) -> dict[int, list[int]]:
-    """Compatible partners of the first rack of each relabeling class.
-
-    Partners j of rack i are listed in increasing order; j is a partner iff
-    both ordered distributivity checks pass.  Self-loops are implicit (every
-    catalog member is self-distributive).  The rows of the other racks are
-    relabelings of these, so with singleton classes this is the full graph.
-    """
-    return _graph(catalog, None)
 
 
 def _check_seed_pair(n: int, seed_pair: tuple[OpTable, OpTable]) -> None:
@@ -273,12 +267,12 @@ def certify_no_nonabelian(
     partial = False
     try:
         if seed_pair is None:
-            catalog, nodes_pruned = _catalog(n, deadline)
+            catalog = enumerate_racks(n, deadline)
         else:
             catalog = RackCatalog(n, tuple(seed_pair), (0, 1))
         racks, orbit = catalog.racks, catalog.orbit
-        racks_found = len(racks)
-        adj = _graph(catalog, deadline)
+        racks_found, nodes_pruned = len(racks), catalog.nodes_pruned
+        adj = compatibility_graph(catalog, deadline)
         size = Counter(orbit)
         compatible = sum(size[i] * len(row) for i, row in adj.items()) // 2
         for i, row in adj.items():
@@ -302,7 +296,7 @@ def certify_no_nonabelian(
                             "closure_order": closure.order,
                         }
                     )
-    except _OutOfTime:
+    except TimeoutError:
         partial = True
 
     if nonabelian:

@@ -9,7 +9,6 @@ from .tables import (
     commutes,
     compose,
     distributive_witness,
-    invert,
     is_idempotent,
     is_invertible,
     right_trivial,
@@ -95,32 +94,32 @@ def verify_distributive(
 
 
 def _close(
-    seeds: Sequence[OpTable],
-    n: int,
-    with_inverses: bool,
-    budget: int,
-) -> list[OpTable]:
-    """Breadth-first closure under composition (and optionally inversion).
+    seeds: Sequence[OpTable], n: int, budget: int
+) -> tuple[list[OpTable], tuple[tuple[int, ...], ...]]:
+    """Breadth-first closure under composition, and its Cayley table.
 
     Deterministic: elements are discovered in worklist order, seeds first.
+    Each ordered pair of members is composed once, and the index of its
+    product is recorded as it forms.
     """
     ident = right_trivial(n)
     members: list[OpTable] = [ident]
-    seen = {ident.entries}
+    index = {ident.entries: 0}
     for op in seeds:
-        if op.entries not in seen:
+        if op.entries not in index:
+            index[op.entries] = len(members)
             members.append(op)
-            seen.add(op.entries)
 
-    def add(op: OpTable) -> bool:
-        if op.entries in seen:
-            return False
-        seen.add(op.entries)
-        members.append(op)
-        if len(members) > budget:
-            raise ClosureBudgetError(f"closure exceeded budget of {budget} tables")
-        return True
+    def add(op: OpTable) -> int:
+        k = index.get(op.entries)
+        if k is None:
+            k = index[op.entries] = len(members)
+            members.append(op)
+            if len(members) > budget:
+                raise ClosureBudgetError(f"closure exceeded budget of {budget} tables")
+        return k
 
+    product: dict[tuple[int, int], int] = {}
     done = 0  # members below this index have been combined with everything before `done`
     while done < len(members):
         size = len(members)
@@ -128,40 +127,36 @@ def _close(
             for j in range(size):
                 if i < done and j < done:
                     continue
-                add(compose(members[i], members[j]))
-        if with_inverses:
-            for i in range(size):
-                add(invert(members[i]))
+                product[i, j] = add(compose(members[i], members[j]))
         done = size
-    return members
-
-
-def _cayley(members: Sequence[OpTable]) -> tuple[tuple[int, ...], ...]:
-    index = {op.entries: i for i, op in enumerate(members)}
-    return tuple(
-        tuple(index[compose(a, b).entries] for b in members) for a in members
-    )
+    k = len(members)
+    return members, tuple(tuple(product[i, j] for j in range(k)) for i in range(k))
 
 
 def close_monoid(S: DistributiveSet, budget: int = DEFAULT_CLOSURE_BUDGET) -> ClosureResult:
     """Least family containing S and the identity, closed under composition."""
-    members = _close(S.ops, S.n, with_inverses=False, budget=budget)
-    return _result(members, "monoid")
+    return _result(*_close(S.ops, S.n, budget), "monoid")
 
 
 def close_group(S: DistributiveSet, budget: int = DEFAULT_CLOSURE_BUDGET) -> ClosureResult:
-    """Least family containing S closed under composition and inversion."""
+    """Least family containing S closed under composition and inversion.
+
+    Invertible tables form a group under composition (column b of a
+    composite is the composite of the two column-b permutations), so the
+    finite monoid they generate is already that group: each inverse is a
+    power.
+    """
     for i, op in enumerate(S.ops):
         if not is_invertible(op):
             raise ValueError(f"member {i} is not invertible")
-    members = _close(S.ops, S.n, with_inverses=True, budget=budget)
-    return _result(members, "group")
+    return _result(*_close(S.ops, S.n, budget), "group")
 
 
-def _result(members: list[OpTable], kind: str) -> ClosureResult:
-    """Revalidate the closure as a distributive set and tabulate it."""
+def _result(
+    members: list[OpTable], cayley: tuple[tuple[int, ...], ...], kind: str
+) -> ClosureResult:
+    """Revalidate the closure as a distributive set."""
     make_distributive_set(members)
-    cayley = _cayley(members)
     return ClosureResult(tuple(members), kind, cayley, _is_abelian(cayley))
 
 

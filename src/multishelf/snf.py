@@ -1,10 +1,14 @@
 """Dense exact-integer matrices and Smith normal form.
 
 Entries are Python ints, so there is no overflow; pivots are chosen by
-minimal absolute value to limit coefficient growth.
+minimal absolute value to limit coefficient growth.  The matrix is first
+diagonalised; the diagonal then becomes the invariant factors by one
+gcd/lcm pass, since diag(a, b) and diag(gcd(a, b), lcm(a, b)) are
+equivalent over the integers.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -71,23 +75,15 @@ def smith_normal_form(M: IntMatrix) -> list[int]:
                         a[i][t], a[i][j] = a[i][j], a[i][t]
                     dirty = True
                     break
-            if dirty:
-                continue
-            # divisibility: pivot must divide the rest of the submatrix
-            bad = None
-            for i in range(t + 1, rows):
-                for j in range(t + 1, cols):
-                    if a[i][j] % p != 0:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
-            if bad is None:
+            if not dirty:
                 break
-            for j in range(t, cols):
-                a[t][j] += a[bad][j]
         factors.append(abs(a[t][t]))
         t += 1
+    # a pass over i < j leaves d_i dividing every later entry
+    for i in range(len(factors)):
+        for j in range(i + 1, len(factors)):
+            g = math.gcd(factors[i], factors[j])
+            factors[i], factors[j] = g, factors[i] // g * factors[j]
     return factors
 
 

@@ -347,7 +347,9 @@ def test_criterion_6_n5():
     report = certify_no_nonabelian(5)
     assert report.conclusion == "commutative-only"
     assert (report.racks_found, report.compatible_pairs) == (1708, 42651)
-    assert len(enumerate_racks(5).canonical) == 74  # OEIS A181771
+    catalog = enumerate_racks(5)
+    assert len(catalog.canonical) == 74  # OEIS A181771
+    assert catalog.nodes_pruned == report.nodes_pruned == 49939
     print("ACCEPTANCE 6 (n=5): PASS - commutative-only over 1708 racks in 74 classes")
 
 

@@ -155,6 +155,10 @@ class TestSmithNormalForm:
 
     def test_example(self):
         assert smith_normal_form(int_matrix([[2, 4], [6, 8]])) == [2, 4]
+        # diagonals that are not a divisibility chain
+        assert smith_normal_form(int_matrix([[2, 0], [0, 3]])) == [1, 6]
+        m = [[6, 0, 0], [0, 10, 0], [0, 0, 15]]
+        assert smith_normal_form(int_matrix(m)) == [1, 30, 30]
 
     def test_identity(self):
         assert smith_normal_form(int_matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])) == [1, 1, 1]

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -60,6 +61,10 @@ class TestEnumerateRacks:
             for n in (-2, 0, 7):
                 with pytest.raises(ValueError, match=f"n={n} "):
                     fn(n)
+
+    def test_past_deadline_raises(self):
+        with pytest.raises(TimeoutError):
+            enumerate_racks(3, deadline=time.monotonic() - 1)
 
     def test_known_isomorphism_class_counts(self):
         # racks on 1..4 points up to relabeling: 1, 2, 6, 19
@@ -148,6 +153,11 @@ class TestCompatibilityGraph:
         for i, row in adj.items():
             want = [j for j in range(len(catalog.racks)) if (min(i, j), max(i, j)) in pairs]
             assert row == want
+
+    def test_past_deadline_raises(self):
+        catalog = enumerate_racks(3)
+        with pytest.raises(TimeoutError):
+            compatibility_graph(catalog, deadline=time.monotonic() - 1)
 
     def test_berman_pair_mutually_compatible(self):
         assert distributive_witness(BERMAN_TAU, BERMAN_SIGMA) is None

@@ -7,6 +7,7 @@ from multishelf import (
     close_monoid,
     compose,
     cyclic,
+    dihedral,
     idempotent_center_report,
     invert,
     make_distributive_set,
@@ -60,10 +61,16 @@ class TestCloseMonoid:
         assert set(cl.ops) == {right_trivial(6), BERMAN_SIGMA, sigma2}
 
     def test_cayley_table_consistent(self):
-        cl = close_monoid(make_distributive_set([BERMAN_SIGMA]))
-        for i, a in enumerate(cl.ops):
-            for j, b in enumerate(cl.ops):
-                assert cl.ops[cl.cayley[i][j]] == compose(a, b)
+        d5 = regular_embed(dihedral(5)).images
+        closures = [
+            close_monoid(make_distributive_set([BERMAN_SIGMA])),
+            close_group(make_distributive_set([BERMAN_TAU, BERMAN_SIGMA])),
+            close_group(make_distributive_set([d5[1], d5[5]])),
+        ]
+        for cl in closures:
+            for i, a in enumerate(cl.ops):
+                for j, b in enumerate(cl.ops):
+                    assert cl.ops[cl.cayley[i][j]] == compose(a, b)
 
 
 class TestCloseGroup:
