@@ -24,7 +24,6 @@ from .groups import (
 )
 from .embedding import RegularEmbedding, regular_embed, verify_inverse_images
 from .translate import (
-    PermVector,
     alpha,
     alpha_inverse,
     conjugation_condition,

@@ -120,10 +120,8 @@ def _cmd_embed_regular(args) -> int:
 
 
 def _cmd_alpha(args) -> int:
-    op = load_table(args.op)
-    v = alpha(op)
-    for y in range(v.n):
-        print(" ".join(str(x) for x in v[y]))
+    for col in alpha(load_table(args.op)):
+        print(" ".join(str(x) for x in col))
     return EXIT_OK
 
 

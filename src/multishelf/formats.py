@@ -84,6 +84,8 @@ def load_set(path: PathLike) -> DistributiveSet:
     """Load a family of tables; raises DistributivityError with the witness."""
     doc = _read_json(path)
     n = _require(doc, path, "n", int)
+    if n < 1:
+        raise SchemaError(str(path), "n", f"carrier size must be >= 1, got {n}")
     raw_ops = _require(doc, path, "ops", list)
     ops = []
     for k, raw in enumerate(raw_ops):

@@ -5,6 +5,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
+from .tables import make_table, perm_compose, perm_inverse
+
 SYMMETRIC_DEGREE_BOUND = 5
 ISOMORPHISM_ORDER_BOUND = 8
 
@@ -20,16 +22,11 @@ class FiniteGroup:
 
 
 def group_from_table(m: int, mul: Sequence[Sequence[int]], identity: int) -> FiniteGroup:
-    """Validate a multiplication table as a group (associativity, identity, inverses)."""
-    if m < 1:
-        raise ValueError(f"group order must be >= 1, got {m}")
-    if len(mul) != m or any(len(row) != m for row in mul):
-        raise ValueError(f"multiplication table must be {m}x{m}")
-    table = tuple(tuple(int(v) for v in row) for row in mul)
-    for a in range(m):
-        for b in range(m):
-            if not (0 <= table[a][b] < m):
-                raise ValueError(f"entry {table[a][b]} at ({a},{b}) out of range")
+    """Validate a multiplication table as a group (associativity, identity, inverses).
+
+    Shape and range are checked as for an operation table on m points.
+    """
+    table = make_table(m, mul).entries
     if not (0 <= identity < m):
         raise ValueError(f"identity index {identity} out of range")
     for a in range(m):
@@ -95,22 +92,13 @@ def symmetric(k: int) -> FiniteGroup:
     perms = sorted(itertools.permutations(range(k)))
     index = {p: i for i, p in enumerate(perms)}
     m = len(perms)
-    mul = tuple(
-        tuple(index[tuple(q[p[x]] for x in range(k))] for q in perms) for p in perms
-    )
-    inv = []
-    for p in perms:
-        pinv = [0] * k
-        for x, v in enumerate(p):
-            pinv[v] = x
-        inv.append(index[tuple(pinv)])
-    return FiniteGroup(m, mul, index[tuple(range(k))], tuple(inv))
+    mul = tuple(tuple(index[perm_compose(p, q)] for q in perms) for p in perms)
+    inv = tuple(index[perm_inverse(p)] for p in perms)
+    return FiniteGroup(m, mul, index[tuple(range(k))], inv)
 
 
 def is_abelian(G: FiniteGroup) -> bool:
-    return all(
-        G.mul[a][b] == G.mul[b][a] for a in range(G.m) for b in range(a + 1, G.m)
-    )
+    return G.mul == tuple(zip(*G.mul))
 
 
 def are_isomorphic(G: FiniteGroup, H: FiniteGroup) -> bool:

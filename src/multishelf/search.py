@@ -16,12 +16,18 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .shelves import DistributiveSet, close_group
-from .tables import OpTable, commutes, distributive_witness, relabel
-from .translate import PermVector, alpha_inverse, perm_inverse
+from .tables import (
+    OpTable,
+    Permutation,
+    commutes,
+    distributive_witness,
+    noninvertible_column,
+    perm_inverse,
+    relabel,
+)
+from .translate import alpha_inverse
 
 PRUNED_BOUND = 6
-
-Perm = tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -83,7 +89,7 @@ def _check_deadline(deadline: Optional[float]) -> None:
         raise TimeoutError("search deadline passed")
 
 
-def _conj(q: Perm, p: Perm, qinv: Perm) -> Perm:
+def _conj(q: Permutation, p: Permutation, qinv: Permutation) -> Permutation:
     """x -> q(p(q^-1(x)))."""
     return tuple([q[p[v]] for v in qinv])
 
@@ -100,7 +106,7 @@ def _enumerate_pruned(n: int, deadline: Optional[float]) -> tuple[list[OpTable],
     found: list[OpTable] = []
     pruned = 0
 
-    def assign(cols: list[Optional[Perm]], y: int, p: Perm) -> bool:
+    def assign(cols: list[Optional[Permutation]], y: int, p: Permutation) -> bool:
         """Set column y to p and every column that forces; False on a conflict."""
         cols[y] = p
         new = [y]
@@ -123,13 +129,13 @@ def _enumerate_pruned(n: int, deadline: Optional[float]) -> tuple[list[OpTable],
                         return False
         return True
 
-    def extend(cols: list[Optional[Perm]]):
+    def extend(cols: list[Optional[Permutation]]):
         nonlocal pruned
         _check_deadline(deadline)
         try:
             y = cols.index(None)
         except ValueError:
-            table = alpha_inverse(PermVector(n, tuple(cols)))  # type: ignore[arg-type]
+            table = alpha_inverse(tuple(cols))  # type: ignore[arg-type]
             if distributive_witness(table, table) is None:
                 found.append(table)
             return
@@ -147,12 +153,7 @@ def _enumerate_pruned(n: int, deadline: Optional[float]) -> tuple[list[OpTable],
 
 def canonical_form(op: OpTable) -> OpTable:
     """Lexicographically least relabeling of the table; constant on orbits."""
-    best = None
-    for pi in itertools.permutations(range(op.n)):
-        cand = relabel(op, pi).entries
-        if best is None or cand < best:
-            best = cand
-    return OpTable(op.n, best)
+    return canonical_form_set((op,))[0]
 
 
 def canonical_form_set(ops: Sequence[OpTable]) -> tuple[OpTable, ...]:
@@ -225,11 +226,11 @@ def _check_seed_pair(n: int, seed_pair: tuple[OpTable, OpTable]) -> None:
     for k, op in enumerate(seed_pair):
         if op.n != n:
             raise ValueError(f"seed pair table has carrier {op.n}, but n={n}")
-        for y in range(n):
-            if sorted(op.column(y)) != list(range(n)):
-                raise ValueError(
-                    f"seed pair table {k} is not invertible: column {y} is not a permutation"
-                )
+        y = noninvertible_column(op)
+        if y is not None:
+            raise ValueError(
+                f"seed pair table {k} is not invertible: column {y} is not a permutation"
+            )
         w = distributive_witness(op, op)
         if w is not None:
             raise ValueError(

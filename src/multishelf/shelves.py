@@ -10,7 +10,7 @@ from .tables import (
     compose,
     distributive_witness,
     is_idempotent,
-    is_invertible,
+    noninvertible_column,
     right_trivial,
 )
 
@@ -147,8 +147,11 @@ def close_group(S: DistributiveSet, budget: int = DEFAULT_CLOSURE_BUDGET) -> Clo
     power.
     """
     for i, op in enumerate(S.ops):
-        if not is_invertible(op):
-            raise ValueError(f"member {i} is not invertible")
+        y = noninvertible_column(op)
+        if y is not None:
+            raise ValueError(
+                f"member {i} is not invertible: column {y} is not a permutation"
+            )
     return _result(*_close(S.ops, S.n, budget), "group")
 
 
@@ -157,12 +160,7 @@ def _result(
 ) -> ClosureResult:
     """Revalidate the closure as a distributive set."""
     make_distributive_set(members)
-    return ClosureResult(tuple(members), kind, cayley, _is_abelian(cayley))
-
-
-def _is_abelian(cayley: tuple[tuple[int, ...], ...]) -> bool:
-    k = len(cayley)
-    return all(cayley[i][j] == cayley[j][i] for i in range(k) for j in range(i + 1, k))
+    return ClosureResult(tuple(members), kind, cayley, cayley == tuple(zip(*cayley)))
 
 
 def idempotent_center_report(S: DistributiveSet) -> list[tuple[int, bool]]:

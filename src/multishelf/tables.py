@@ -4,6 +4,10 @@ The set of all binary operations on a carrier forms a monoid under
 ``a (op1;op2) b = (a op1 b) op2 b`` whose identity is the right-trivial
 operation ``a * b = a``.  Everything here is a pure function over
 immutable tables.
+
+Permutations are one-line image tuples and compose left-to-right (apply
+the left factor first), so that column y of a composite table is the
+composite of the two column-y permutations.
 """
 from __future__ import annotations
 
@@ -11,6 +15,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 Row = tuple[int, ...]
+Permutation = tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -29,7 +34,8 @@ class OpTable:
 
 
 def make_table(n: int, entries: Sequence[Sequence[int]]) -> OpTable:
-    """Build a validated OpTable; rejects ragged shapes and out-of-range entries."""
+    """Build a validated OpTable; rejects ragged shapes and entries that are
+    not integers in range."""
     if n < 1:
         raise ValueError(f"carrier size must be >= 1, got {n}")
     if len(entries) != n:
@@ -39,9 +45,11 @@ def make_table(n: int, entries: Sequence[Sequence[int]]) -> OpTable:
         if len(row) != n:
             raise ValueError(f"row {a} has {len(row)} entries, expected {n}")
         for b, v in enumerate(row):
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise ValueError(f"entry {v!r} at ({a},{b}) is not an integer")
             if not (0 <= v < n):
                 raise ValueError(f"entry {v} at ({a},{b}) out of range [0,{n})")
-        rows.append(tuple(int(v) for v in row))
+        rows.append(tuple(row))
     return OpTable(n, tuple(rows))
 
 
@@ -65,29 +73,41 @@ def compose(op1: OpTable, op2: OpTable) -> OpTable:
     )
 
 
+def perm_inverse(p: Permutation) -> Permutation:
+    q = [0] * len(p)
+    for x, v in enumerate(p):
+        q[v] = x
+    return tuple(q)
+
+
+def perm_compose(p: Permutation, q: Permutation) -> Permutation:
+    """Left-to-right: apply p, then q."""
+    return tuple(q[v] for v in p)
+
+
+def noninvertible_column(op: OpTable) -> Optional[int]:
+    """Least y whose column x -> x*y is not a bijection of the carrier, or None.
+
+    None means the table is invertible.
+    """
+    for y in range(op.n):
+        if len(set(op.column(y))) != op.n:
+            return y
+    return None
+
+
 def is_invertible(op: OpTable) -> bool:
     """True iff every column x -> x*y is a bijection of the carrier."""
-    n = op.n
-    for y in range(n):
-        seen = [False] * n
-        for x in range(n):
-            v = op.entries[x][y]
-            if seen[v]:
-                return False
-            seen[v] = True
-    return True
+    return noninvertible_column(op) is None
 
 
 def invert(op: OpTable) -> OpTable:
     """Composition inverse: each column is the inverse permutation of op's column."""
-    if not is_invertible(op):
-        raise ValueError("table is not invertible (some column is not a bijection)")
-    n = op.n
-    inv_rows = [[0] * n for _ in range(n)]
-    for y in range(n):
-        for x in range(n):
-            inv_rows[op.entries[x][y]][y] = x
-    return OpTable(n, tuple(tuple(r) for r in inv_rows))
+    y = noninvertible_column(op)
+    if y is not None:
+        raise ValueError(f"table is not invertible: column {y} is not a permutation")
+    cols = [perm_inverse(op.column(y)) for y in range(op.n)]
+    return OpTable(op.n, tuple(zip(*cols)))
 
 
 def is_idempotent(op: OpTable) -> bool:
@@ -129,9 +149,7 @@ def relabel(op: OpTable, pi: Sequence[int]) -> OpTable:
     n = op.n
     if len(pi) != n or sorted(pi) != list(range(n)):
         raise ValueError("relabeling must be a permutation of the carrier")
-    pi_inv = [0] * n
-    for i, v in enumerate(pi):
-        pi_inv[v] = i
+    pi_inv = perm_inverse(pi)
     return OpTable(
         n,
         tuple(

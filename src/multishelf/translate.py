@@ -1,71 +1,53 @@
 """Translation between invertible tables and tuples of column permutations.
 
 An invertible table on n points corresponds to the n-tuple of its column
-maps (sigma_y(x) = x * y).  Permutations compose left-to-right (apply the
-left factor first) so the translation preserves table composition.
+maps (sigma_y(x) = x * y).  Under the left-to-right product of
+``tables.perm_compose`` the translation preserves table composition.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
-from .tables import OpTable, distributive_witness, is_invertible
-
-Permutation = tuple[int, ...]
-
-
-def perm_inverse(p: Permutation) -> Permutation:
-    q = [0] * len(p)
-    for x, v in enumerate(p):
-        q[v] = x
-    return tuple(q)
+from .tables import (
+    OpTable,
+    Permutation,
+    distributive_witness,
+    is_invertible,
+    noninvertible_column,
+)
 
 
-def perm_compose(p: Permutation, q: Permutation) -> Permutation:
-    """Left-to-right: apply p, then q."""
-    return tuple(q[v] for v in p)
+def alpha(op: OpTable) -> tuple[Permutation, ...]:
+    """Column permutations of an invertible table; entry y is x -> x * y."""
+    y = noninvertible_column(op)
+    if y is not None:
+        raise ValueError(
+            f"alpha requires an invertible table: column {y} is not a permutation"
+        )
+    return tuple(op.column(y) for y in range(op.n))
 
 
-@dataclass(frozen=True)
-class PermVector:
-    """One permutation per column index y; coords[y](x) = x * y."""
-
-    n: int
-    coords: tuple[Permutation, ...]
-
-    def __getitem__(self, y: int) -> Permutation:
-        return self.coords[y]
-
-
-def alpha(op: OpTable) -> PermVector:
-    """Column-permutation vector of an invertible table."""
-    if not is_invertible(op):
-        raise ValueError("alpha requires an invertible table")
-    return PermVector(op.n, tuple(op.column(y) for y in range(op.n)))
-
-
-def alpha_inverse(v: PermVector) -> OpTable:
-    """Rebuild the table whose column y is v[y]; inverse of alpha."""
-    n = v.n
-    return OpTable(n, tuple(tuple(v.coords[y][x] for y in range(n)) for x in range(n)))
+def alpha_inverse(cols: Sequence[Permutation]) -> OpTable:
+    """Rebuild the table whose column y is cols[y]; inverse of alpha."""
+    return OpTable(len(cols), tuple(zip(*cols)))
 
 
 def conjugation_condition(
-    vi: PermVector, vj: PermVector
+    vi: Sequence[Permutation], vj: Sequence[Permutation]
 ) -> Optional[tuple[int, int]]:
     """Smallest (y,z) violating sigma_i,sigma_jz(y) = sigma_jz sigma_iy sigma_jz^-1.
 
     None iff for all x,y,z: sigma_jz(sigma_iy(x)) = sigma_i,sigma_jz(y)(sigma_jz(x)),
     the permutation form of right distributivity of (op_i, op_j).
     """
-    if vi.n != vj.n:
-        raise ValueError(f"size mismatch: {vi.n} vs {vj.n}")
-    n = vi.n
+    if len(vi) != len(vj):
+        raise ValueError(f"size mismatch: {len(vi)} vs {len(vj)}")
+    n = len(vi)
     for y in range(n):
-        siy = vi.coords[y]
+        siy = vi[y]
         for z in range(n):
-            sjz = vj.coords[z]
-            target = vi.coords[sjz[y]]
+            sjz = vj[z]
+            target = vi[sjz[y]]
             if any(target[sjz[x]] != sjz[siy[x]] for x in range(n)):
                 return (y, z)
     return None

@@ -51,9 +51,15 @@ class TestValidateCommand:
 
     def test_malformed_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
-        bad.write_text("{")
-        assert main(["validate", "--set", str(bad)]) == 1
-        assert "invalid JSON" in capsys.readouterr().err
+        for text, message in (
+            ("{", "invalid JSON"),
+            ('{"n": -3, "ops": []}', "field 'n': carrier size must be >= 1, got -3"),
+        ):
+            bad.write_text(text)
+            assert main(["validate", "--set", str(bad)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert message in captured.err
 
     def test_missing_file(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

@@ -76,9 +76,10 @@ class TestGroupRoundTrip:
 
     def test_invalid_group(self, tmp_path):
         path = tmp_path / "g.json"
-        path.write_text(json.dumps({"m": 2, "mul": [[0, 1], [1, 1]], "identity": 0}))
-        with pytest.raises(SchemaError):
-            load_group(path)
+        for mul in ([[0, 1], [1, 1]], [[0, 1], [1]], [[0, 1], [1, 0.2]], [[0, 1], [1, 2]]):
+            path.write_text(json.dumps({"m": 2, "mul": mul, "identity": 0}))
+            with pytest.raises(SchemaError, match="field 'mul'"):
+                load_group(path)
 
 
 class TestFixtures:

@@ -94,7 +94,7 @@ class TestCloseGroup:
 
         proj = make_table(2, [[0, 0], [0, 0]])  # constant, distributive with itself
         S = make_distributive_set([proj])
-        with pytest.raises(ValueError, match="invertible"):
+        with pytest.raises(ValueError, match="member 0 is not invertible: column 0 "):
             close_group(S)
 
     def test_budget_exceeded(self):

@@ -33,8 +33,13 @@ class TestMakeTable:
         assert make_table(6, rows) == BERMAN_TAU
 
     def test_entry_out_of_range(self):
-        with pytest.raises(ValueError, match="out of range"):
-            make_table(2, [[0, 2], [1, 1]])
+        for entry, message in (
+            (2, "entry 2 at \\(0,1\\) out of range"),
+            (1.7, "entry 1.7 at \\(0,1\\) is not an integer"),
+            (True, "entry True at \\(0,1\\) is not an integer"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                make_table(2, [[0, entry], [1, 1]])
 
     def test_ragged_shape(self):
         with pytest.raises(ValueError):
@@ -113,7 +118,7 @@ class TestInvertibility:
             assert compose(bar, op) == right_trivial(op.n)
 
     def test_invert_rejects_noninvertible(self):
-        with pytest.raises(ValueError, match="not invertible"):
+        with pytest.raises(ValueError, match="not invertible: column 0 "):
             invert(make_table(2, [[0, 0], [0, 1]]))
 
     def test_invertible_iff_inverse_exists_n2(self):
