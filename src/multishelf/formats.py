@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 from typing import Optional, Union
 
-from .groups import FiniteGroup, group_from_table
+from .groups import FiniteGroup, IdentityError, group_from_table
 from .shelves import DistributiveSet, make_distributive_set
 from .tables import OpTable, make_table
 
@@ -45,6 +45,13 @@ def _require(doc: dict, path: PathLike, field: str, kind: type):
     return v
 
 
+def _carrier_size(doc: dict, path: PathLike, field: str) -> int:
+    n = _require(doc, path, field, int)
+    if n < 1:
+        raise SchemaError(str(path), field, f"carrier size must be >= 1, got {n}")
+    return n
+
+
 def write_document(doc: dict, path: Optional[PathLike] = None) -> None:
     """Write the canonical text of ``doc`` to ``path``, or to stdout without one."""
     text = json.dumps(doc, indent=2) + "\n"
@@ -64,7 +71,7 @@ def save_table(op: OpTable, path: PathLike) -> None:
 
 def load_table(path: PathLike) -> OpTable:
     doc = _read_json(path)
-    n = _require(doc, path, "n", int)
+    n = _carrier_size(doc, path, "n")
     table = _require(doc, path, "table", list)
     try:
         return make_table(n, table)
@@ -83,9 +90,7 @@ def save_set(S: DistributiveSet, path: PathLike) -> None:
 def load_set(path: PathLike) -> DistributiveSet:
     """Load a family of tables; raises DistributivityError with the witness."""
     doc = _read_json(path)
-    n = _require(doc, path, "n", int)
-    if n < 1:
-        raise SchemaError(str(path), "n", f"carrier size must be >= 1, got {n}")
+    n = _carrier_size(doc, path, "n")
     raw_ops = _require(doc, path, "ops", list)
     ops = []
     for k, raw in enumerate(raw_ops):
@@ -106,10 +111,12 @@ def save_group(G: FiniteGroup, path: PathLike) -> None:
 
 def load_group(path: PathLike) -> FiniteGroup:
     doc = _read_json(path)
-    m = _require(doc, path, "m", int)
+    m = _carrier_size(doc, path, "m")
     mul = _require(doc, path, "mul", list)
     identity = _require(doc, path, "identity", int)
     try:
         return group_from_table(m, mul, identity)
+    except IdentityError as e:
+        raise SchemaError(str(path), "identity", str(e)) from e
     except (ValueError, TypeError) as e:
         raise SchemaError(str(path), "mul", str(e)) from e

@@ -11,6 +11,10 @@ SYMMETRIC_DEGREE_BOUND = 5
 ISOMORPHISM_ORDER_BOUND = 8
 
 
+class IdentityError(ValueError):
+    """The named identity element is out of range or not a two-sided identity."""
+
+
 @dataclass(frozen=True)
 class FiniteGroup:
     """A group on {0..m-1} given by its full multiplication table."""
@@ -28,10 +32,10 @@ def group_from_table(m: int, mul: Sequence[Sequence[int]], identity: int) -> Fin
     """
     table = make_table(m, mul).entries
     if not (0 <= identity < m):
-        raise ValueError(f"identity index {identity} out of range")
+        raise IdentityError(f"identity index {identity} out of range")
     for a in range(m):
         if table[identity][a] != a or table[a][identity] != a:
-            raise ValueError(f"{identity} is not a two-sided identity (fails at {a})")
+            raise IdentityError(f"{identity} is not a two-sided identity (fails at {a})")
     inv = [-1] * m
     for a in range(m):
         for b in range(m):

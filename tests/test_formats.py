@@ -41,6 +41,12 @@ class TestTableRoundTrip:
         with pytest.raises(SchemaError, match="table"):
             load_table(path)
 
+    def test_empty_carrier_names_n(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"n": 0, "table": []}))
+        with pytest.raises(SchemaError, match="field 'n': carrier size must be >= 1, got 0"):
+            load_table(path)
+
     def test_missing_field(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"table": [[0]]}))
@@ -80,6 +86,16 @@ class TestGroupRoundTrip:
             path.write_text(json.dumps({"m": 2, "mul": mul, "identity": 0}))
             with pytest.raises(SchemaError, match="field 'mul'"):
                 load_group(path)
+        for identity, message in (
+            (5, "identity index 5 out of range"),
+            (1, "1 is not a two-sided identity"),
+        ):
+            path.write_text(json.dumps({"m": 2, "mul": [[0, 1], [1, 0]], "identity": identity}))
+            with pytest.raises(SchemaError, match=f"field 'identity': {message}"):
+                load_group(path)
+        path.write_text(json.dumps({"m": 0, "mul": [], "identity": 0}))
+        with pytest.raises(SchemaError, match="field 'm': carrier size must be >= 1"):
+            load_group(path)
 
 
 class TestFixtures:

@@ -21,7 +21,7 @@ from multishelf import (
     verify_differential,
 )
 from multishelf.fixtures import BERMAN_SIGMA, BERMAN_TAU, XOR
-from multishelf.snf import IntMatrix, rank
+from multishelf.snf import IntMatrix, _eliminate_unit_pivots, rank
 
 
 def zero_matrix(rows, cols):
@@ -149,6 +149,78 @@ def minor_gcd_snf(data):
     return [divisors[k] // divisors[k - 1] for k in range(1, len(divisors))]
 
 
+def units_after_elimination(rng, layers):
+    """A matrix whose only +-1 entry is the pivot of its outermost layer.
+
+    The core has small entries, units included.  Each layer adds a column
+    and a pivot row p (its unit in the new column, +-2 everywhere else) and
+    adds f * p, f in {+-2, +-3}, to every other row, choosing f so that the
+    row holds no unit; eliminating p gives the rows back, so their units
+    appear only after that elimination step."""
+    r, c = rng.randint(1, 3), rng.randint(1, 3)
+    m = [[rng.choice((0, 0, 1, -1, 2, -3)) for _ in range(c)] for _ in range(r)]
+    while layers:
+        p = [rng.choice((2, -2)) for _ in range(c)] + [rng.choice((1, -1))]
+        rows = []
+        for row in m:
+            options = [
+                [a + f * b for a, b in zip(row + [0], p)] for f in (2, -2, 3, -3)
+            ]
+            options = [new for new in options if not has_unit(new)]
+            if not options:
+                break
+            rows.append(rng.choice(options))
+        else:
+            m = rows + [p]
+            c += 1
+            layers -= 1
+    rng.shuffle(m)
+    order = list(range(c))
+    rng.shuffle(order)
+    return [[row[j] for j in order] for row in m]
+
+
+def with_empty_lines(rng, m, rows, cols):
+    """m with zero rows and zero columns inserted at random places."""
+    m = [list(row) for row in m]
+    width = len(m[0]) if m else 0
+    for _ in range(cols):
+        j = rng.randint(0, width)
+        for row in m:
+            row.insert(j, 0)
+        width += 1
+    for _ in range(rows):
+        m.insert(rng.randint(0, len(m)), [0] * width)
+    return m
+
+
+def has_unit(values):
+    return any(v in (1, -1) for v in values)
+
+
+def rank_mod(M, p):
+    """Rank of M over the integers mod the prime p, by dense elimination in
+    numpy (entries and multipliers stay below p < 2**31, so int64 holds
+    every product)."""
+    import numpy as np
+
+    a = np.array(M.data, dtype=np.int64).reshape(M.rows, M.cols) % p
+    r = 0
+    for c in range(M.cols):
+        if r == M.rows:
+            break
+        nonzero = np.flatnonzero(a[r:, c])
+        if not len(nonzero):
+            continue
+        k = r + nonzero[0]
+        a[[r, k]] = a[[k, r]]
+        a[r] = a[r] * pow(int(a[r, c]), -1, p) % p
+        below = r + 1 + np.flatnonzero(a[r + 1 :, c])
+        a[below] = (a[below] - np.outer(a[below, c], a[r])) % p
+        r += 1
+    return r
+
+
 class TestSmithNormalForm:
     def test_zero_matrix(self):
         assert smith_normal_form(int_matrix([[0, 0], [0, 0]])) == []
@@ -184,6 +256,46 @@ class TestSmithNormalForm:
             r, c = rng.randint(1, 5), rng.randint(1, 5)
             m = [[rng.randint(-10, 10) for _ in range(c)] for _ in range(r)]
             assert smith_normal_form(int_matrix(m)) == minor_gcd_snf(m)
+
+    def test_units_only_after_elimination(self):
+        # every row an elimination changes is queued again: the units that
+        # appear only after a step are pivoted on, not left to the dense stage
+        rng = random.Random(11)
+        for k in range(120):
+            layers = 1 + k % 3
+            m = units_after_elimination(rng, layers)
+            assert sum(has_unit(row) for row in m) == 1
+            f = smith_normal_form(int_matrix(m))
+            assert f == naive_snf(m)
+            if len(m) <= 5 and len(m[0]) <= 5:
+                assert f == minor_gcd_snf(m)
+            ones, residual = _eliminate_unit_pivots(int_matrix(m))
+            assert ones >= layers
+            assert not any(has_unit(row.values()) for row in residual)
+
+    def test_no_unit_entries(self):
+        rng = random.Random(12)
+        for _ in range(150):
+            r, c = rng.randint(1, 6), rng.randint(1, 6)
+            entries = (0, 0, 2, -2, 3, -3, 6, -6)
+            m = [[rng.choice(entries) for _ in range(c)] for _ in range(r)]
+            f = smith_normal_form(int_matrix(m))
+            assert f == naive_snf(m)
+            if r <= 5 and c <= 5:
+                assert f == minor_gcd_snf(m)
+
+    def test_empty_rows_and_columns(self):
+        rng = random.Random(13)
+        for _ in range(150):
+            r, c = rng.randint(1, 5), rng.randint(1, 5)
+            m = [[rng.choice((0, 0, 0, 1, -1, 2, -3)) for _ in range(c)] for _ in range(r)]
+            m = with_empty_lines(rng, m, rng.randint(0, 2), rng.randint(0, 2))
+            f = smith_normal_form(int_matrix(m))
+            assert f == naive_snf(m)
+            if len(m) <= 5 and len(m[0]) <= 5:
+                assert f == minor_gcd_snf(m)
+        assert smith_normal_form(int_matrix([])) == []
+        assert smith_normal_form(int_matrix([[], []])) == []
 
     def test_large_entries_exact(self):
         m = [[10**30, 2 * 10**30], [3 * 10**30, 4 * 10**30]]
@@ -304,6 +416,20 @@ class TestHomologyGroups:
         bad = DistributiveSet(2, (XOR,))
         with pytest.raises(ValueError, match="budget"):
             homology_groups(ChainSpec(bad, (1,), 3), dim_budget=4)
+
+    def test_berman_sum_weights_against_modular_ranks(self):
+        # the dense SNF never finished the 216x1296 d_3 at these weights;
+        # rank mod p counts the invariant factors that p does not divide
+        spec = ChainSpec(make_distributive_set([BERMAN_TAU, BERMAN_SIGMA]), (1, 1), 3)
+        big = 2**31 - 1
+        for d in range(1, 4):
+            M = boundary_matrix(spec, d)
+            factors = smith_normal_form(M)
+            assert len(factors) == rank_mod(M, big)
+            for p in (2, 3):
+                assert sum(1 for f in factors if f % p) == rank_mod(M, p)
+        groups = homology_groups(spec)
+        assert [(h.free_rank, h.torsion) for h in groups] == [(1, (3,)), (0, (6,)), (0, (3, 3))]
 
     def test_rank_nullity_consistency(self):
         S = make_distributive_set(list(regular_embed(cyclic(2)).images))
