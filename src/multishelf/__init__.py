@@ -48,6 +48,7 @@ from .search import (
     certify_no_nonabelian,
     compatibility_graph,
     enumerate_racks,
+    seed_catalog,
 )
 from .snf import IntMatrix, int_matrix, rank, smith_normal_form
 from .homology import (

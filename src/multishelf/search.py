@@ -10,6 +10,7 @@ racks is therefore complete for the existence question.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -22,6 +23,7 @@ from .tables import (
     commutes,
     distributive_witness,
     noninvertible_column,
+    perm_compose,
     perm_inverse,
     relabel,
 )
@@ -32,17 +34,22 @@ PRUNED_BOUND = 6
 
 @dataclass(frozen=True)
 class RackCatalog:
-    """Racks sorted by table encoding, with their relabeling classes.
+    """Racks sorted by table encoding, with their relabeling classes and
+    automorphism groups.
 
     ``orbit[i]`` is the index of the first rack in the class of
     ``racks[i]``.  Since the racks are sorted, that first rack is the least
-    relabeling of each member, i.e. its canonical form.  ``nodes_pruned``
-    counts the enumerator's pruned search nodes (0 for a given catalog).
+    relabeling of each member, i.e. its canonical form.
+    ``automorphisms[i]`` is the group of relabelings that fix ``racks[i]``
+    as a bitmask: bit k stands for the k-th permutation of the carrier in
+    lexicographic order.  ``nodes_pruned`` counts the enumerator's pruned
+    search nodes (0 for a given catalog).
     """
 
     n: int
     racks: tuple[OpTable, ...]
     orbit: tuple[int, ...]
+    automorphisms: tuple[int, ...]
     nodes_pruned: int = 0
 
     @property
@@ -169,6 +176,27 @@ def canonical_form_set(ops: Sequence[OpTable]) -> tuple[OpTable, ...]:
     return tuple(OpTable(n, e) for e in best)
 
 
+def _permutation_bits(n: int) -> dict[Permutation, int]:
+    """The permutations of the carrier in lexicographic order, the k-th
+    mapped to ``1 << k``."""
+    return {p: 1 << k for k, p in enumerate(itertools.permutations(range(n)))}
+
+
+def _automorphism_mask(op: OpTable) -> int:
+    """The relabelings that fix ``op``, as a bitmask over the permutations
+    in lexicographic order.
+
+    ``relabel(op, p) == op`` iff ``p(a * b) = p(a) * p(b)`` for all a, b;
+    the latter stops at the first pair that fails.
+    """
+    e, pairs = op.entries, list(itertools.product(range(op.n), repeat=2))
+    return sum(
+        bit
+        for p, bit in _permutation_bits(op.n).items()
+        if all(p[e[a][b]] == e[p[a]][p[b]] for a, b in pairs)
+    )
+
+
 def _check_size(n: int) -> None:
     if not 1 <= n <= PRUNED_BOUND:
         raise ValueError(f"n={n} outside [1, {PRUNED_BOUND}]")
@@ -176,23 +204,32 @@ def _check_size(n: int) -> None:
 
 def enumerate_racks(n: int, deadline: Optional[float] = None) -> RackCatalog:
     """Complete catalog of racks on n points, sorted by table encoding, with
-    their relabeling classes.
+    their relabeling classes and automorphism groups.
 
     Only the first rack of each class is relabeled; every relabeling must
-    land in the catalog (a KeyError here would mean a missed rack).  Raises
-    TimeoutError once ``time.monotonic()`` passes ``deadline``.
+    land in the catalog (a KeyError here would mean a missed rack).  The
+    relabelings that map it onto rack j are a coset ``q0 . Stab``, so
+    ``Aut(j)`` is read off the same sweep as ``{q0^-1 then p}`` over that
+    coset.  Raises TimeoutError once ``time.monotonic()`` passes
+    ``deadline``.
     """
     _check_size(n)
     racks, pruned = _enumerate_pruned(n, deadline)
     index = {r.entries: i for i, r in enumerate(racks)}
     orbit = [-1] * len(racks)
-    relabelings = list(itertools.permutations(range(n)))
+    automorphisms = [0] * len(racks)
+    bits = _permutation_bits(n)
     for i, rack in enumerate(racks):
         if orbit[i] < 0:
             _check_deadline(deadline)
-            for pi in relabelings:
-                orbit[index[relabel(rack, pi).entries]] = i
-    return RackCatalog(n, tuple(racks), tuple(orbit), pruned)
+            back: dict[int, Permutation] = {}  # j -> inverse of the first relabeling onto j
+            for pi in bits:  # lexicographic order
+                j = index[relabel(rack, pi).entries]
+                if j not in back:
+                    back[j] = perm_inverse(pi)
+                    orbit[j] = i
+                automorphisms[j] |= bits[perm_compose(back[j], pi)]
+    return RackCatalog(n, tuple(racks), tuple(orbit), tuple(automorphisms), pruned)
 
 
 def compatibility_graph(
@@ -201,28 +238,36 @@ def compatibility_graph(
     """Compatible partners of the first rack of each relabeling class.
 
     Partners j of rack i are listed in increasing order; j is a partner iff
-    both ordered distributivity checks pass.  Self-loops are implicit (every
-    catalog member is self-distributive).  The rows of the other racks are
-    relabelings of these, so with singleton classes this is the full graph.
-    Raises TimeoutError once ``time.monotonic()`` passes ``deadline``.
+    both ordered distributivity checks pass.  For racks A and B,
+    ``(a A b) B c = (a B c) A (b B c)`` for all a, b, c says exactly that
+    every column ``x -> x B c`` is an automorphism of A.  So each check is
+    a subset test: the columns of B, as a mask over the permutations in
+    lexicographic order, within the ``catalog.automorphisms`` mask of A.
+    Self-loops are implicit (every catalog member is self-distributive).
+    The rows of the other racks are relabelings of these, so with singleton
+    classes this is the full graph.  Raises TimeoutError once
+    ``time.monotonic()`` passes ``deadline``.
     """
-    racks = catalog.racks
+    bits = _permutation_bits(catalog.n)
+    cols = [sum({bits[c] for c in zip(*r.entries)}) for r in catalog.racks]
+    aut = catalog.automorphisms
+    full = (1 << len(bits)) - 1
     adj: dict[int, list[int]] = {}
     for i in catalog.representatives:
         _check_deadline(deadline)
-        a = racks[i]
+        ci, oi = cols[i], full ^ aut[i]  # a positive ~aut[i]: faster to AND
         adj[i] = [
             j
-            for j, b in enumerate(racks)
-            if j != i
-            and distributive_witness(a, b) is None
-            and distributive_witness(b, a) is None
+            for j, (cj, aj) in enumerate(zip(cols, aut))
+            if not (cj & oi or ci & ~aj) and j != i
         ]
     return adj
 
 
-def _check_seed_pair(n: int, seed_pair: tuple[OpTable, OpTable]) -> None:
-    """A seed pair must be two racks on the searched carrier."""
+def seed_catalog(n: int, seed_pair: tuple[OpTable, OpTable]) -> RackCatalog:
+    """The catalog of a seed pair: each table its own class, with its
+    automorphism mask.  Raises ValueError unless both tables are racks on
+    n points."""
     for k, op in enumerate(seed_pair):
         if op.n != n:
             raise ValueError(f"seed pair table has carrier {op.n}, but n={n}")
@@ -237,6 +282,7 @@ def _check_seed_pair(n: int, seed_pair: tuple[OpTable, OpTable]) -> None:
                 f"seed pair table {k} is not self-distributive: "
                 f"(a*b)*c != (a*c)*(b*c) at (a, b, c) = {w}"
             )
+    return RackCatalog(n, tuple(seed_pair), (0, 1), tuple(map(_automorphism_mask, seed_pair)))
 
 
 def certify_no_nonabelian(
@@ -255,22 +301,22 @@ def certify_no_nonabelian(
     the enumeration is skipped and the catalog is that pair, each table its
     own class.  ``budget`` seconds bound every phase; when they run out the
     conclusion is "partial" unless a non-abelian group was already found.
+    A NaN budget raises ValueError.
     """
     _check_size(n)
+    if budget is not None and math.isnan(budget):
+        raise ValueError(f"budget={budget} is not a number of seconds")
     start = time.monotonic()
     deadline = None if budget is None else start + budget
-    if seed_pair is not None:
-        _check_seed_pair(n, seed_pair)
+    catalog = None if seed_pair is None else seed_catalog(n, seed_pair)
 
     racks_found = compatible = nodes_pruned = 0
     nonabelian: list[dict] = []
     seen: set[tuple[OpTable, ...]] = set()
     partial = False
     try:
-        if seed_pair is None:
+        if catalog is None:
             catalog = enumerate_racks(n, deadline)
-        else:
-            catalog = RackCatalog(n, tuple(seed_pair), (0, 1))
         racks, orbit = catalog.racks, catalog.orbit
         racks_found, nodes_pruned = len(racks), catalog.nodes_pruned
         adj = compatibility_graph(catalog, deadline)

@@ -82,7 +82,7 @@ def perm_inverse(p: Permutation) -> Permutation:
 
 def perm_compose(p: Permutation, q: Permutation) -> Permutation:
     """Left-to-right: apply p, then q."""
-    return tuple(q[v] for v in p)
+    return tuple([q[v] for v in p])
 
 
 def noninvertible_column(op: OpTable) -> Optional[int]:
@@ -150,10 +150,5 @@ def relabel(op: OpTable, pi: Sequence[int]) -> OpTable:
     if len(pi) != n or sorted(pi) != list(range(n)):
         raise ValueError("relabeling must be a permutation of the carrier")
     pi_inv = perm_inverse(pi)
-    return OpTable(
-        n,
-        tuple(
-            tuple(pi[op.entries[pi_inv[a]][pi_inv[b]]] for b in range(n))
-            for a in range(n)
-        ),
-    )
+    rows = [op.entries[x] for x in pi_inv]
+    return OpTable(n, tuple([tuple([pi[row[y]] for y in pi_inv]) for row in rows]))

@@ -185,6 +185,14 @@ class TestSearchCommand:
         assert code == 2
         assert json.loads(report.read_text())["conclusion"] == "partial"
 
+    def test_nan_budget_rejected(self, tmp_path, capsys):
+        report = tmp_path / "r.json"
+        assert main(["search", "--n", "3", "--budget", "nan", "--report", str(report)]) == 1
+        assert not report.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: budget=nan ")
+
     @pytest.mark.parametrize("n", ["0", "-2"])
     def test_size_out_of_range(self, n, capsys):
         assert main(["search", "--n", n]) == 1

@@ -17,6 +17,7 @@ from multishelf import (
     make_table,
     relabel,
     right_trivial,
+    seed_catalog,
 )
 from multishelf.fixtures import BERMAN_SIGMA, BERMAN_TAU, XOR
 
@@ -27,6 +28,13 @@ def invertible_tables(n):
     perms = sorted(itertools.permutations(range(n)))
     for cols in itertools.product(perms, repeat=n):
         yield OpTable(n, tuple(tuple(cols[y][x] for y in range(n)) for x in range(n)))
+
+
+def automorphisms_brute_force(op):
+    """Bitmask of the relabelings fixing op; bit k is the k-th permutation
+    in lexicographic order."""
+    perms = sorted(itertools.permutations(range(op.n)))
+    return sum(1 << k for k, p in enumerate(perms) if relabel(op, p) == op)
 
 
 def enumerate_racks_brute_force(n):
@@ -88,6 +96,23 @@ class TestEnumerateRacks:
         assert all(math.factorial(n) % k == 0 for k in sizes)
         assert sum(sizes) == len(catalog.racks)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_automorphisms(self, n):
+        catalog = enumerate_racks(n)
+        assert len(catalog.automorphisms) == len(catalog.racks)
+        for j, rack in enumerate(catalog.racks):
+            assert catalog.automorphisms[j] == automorphisms_brute_force(rack)
+            class_size = catalog.orbit.count(catalog.orbit[j])
+            assert bin(catalog.automorphisms[j]).count("1") * class_size == math.factorial(n)
+
+    def test_seeded_automorphisms(self):
+        catalog = seed_catalog(6, (BERMAN_TAU, BERMAN_SIGMA))
+        relabelings = list(itertools.permutations(range(6)))
+        for rack, mask in zip(catalog.racks, catalog.automorphisms):
+            assert mask == automorphisms_brute_force(rack)
+            class_size = len({relabel(rack, pi) for pi in relabelings})
+            assert bin(mask).count("1") * class_size == math.factorial(6)
+
 
 class TestCanonicalForm:
     def test_right_trivial_fixed(self):
@@ -123,13 +148,18 @@ class TestCanonicalForm:
             assert canonical_form_set(moved) == c
 
 
+def compatible_brute_force(a, b):
+    """Both ordered distributivity checks pass."""
+    return distributive_witness(a, b) is None and distributive_witness(b, a) is None
+
+
 def compatible_pairs_brute_force(racks):
     """Unordered pairs of distinct racks passing both ordered checks."""
     return [
         (i, j)
         for i, a in enumerate(racks)
         for j, b in enumerate(racks)
-        if i < j and distributive_witness(a, b) is None and distributive_witness(b, a) is None
+        if i < j and compatible_brute_force(a, b)
     ]
 
 
@@ -144,14 +174,14 @@ class TestCompatibilityGraph:
         adj = compatibility_graph(catalog)
         assert len(adj[ident_idx]) == len(catalog.racks) - 1
 
-    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_rows_of_representatives_only(self, n):
         catalog = enumerate_racks(n)
+        racks = catalog.racks
         adj = compatibility_graph(catalog)
-        assert sorted(adj) == [i for i in range(len(catalog.racks)) if catalog.orbit[i] == i]
-        pairs = set(compatible_pairs_brute_force(catalog.racks))
+        assert sorted(adj) == [i for i in range(len(racks)) if catalog.orbit[i] == i]
         for i, row in adj.items():
-            want = [j for j in range(len(catalog.racks)) if (min(i, j), max(i, j)) in pairs]
+            want = [j for j, b in enumerate(racks) if j != i and compatible_brute_force(racks[i], b)]
             assert row == want
 
     def test_past_deadline_raises(self):
@@ -205,6 +235,10 @@ class TestCertify:
     def test_compatible_pairs_brute_force(self, n):
         racks = enumerate_racks(n).racks
         assert certify_no_nonabelian(n).compatible_pairs == len(compatible_pairs_brute_force(racks))
+
+    def test_nan_budget_rejected(self):
+        with pytest.raises(ValueError, match="budget=nan "):
+            certify_no_nonabelian(3, budget=float("nan"))
 
     def test_budget_zero_reports_partial(self):
         report = certify_no_nonabelian(3, budget=0.0)
