@@ -218,6 +218,7 @@ def enumerate_racks(n: int, deadline: Optional[float] = None) -> RackCatalog:
     index = {r.entries: i for i, r in enumerate(racks)}
     orbit = [-1] * len(racks)
     automorphisms = [0] * len(racks)
+    shared: dict[int, int] = {}  # one int object per distinct mask
     bits = _permutation_bits(n)
     for i, rack in enumerate(racks):
         if orbit[i] < 0:
@@ -229,6 +230,8 @@ def enumerate_racks(n: int, deadline: Optional[float] = None) -> RackCatalog:
                     back[j] = perm_inverse(pi)
                     orbit[j] = i
                 automorphisms[j] |= bits[perm_compose(back[j], pi)]
+            for j in back:
+                automorphisms[j] = shared.setdefault(automorphisms[j], automorphisms[j])
     return RackCatalog(n, tuple(racks), tuple(orbit), tuple(automorphisms), pruned)
 
 
@@ -249,7 +252,11 @@ def compatibility_graph(
     ``time.monotonic()`` passes ``deadline``.
     """
     bits = _permutation_bits(catalog.n)
-    cols = [sum({bits[c] for c in zip(*r.entries)}) for r in catalog.racks]
+    shared: dict[int, int] = {}  # one int object per distinct mask
+    cols = [
+        shared.setdefault(m, m)
+        for m in (sum({bits[c] for c in zip(*r.entries)}) for r in catalog.racks)
+    ]
     aut = catalog.automorphisms
     full = (1 << len(bits)) - 1
     adj: dict[int, list[int]] = {}

@@ -1,25 +1,29 @@
 """Exact-integer matrices and Smith normal form.
 
 Matrices keep dense rows of Python ints, so there is no overflow.  The Smith
-normal form works in two stages, after Dumas, Saunders and Villard ("On
+normal form is one sparse elimination, after Dumas, Saunders and Villard ("On
 efficient sparse integer matrix Smith normal form computations", J. Symbolic
-Comput. 2001):
+Comput. 2001).  Each nonzero row becomes a {column: value} dict, and rows
+come off a heap shortest first.  A row is a pivot candidate if it has an
+entry with |v| <= bound, and pivots on such an entry in the column with the
+fewest nonzeros.  Whenever the heap is empty with rows left, every row is
+queued and the bound becomes the least |v| over them, so it is 1 while
+units remain.
 
-1. Unit pivots, sparsely.  Each nonzero row becomes a {column: value} dict.
-   While a +-1 entry remains, the shortest row holding one pivots on its
-   unit entry in the column with the fewest nonzeros: every other row in
-   that column subtracts a multiple of the pivot row, then the pivot row and
-   column are dropped with an invariant factor 1.  This is exact: once its
-   column is clear, the pivot row is cleared by column operations that touch
-   no other row, so the matrix is equivalent to diag(1, R) over the integers.
-   Columns keep only their nonzero counts, and a scan of the remaining rows
-   finds the rows of the pivot column: on the Berman boundary matrices that
-   is faster than a column-to-rows index and raises peak memory less.
-2. The residual R, packed densely on the columns it touches, is diagonalised
-   with pivots of minimal absolute value to limit coefficient growth; the
-   diagonal then becomes the invariant factors by one gcd/lcm pass, since
-   diag(a, b) and diag(gcd(a, b), lcm(a, b)) are equivalent over the
-   integers.
+A pivot p in column c clears its column with floor quotients; if remainders
+stay, the row holding the least one becomes the pivot (Euclid down the
+column).  Once column c holds p alone, column operations reduce the pivot
+row mod p; they touch no other row, because column c is clear there, and a
+remainder left in the row becomes the pivot of its column.  Each step makes
+|p| smaller, so the step ends with p alone in its row and column, and the
+matrix is equivalent to diag(p, R) over the integers: row and column are
+dropped with the factor |p|.  After a +-1 pivot every remainder is 0, so
+that reduction is skipped.  Columns keep only their nonzero counts, and a
+scan of the remaining rows finds the rows of the pivot column: on the Berman
+boundary matrices that is faster than a column-to-rows index and raises peak
+memory less.  One gcd/lcm pass turns the diagonal into invariant factors,
+since diag(a, b) and diag(gcd(a, b), lcm(a, b)) are equivalent over the
+integers.
 """
 from __future__ import annotations
 
@@ -45,9 +49,8 @@ def int_matrix(data: Sequence[Sequence[int]]) -> IntMatrix:
     return IntMatrix(len(data), cols, tuple(tuple(int(v) for v in row) for row in data))
 
 
-def _eliminate_unit_pivots(M: IntMatrix) -> tuple[int, list[dict[int, int]]]:
-    """Pivot on +-1 entries until none is left.  Returns the number of pivots
-    and the remaining nonzero rows as {column: value} dicts."""
+def smith_normal_form(M: IntMatrix) -> list[int]:
+    """Invariant factors d1 | d2 | ... (positive, nonzero ones only)."""
     rows = {}
     keys = list(range(M.cols))  # shared ints; enumerate would make one per entry
     for i, r in enumerate(M.data):
@@ -58,95 +61,74 @@ def _eliminate_unit_pivots(M: IntMatrix) -> tuple[int, list[dict[int, int]]]:
     for row in rows.values():
         for j in row:
             count[j] = count.get(j, 0) + 1
-    heap = [(len(row), i) for i, row in rows.items()]
-    heapq.heapify(heap)
+    heap: list[tuple[int, int]] = []  # (length, row), filled below
     ones = 0
-    while heap:
+    factors: list[int] = []
+    while rows:
+        if not heap:
+            # the largest |v| a pivot may have: 1 while units remain
+            bound = min(abs(v) for row in rows.values() for v in row.values())
+            heap = [(len(row), i) for i, row in rows.items()]
+            heapq.heapify(heap)
         length, p = heapq.heappop(heap)
         prow = rows.get(p)
         if prow is None or len(prow) != length:
             continue  # dropped, or queued again with its new length
-        units = [j for j, v in prow.items() if v == 1 or v == -1]
-        if not units:
+        small = [j for j, v in prow.items() if -bound <= v <= bound]
+        if not small:
             continue  # queued again if an update changes it
-        c = min(units, key=lambda j: (count[j], j))
-        del rows[p]
-        pv = prow.pop(c)
-        del count[c]
-        for j in prow:
-            count[j] -= 1
-        for i in [i for i, row in rows.items() if c in row]:
-            row = rows[i]
-            f = row.pop(c) * pv  # the multiple row[c] / pv, as pv = +-1
-            for j, v in prow.items():
-                w = row.get(j, 0) - f * v
-                if w:
-                    if j not in row:
-                        count[j] += 1
-                    row[j] = w
-                else:
-                    del row[j]
-                    count[j] -= 1
-            if row:
-                heapq.heappush(heap, (len(row), i))
-            else:
-                del rows[i]
-        ones += 1
-    return ones, list(rows.values())
-
-
-def smith_normal_form(M: IntMatrix) -> list[int]:
-    """Invariant factors d1 | d2 | ... (positive, nonzero ones only)."""
-    ones, residual = _eliminate_unit_pivots(M)
-    touched = sorted({j for row in residual for j in row})
-    a = [[row.get(j, 0) for j in touched] for row in residual]
-    rows, cols = len(a), len(touched)
-    factors: list[int] = []
-    t = 0
-    while t < min(rows, cols):
-        # minimal-absolute-value nonzero pivot in the trailing submatrix
-        piv = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                v = a[i][j]
-                if v != 0 and (piv is None or abs(v) < abs(a[piv[0]][piv[1]])):
-                    piv = (i, j)
-        if piv is None:
-            break
-        i0, j0 = piv
-        a[t], a[i0] = a[i0], a[t]
-        for row in a:
-            row[t], row[j0] = row[j0], row[t]
-
+        c = min(small, key=lambda j: (count[j], j))
         while True:
-            p = a[t][t]
-            dirty = False
-            for i in range(t + 1, rows):
-                q = a[i][t] // p
-                if q:
-                    for j in range(t, cols):
-                        a[i][j] -= q * a[t][j]
-                if a[i][t] != 0:
-                    # remainder smaller than pivot: swap it up and restart
-                    a[t], a[i] = a[i], a[t]
-                    dirty = True
-                    break
-            if dirty:
+            pv = prow.pop(c)
+            left = []  # rows with a remainder in column c
+            for i in [i for i, row in rows.items() if c in row]:
+                row = rows[i]
+                q, r = divmod(row.pop(c), pv)
+                if r:
+                    row[c] = r
+                    left.append(i)
+                if not q:
+                    continue
+                for j, v in prow.items():
+                    w = row.get(j, 0) - q * v
+                    if w:
+                        if j not in row:
+                            count[j] += 1
+                        row[j] = w
+                    else:
+                        del row[j]
+                        count[j] -= 1
+                if row:
+                    heapq.heappush(heap, (len(row), i))
+                else:
+                    del rows[i]
+            count[c] = 1 + len(left)
+            if left:
+                prow[c] = pv
+                heapq.heappush(heap, (len(prow), p))
+                p = min(left, key=lambda i: abs(rows[i][c]))
+                prow = rows[p]
                 continue
-            for j in range(t + 1, cols):
-                q = a[t][j] // p
-                if q:
-                    for i in range(t, rows):
-                        a[i][j] -= q * a[i][t]
-                if a[t][j] != 0:
-                    for i in range(t, rows):
-                        a[i][t], a[i][j] = a[i][j], a[i][t]
-                    dirty = True
-                    break
-            if not dirty:
-                break
-        factors.append(abs(a[t][t]))
-        t += 1
+            if pv == 1 or pv == -1:
+                ones += 1
+            else:
+                for j, v in list(prow.items()):
+                    r = v % pv
+                    if r:
+                        prow[j] = r
+                    else:
+                        del prow[j]
+                        count[j] -= 1
+                if prow:
+                    prow[c] = pv
+                    c = min(prow, key=lambda j: abs(prow[j]))
+                    continue
+                factors.append(abs(pv))
+            del rows[p]
+            del count[c]
+            for j in prow:
+                count[j] -= 1
+            break
     # a pass over i < j leaves d_i dividing every later entry
     for i in range(len(factors)):
         for j in range(i + 1, len(factors)):

@@ -21,7 +21,7 @@ from multishelf import (
     verify_differential,
 )
 from multishelf.fixtures import BERMAN_SIGMA, BERMAN_TAU, XOR
-from multishelf.snf import IntMatrix, _eliminate_unit_pivots, rank
+from multishelf.snf import IntMatrix, rank
 
 
 def zero_matrix(rows, cols):
@@ -47,8 +47,8 @@ def differential_ops(name):
 
 _rng = random.Random(2012)
 # (ops, weights, max_degree, expected).  Berman stops at degree 2: the dense
-# product at degree 3 is too slow for tier-1.  No case runs SNF, which takes
-# about two minutes on the 36x216 Berman d_2 at weights 2,5.
+# product at degree 3 is too slow for tier-1.  No case runs SNF; the modular
+# rank test in TestHomologyGroups checks the Berman invariant factors.
 DIFFERENTIAL_CASES = [
     ("berman", (1, -1), 2, True),
     ("berman", (2, 5), 2, True),
@@ -258,8 +258,8 @@ class TestSmithNormalForm:
             assert smith_normal_form(int_matrix(m)) == minor_gcd_snf(m)
 
     def test_units_only_after_elimination(self):
-        # every row an elimination changes is queued again: the units that
-        # appear only after a step are pivoted on, not left to the dense stage
+        # every row an elimination changes is queued again, so the units that
+        # appear only after a step are found
         rng = random.Random(11)
         for k in range(120):
             layers = 1 + k % 3
@@ -269,9 +269,6 @@ class TestSmithNormalForm:
             assert f == naive_snf(m)
             if len(m) <= 5 and len(m[0]) <= 5:
                 assert f == minor_gcd_snf(m)
-            ones, residual = _eliminate_unit_pivots(int_matrix(m))
-            assert ones >= layers
-            assert not any(has_unit(row.values()) for row in residual)
 
     def test_no_unit_entries(self):
         rng = random.Random(12)
@@ -417,19 +414,27 @@ class TestHomologyGroups:
         with pytest.raises(ValueError, match="budget"):
             homology_groups(ChainSpec(bad, (1,), 3), dim_budget=4)
 
-    def test_berman_sum_weights_against_modular_ranks(self):
-        # the dense SNF never finished the 216x1296 d_3 at these weights;
+    @pytest.mark.parametrize(
+        "weights, max_degree, expected",
+        [
+            # a 216x1296 d_3 that a dense SNF never finished
+            ((1, 1), 3, [(1, (3,)), (0, (6,)), (0, (3, 3))]),
+            # a d_2 with no +-1 entry (0, +-2, +-5 and 7 only)
+            ((2, 5), 2, [(1, (3,)), (0, (21,))]),
+        ],
+        ids=["1,1", "2,5"],
+    )
+    def test_berman_sum_weights_against_modular_ranks(self, weights, max_degree, expected):
         # rank mod p counts the invariant factors that p does not divide
-        spec = ChainSpec(make_distributive_set([BERMAN_TAU, BERMAN_SIGMA]), (1, 1), 3)
-        big = 2**31 - 1
-        for d in range(1, 4):
+        spec = ChainSpec(make_distributive_set([BERMAN_TAU, BERMAN_SIGMA]), weights, max_degree)
+        for d in range(1, max_degree + 1):
             M = boundary_matrix(spec, d)
             factors = smith_normal_form(M)
-            assert len(factors) == rank_mod(M, big)
-            for p in (2, 3):
+            assert len(factors) == rank_mod(M, 2**31 - 1)
+            for p in (2, 3, 7):
                 assert sum(1 for f in factors if f % p) == rank_mod(M, p)
         groups = homology_groups(spec)
-        assert [(h.free_rank, h.torsion) for h in groups] == [(1, (3,)), (0, (6,)), (0, (3, 3))]
+        assert [(h.free_rank, h.torsion) for h in groups] == expected
 
     def test_rank_nullity_consistency(self):
         S = make_distributive_set(list(regular_embed(cyclic(2)).images))
