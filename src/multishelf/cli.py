@@ -225,7 +225,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return args.func(args)
     except (ValueError, KeyError) as e:  # includes SchemaError, DistributivityError
-        print(f"error: {e}", file=sys.stderr)
+        print(f"error: {e.args[0] if isinstance(e, KeyError) else e}", file=sys.stderr)
         return EXIT_WITNESS
     except OSError as e:
         print(f"error: {e.filename}: {e.strerror}", file=sys.stderr)

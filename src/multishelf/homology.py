@@ -77,16 +77,15 @@ def boundary_matrix(spec: ChainSpec, degree: int, dim_budget: int = DEFAULT_DIM_
         raise ValueError(f"degree {degree} outside [1, {spec.max_degree}]")
     n = spec.S.n
     cols = n ** (degree + 1)
-    rows = n**degree
     if cols > dim_budget:
         raise ValueError(f"chain dimension {cols} exceeds budget {dim_budget}")
-    data = [[0] * cols for _ in range(rows)]
+    data = [{} for _ in range(n**degree)]  # row: {column: value}
     for op, w in zip(spec.S.ops, spec.weights):
         if w:
             for x, faces in enumerate(_face_table(op, degree)):
                 for i, face in enumerate(faces):
-                    data[face][x] += -w if i % 2 else w
-    return IntMatrix(rows, cols, tuple(tuple(r) for r in data))
+                    data[face][x] = data[face].get(x, 0) + (-w if i % 2 else w)
+    return IntMatrix(len(data), cols, tuple(tuple(sorted(p for p in r.items() if p[1])) for r in data))
 
 
 def verify_differential(spec: ChainSpec) -> bool:
@@ -121,11 +120,11 @@ def homology_groups(
     spec: ChainSpec, dim_budget: int = DEFAULT_DIM_BUDGET
 ) -> list[HomologyGroup]:
     """H_d = ker d_d / im d_{d+1} for d = 0..max_degree-1, via Smith normal form."""
-    # the matrices enforce dim_budget, which then also bounds the check's face tables
-    matrices = [boundary_matrix(spec, d, dim_budget) for d in range(1, spec.max_degree + 1)]
+    # largest first, so dim_budget fails fast; it then also bounds the check's face tables
+    matrices = {d: boundary_matrix(spec, d, dim_budget) for d in range(spec.max_degree, 0, -1)}
     if not verify_differential(spec):
         raise ValueError("differential does not square to zero; refusing to compute")
-    factors = {d: smith_normal_form(M) for d, M in enumerate(matrices, start=1)}
+    factors = {d: smith_normal_form(M) for d, M in matrices.items()}
     n = spec.S.n
     groups = []
     for d in range(spec.max_degree):

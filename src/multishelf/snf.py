@@ -1,14 +1,14 @@
 """Exact-integer matrices and Smith normal form.
 
-Matrices keep dense rows of Python ints, so there is no overflow.  The Smith
+Matrices keep each row's nonzero (column, value) pairs in column order, as
+Python ints: no overflow, and memory grows with the nonzeros.  The Smith
 normal form is one sparse elimination, after Dumas, Saunders and Villard ("On
 efficient sparse integer matrix Smith normal form computations", J. Symbolic
-Comput. 2001).  Each nonzero row becomes a {column: value} dict, and rows
-come off a heap shortest first.  A row is a pivot candidate if it has an
-entry with |v| <= bound, and pivots on such an entry in the column with the
-fewest nonzeros.  Whenever the heap is empty with rows left, every row is
-queued and the bound becomes the least |v| over them, so it is 1 while
-units remain.
+Comput. 2001).  Each nonzero row becomes a {column: value} dict, and rows come
+off a heap shortest first.  A row is a pivot candidate if it has an entry with
+|v| <= bound, and pivots on such an entry in the column with the fewest
+nonzeros.  Whenever the heap is empty with rows left, every row is queued and
+the bound becomes the least |v| over them, so it is 1 while units remain.
 
 A pivot p in column c clears its column with floor quotients; if remainders
 stay, the row holding the least one becomes the pivot (Euclid down the
@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -37,30 +38,29 @@ from typing import Sequence
 class IntMatrix:
     rows: int
     cols: int
-    data: tuple[tuple[int, ...], ...]
+    data: tuple[tuple[tuple[int, int], ...], ...]  # row i: its (column, value) nonzeros
 
     def __post_init__(self):
-        if len(self.data) != self.rows or any(len(r) != self.cols for r in self.data):
-            raise ValueError("data shape does not match declared dimensions")
+        if len(self.data) != self.rows:
+            raise ValueError(f"{len(self.data)} rows stored, {self.rows} declared")
+        for i, row in enumerate(self.data):
+            for (last, _), (j, v) in zip(((-1, 0),) + row, row):  # each entry with the one before
+                if not (last < j < self.cols and v):
+                    raise ValueError(f"row {i}: ({j}, {v}) is zero, unsorted or out of range")
 
 
 def int_matrix(data: Sequence[Sequence[int]]) -> IntMatrix:
     cols = len(data[0]) if data else 0
-    return IntMatrix(len(data), cols, tuple(tuple(int(v) for v in row) for row in data))
+    if any(len(r) != cols for r in data):
+        raise ValueError(f"ragged rows: expected {cols} entries in each")
+    pairs = (tuple((j, v) for j, v in enumerate(map(int, r)) if v) for r in data)
+    return IntMatrix(len(data), cols, tuple(pairs))
 
 
 def smith_normal_form(M: IntMatrix) -> list[int]:
     """Invariant factors d1 | d2 | ... (positive, nonzero ones only)."""
-    rows = {}
-    keys = list(range(M.cols))  # shared ints; enumerate would make one per entry
-    for i, r in enumerate(M.data):
-        row = {j: v for j, v in zip(keys, r) if v}
-        if row:
-            rows[i] = row
-    count: dict[int, int] = {}  # nonzeros per column
-    for row in rows.values():
-        for j in row:
-            count[j] = count.get(j, 0) + 1
+    rows = {i: dict(r) for i, r in enumerate(M.data) if r}
+    count = Counter(j for row in rows.values() for j in row)  # nonzeros per column
     heap: list[tuple[int, int]] = []  # (length, row), filled below
     ones = 0
     factors: list[int] = []

@@ -35,6 +35,8 @@ class TestFixturesCommand:
 
     def test_unknown(self, capsys):
         assert main(["fixtures", "nope"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: unknown fixture 'nope', have ['berman-d6', 'xor']\n"
 
 
 class TestValidateCommand:

@@ -20,21 +20,31 @@ from multishelf import (
     smith_normal_form,
     verify_differential,
 )
+from multishelf import homology
 from multishelf.fixtures import BERMAN_SIGMA, BERMAN_TAU, XOR
 from multishelf.snf import IntMatrix, rank
 
 
+def dense(M):
+    """The rows of the sparse IntMatrix M with every zero written out."""
+    out = [[0] * M.cols for _ in range(M.rows)]
+    for row, pairs in zip(out, M.data):
+        for j, v in pairs:
+            row[j] = v
+    return tuple(map(tuple, out))
+
+
 def zero_matrix(rows, cols):
-    return IntMatrix(rows, cols, tuple((0,) * cols for _ in range(rows)))
+    return IntMatrix(rows, cols, ((),) * rows)
 
 
 def mat_mul(A, B):
     assert A.cols == B.rows, f"shape mismatch: {A.rows}x{A.cols} * {B.rows}x{B.cols}"
-    bt = list(zip(*B.data)) if B.rows else [()] * B.cols
+    bt = list(zip(*dense(B))) if B.rows else [()] * B.cols
     out = tuple(
-        tuple(sum(a * b for a, b in zip(row, col)) for col in bt) for row in A.data
+        tuple(sum(a * b for a, b in zip(row, col)) for col in bt) for row in dense(A)
     )
-    return IntMatrix(A.rows, B.cols, out)
+    return int_matrix(out)
 
 
 def differential_ops(name):
@@ -204,7 +214,7 @@ def rank_mod(M, p):
     every product)."""
     import numpy as np
 
-    a = np.array(M.data, dtype=np.int64).reshape(M.rows, M.cols) % p
+    a = np.array(dense(M), dtype=np.int64).reshape(M.rows, M.cols) % p
     r = 0
     for c in range(M.cols):
         if r == M.rows:
@@ -219,6 +229,31 @@ def rank_mod(M, p):
         a[below] = (a[below] - np.outer(a[below, c], a[r])) % p
         r += 1
     return r
+
+
+class TestIntMatrix:
+    @pytest.mark.parametrize(
+        "row",
+        [((0, 1), (1, 0)), ((1, 2), (1, 3)), ((2, 1), (0, 1)), ((0, 1), (3, 1)), ((-1, 1),)],
+        ids=["stored-zero", "repeated-column", "unsorted", "column-past-end", "negative-column"],
+    )
+    def test_rejects_bad_row(self, row):
+        with pytest.raises(ValueError, match="row 1"):
+            IntMatrix(2, 3, ((), row))
+
+    def test_rejects_row_count(self):
+        with pytest.raises(ValueError, match="rows"):
+            IntMatrix(3, 2, ((), ()))
+
+    def test_int_matrix_rejects_ragged_rows(self):
+        with pytest.raises(ValueError, match="ragged"):
+            int_matrix([[1, 0], [1]])
+
+    def test_int_matrix_keeps_nonzeros(self):
+        M = int_matrix([[0, 3, 0], [0, 0, 0], [-2, 0, 5]])
+        assert (M.rows, M.cols) == (3, 3)
+        assert M.data == (((1, 3),), (), ((0, -2), (2, 5)))
+        assert dense(M) == ((0, 3, 0), (0, 0, 0), (-2, 0, 5))
 
 
 class TestSmithNormalForm:
@@ -312,19 +347,38 @@ class TestBoundaryMatrix:
     def test_right_trivial_degree1(self):
         # columns for basis (0,0),(0,1),(1,0),(1,1): 0, (1)-(0), (0)-(1), 0
         M = boundary_matrix(self.rt2_spec(), 1)
-        assert M.data == ((0, -1, 1, 0), (0, 1, -1, 0))
+        assert dense(M) == ((0, -1, 1, 0), (0, 1, -1, 0))
 
     def test_z2_image_degree1(self):
         # for the nontrivial image of Z2, d(a,b) = (b) - (a+1 mod 2)
         op = regular_embed(cyclic(2)).images[1]
         spec = ChainSpec(DistributiveSet(2, (op,)), (1,), 2)
         M = boundary_matrix(spec, 1)
-        cols = list(zip(*M.data))
+        cols = list(zip(*dense(M)))
         for col, (a, b) in zip(cols, itertools.product(range(2), repeat=2)):
             expected = [0, 0]
             expected[b] += 1
             expected[(a + 1) % 2] -= 1
             assert list(col) == expected
+
+    @pytest.mark.parametrize(
+        "name, weights, max_degree",
+        [
+            ("berman", (1, -1), 3),
+            ("berman", (1, 1), 3),
+            ("berman", (2, 5), 2),
+            ("cyclic3", (1, 1, -2), 3),
+        ],
+        ids=_param_id,
+    )
+    def test_rows_sorted_without_zeros(self, name, weights, max_degree):
+        ops = differential_ops(name)
+        spec = ChainSpec(DistributiveSet(ops[0].n, ops), weights, max_degree)
+        for d in range(1, max_degree + 1):
+            for row in boundary_matrix(spec, d).data:
+                cols = [j for j, _ in row]
+                assert cols == sorted(set(cols))
+                assert all(v for _, v in row)
 
     def test_degree_out_of_range(self):
         with pytest.raises(ValueError):
@@ -454,6 +508,16 @@ class TestHomologyGroups:
         assert [(h.free_rank, h.torsion) for h in a] == [
             (h.free_rank, h.torsion) for h in b
         ]
+
+    def test_top_degree_budget_checked_first(self, monkeypatch):
+        # an over-budget run fails before any lower degree is built
+        built = []
+        face_table = homology._face_table
+        monkeypatch.setattr(homology, "_face_table", lambda *a: built.append(a) or face_table(*a))
+        spec = ChainSpec(make_distributive_set([BERMAN_TAU, BERMAN_SIGMA]), (1, -1), 3)
+        with pytest.raises(ValueError, match="chain dimension 1296 exceeds budget 1000"):
+            homology_groups(spec, dim_budget=1000)
+        assert built == []
 
     def test_dim_budget(self):
         S = make_distributive_set([right_trivial(6)])
