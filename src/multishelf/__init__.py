@@ -8,7 +8,6 @@ from .tables import (
     distributive_witness,
     invert,
     is_idempotent,
-    is_invertible,
     make_table,
     relabel,
     right_trivial,
@@ -23,20 +22,13 @@ from .groups import (
     symmetric,
 )
 from .embedding import RegularEmbedding, regular_embed, verify_inverse_images
-from .translate import (
-    alpha,
-    alpha_inverse,
-    conjugation_condition,
-    distributivity_equivalence_check,
-)
+from .translate import alpha, alpha_inverse, conjugation_condition
 from .shelves import (
     ClosureBudgetError,
     ClosureResult,
     DistributiveSet,
     DistributivityError,
     close_group,
-    close_monoid,
-    idempotent_center_report,
     make_distributive_set,
     verify_distributive,
 )
@@ -50,7 +42,7 @@ from .search import (
     enumerate_racks,
     seed_catalog,
 )
-from .snf import IntMatrix, int_matrix, rank, smith_normal_form
+from .snf import IntMatrix, int_matrix, smith_normal_form
 from .homology import (
     ChainSpec,
     HomologyGroup,

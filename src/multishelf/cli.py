@@ -56,7 +56,7 @@ def _parse_group(spec: str) -> FiniteGroup:
 def _cmd_fixtures(args) -> int:
     if args.name == "list":
         for name in fx.fixture_names():
-            print(f"{name}  sha256={fx.fixture_checksum(name)}")
+            print(f"{name}  sha256={fx.fixture(name)[2]}")
         return EXIT_OK
     ops, doc, checksum = fx.fixture(args.name)
     if args.out:

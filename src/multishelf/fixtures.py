@@ -76,22 +76,12 @@ def fixture(name: str) -> tuple[tuple[OpTable, ...], dict, str]:
     return ops, doc, digest
 
 
-def fixture_ops(name: str) -> tuple[OpTable, ...]:
-    """The fixture's tables, once they hash to the pinned sha256."""
-    return fixture(name)[0]
-
-
 def document_checksum(doc: dict) -> str:
     """sha256 of a JSON document serialized with sorted keys."""
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
-def fixture_checksum(name: str) -> str:
-    """The pinned sha256 of the fixture's set document, once its tables match it."""
-    return fixture(name)[2]
-
-
 def get_fixture(name: str) -> DistributiveSet:
-    """Fixture as a distributive set, revalidated on load; ``fixture_ops``
+    """Fixture as a distributive set, revalidated on load; ``fixture(name)[0]``
     gives the tables of a deliberately non-distributive fixture."""
-    return make_distributive_set(fixture_ops(name))
+    return make_distributive_set(fixture(name)[0])

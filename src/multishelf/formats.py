@@ -83,10 +83,6 @@ def set_document(S: DistributiveSet) -> dict:
     return {"n": S.n, "ops": [[list(row) for row in op.entries] for op in S.ops]}
 
 
-def save_set(S: DistributiveSet, path: PathLike) -> None:
-    write_document(set_document(S), path)
-
-
 def load_set(path: PathLike) -> DistributiveSet:
     """Load a family of tables; raises DistributivityError with the witness."""
     doc = _read_json(path)
@@ -103,10 +99,6 @@ def load_set(path: PathLike) -> DistributiveSet:
 
 def group_document(G: FiniteGroup) -> dict:
     return {"m": G.m, "mul": [list(row) for row in G.mul], "identity": G.identity}
-
-
-def save_group(G: FiniteGroup, path: PathLike) -> None:
-    write_document(group_document(G), path)
 
 
 def load_group(path: PathLike) -> FiniteGroup:

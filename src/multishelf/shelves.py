@@ -1,4 +1,4 @@
-"""Distributive sets of tables and their closure into monoids and groups."""
+"""Distributive sets of tables and their closure into groups."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -6,10 +6,8 @@ from typing import Optional, Sequence
 
 from .tables import (
     OpTable,
-    commutes,
     compose,
     distributive_witness,
-    is_idempotent,
     noninvertible_column,
     right_trivial,
 )
@@ -39,26 +37,17 @@ class DistributiveSet:
     n: int
     ops: tuple[OpTable, ...]
 
-    def __len__(self) -> int:
-        return len(self.ops)
-
-    def __getitem__(self, i: int) -> OpTable:
-        return self.ops[i]
-
 
 @dataclass(frozen=True)
 class ClosureResult:
     ops: tuple[OpTable, ...]
-    kind: str  # "monoid" | "group"
+    kind: str  # always "group"
     cayley: tuple[tuple[int, ...], ...]
     abelian: bool
 
     @property
     def order(self) -> int:
         return len(self.ops)
-
-    def as_distributive_set(self) -> DistributiveSet:
-        return DistributiveSet(self.ops[0].n, self.ops)
 
 
 def make_distributive_set(
@@ -133,11 +122,6 @@ def _close(
     return members, tuple(tuple(product[i, j] for j in range(k)) for i in range(k))
 
 
-def close_monoid(S: DistributiveSet, budget: int = DEFAULT_CLOSURE_BUDGET) -> ClosureResult:
-    """Least family containing S and the identity, closed under composition."""
-    return _result(*_close(S.ops, S.n, budget), "monoid")
-
-
 def close_group(S: DistributiveSet, budget: int = DEFAULT_CLOSURE_BUDGET) -> ClosureResult:
     """Least family containing S closed under composition and inversion.
 
@@ -152,31 +136,6 @@ def close_group(S: DistributiveSet, budget: int = DEFAULT_CLOSURE_BUDGET) -> Clo
             raise ValueError(
                 f"member {i} is not invertible: column {y} is not a permutation"
             )
-    return _result(*_close(S.ops, S.n, budget), "group")
-
-
-def _result(
-    members: list[OpTable], cayley: tuple[tuple[int, ...], ...], kind: str
-) -> ClosureResult:
-    """Revalidate the closure as a distributive set."""
-    make_distributive_set(members)
-    return ClosureResult(tuple(members), kind, cayley, cayley == tuple(zip(*cayley)))
-
-
-def idempotent_center_report(S: DistributiveSet) -> list[tuple[int, bool]]:
-    """For each idempotent member, whether it commutes with every member.
-
-    All flags are guaranteed true for a validated distributive set; a false
-    flag would mean a broken invariant, so it raises.
-    """
-    report: list[tuple[int, bool]] = []
-    for i, op in enumerate(S.ops):
-        if not is_idempotent(op):
-            continue
-        flag = all(commutes(op, other) for other in S.ops)
-        if not flag:
-            raise AssertionError(
-                f"idempotent member {i} fails to commute in a validated set"
-            )
-        report.append((i, flag))
-    return report
+    members, cayley = _close(S.ops, S.n, budget)
+    make_distributive_set(members)  # revalidate the closure as a distributive set
+    return ClosureResult(tuple(members), "group", cayley, cayley == tuple(zip(*cayley)))

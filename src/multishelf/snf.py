@@ -44,9 +44,15 @@ class IntMatrix:
         if len(self.data) != self.rows:
             raise ValueError(f"{len(self.data)} rows stored, {self.rows} declared")
         for i, row in enumerate(self.data):
-            for (last, _), (j, v) in zip(((-1, 0),) + row, row):  # each entry with the one before
+            last = -1
+            for entry in row:
+                try:
+                    j, v = entry
+                except (TypeError, ValueError):
+                    raise ValueError(f"row {i}: {entry!r} is not a (column, value) pair") from None
                 if not (last < j < self.cols and v):
                     raise ValueError(f"row {i}: ({j}, {v}) is zero, unsorted or out of range")
+                last = j
 
 
 def int_matrix(data: Sequence[Sequence[int]]) -> IntMatrix:
@@ -135,7 +141,3 @@ def smith_normal_form(M: IntMatrix) -> list[int]:
             g = math.gcd(factors[i], factors[j])
             factors[i], factors[j] = g, factors[i] // g * factors[j]
     return [1] * ones + factors
-
-
-def rank(M: IntMatrix) -> int:
-    return len(smith_normal_form(M))

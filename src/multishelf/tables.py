@@ -96,11 +96,6 @@ def noninvertible_column(op: OpTable) -> Optional[int]:
     return None
 
 
-def is_invertible(op: OpTable) -> bool:
-    """True iff every column x -> x*y is a bijection of the carrier."""
-    return noninvertible_column(op) is None
-
-
 def invert(op: OpTable) -> OpTable:
     """Composition inverse: each column is the inverse permutation of op's column."""
     y = noninvertible_column(op)

@@ -8,13 +8,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .tables import (
-    OpTable,
-    Permutation,
-    distributive_witness,
-    is_invertible,
-    noninvertible_column,
-)
+from .tables import OpTable, Permutation, noninvertible_column
 
 
 def alpha(op: OpTable) -> tuple[Permutation, ...]:
@@ -51,12 +45,3 @@ def conjugation_condition(
             if any(target[sjz[x]] != sjz[siy[x]] for x in range(n)):
                 return (y, z)
     return None
-
-
-def distributivity_equivalence_check(opA: OpTable, opB: OpTable) -> bool:
-    """Cross-validate: table-level distributivity agrees with the conjugation form."""
-    if not (is_invertible(opA) and is_invertible(opB)):
-        raise ValueError("both tables must be invertible")
-    table_side = distributive_witness(opA, opB) is None
-    perm_side = conjugation_condition(alpha(opA), alpha(opB)) is None
-    return table_side == perm_side

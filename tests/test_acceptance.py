@@ -4,6 +4,7 @@ All criteria produce JSON-able report dicts; the determinism criterion
 rebuilds everything from scratch and requires byte-identical serialization.
 Random inputs use fixed seeds.
 """
+import itertools
 import json
 import math
 import random
@@ -164,23 +165,24 @@ def criterion_5():
         N = A.shape[0]
         diag = np.arange(n)
         idem_idx = np.nonzero((A[:, diag, diag] == diag).all(axis=1))[0]
-        col = np.broadcast_to(np.arange(n), (N, n, n))
-        rowsel = np.arange(N)[:, None, None]
+        col = np.arange(n)
+        triples = list(itertools.product(range(n), repeat=3))
         counterexamples = 0
         checked = 0
         sample_pairs = []
         for bi in idem_idx:
             B = A[bi]
-            lhs = B[A]  # [m,a,b,c] = B[A[m,a,b], c]
-            rhs = A[rowsel[..., None], B[:, None, :], B[None, :, :]]
-            dist = (lhs == rhs).reshape(N, -1).all(axis=1)
-            c1 = B[A, col]  # compose(A,B)
-            c2 = A[rowsel, np.broadcast_to(B, (N, n, n)), col]  # compose(B,A)
-            comm = (c1 == c2).reshape(N, -1).all(axis=1)
-            bad = int(np.count_nonzero(dist & ~comm))
-            counterexamples += bad
-            checked += int(np.count_nonzero(dist))
-            hits = np.nonzero(dist)[0]
+            # distributive opA: filter every table one (a, b, c) triple at a
+            # time, (a A b) B c == (a B c) A (b B c); survivors stay ascending
+            hits = np.arange(N)
+            for a, b, c in triples:
+                hits = hits[B[A[hits, a, b], c] == A[hits, B[a, c], B[b, c]]]
+            S = A[hits]
+            c1 = B[S, col]  # compose(A,B)
+            c2 = S[np.arange(len(hits))[:, None, None], B, col]  # compose(B,A)
+            comm = (c1 == c2).reshape(len(hits), -1).all(axis=1)
+            counterexamples += int(np.count_nonzero(~comm))
+            checked += len(hits)
             if len(hits):
                 sample_pairs.append((int(rng.choice(list(hits))), int(bi)))
         # cross-check a sample against the library predicates

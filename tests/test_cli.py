@@ -6,7 +6,7 @@ import pytest
 from multishelf import compose, invert, make_table, right_trivial
 from multishelf.cli import main
 from multishelf.fixtures import BERMAN_SIGMA, BERMAN_TAU
-from multishelf.formats import load_table, save_set, save_table
+from multishelf.formats import load_table, save_table, set_document, write_document
 from multishelf.shelves import DistributiveSet
 
 
@@ -232,7 +232,7 @@ class TestSearchCommand:
 class TestHomologyCommand:
     def test_right_trivial(self, tmp_path, capsys):
         path = tmp_path / "s.json"
-        save_set(DistributiveSet(2, (right_trivial(2),)), path)
+        write_document(set_document(DistributiveSet(2, (right_trivial(2),))), path)
         assert main(["homology", "--set", str(path), "--weights", "1", "--max-degree", "2"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["groups"][0] == {"degree": 0, "free_rank": 1, "torsion": []}

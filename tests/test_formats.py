@@ -6,19 +6,19 @@ from multishelf import cyclic, make_distributive_set, make_table, right_trivial
 from multishelf.fixtures import (
     BERMAN_SIGMA,
     BERMAN_TAU,
-    fixture_checksum,
+    fixture,
     fixture_names,
-    fixture_ops,
     get_fixture,
 )
 from multishelf.formats import (
     SchemaError,
+    group_document,
     load_group,
     load_set,
     load_table,
-    save_group,
-    save_set,
     save_table,
+    set_document,
+    write_document,
 )
 from multishelf.shelves import DistributivityError
 
@@ -64,7 +64,7 @@ class TestSetRoundTrip:
     def test_round_trip_validates(self, tmp_path):
         path = tmp_path / "s.json"
         S = make_distributive_set([BERMAN_TAU, BERMAN_SIGMA])
-        save_set(S, path)
+        write_document(set_document(S), path)
         assert load_set(path).ops == S.ops
 
     def test_invalid_set_raises_witness(self, tmp_path):
@@ -77,7 +77,7 @@ class TestSetRoundTrip:
 class TestGroupRoundTrip:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "g.json"
-        save_group(cyclic(4), path)
+        write_document(group_document(cyclic(4)), path)
         assert load_group(path) == cyclic(4)
 
     def test_invalid_group(self, tmp_path):
@@ -111,14 +111,14 @@ class TestFixtures:
             get_fixture("xor")
 
     def test_checksums_stable(self):
-        assert fixture_checksum("berman-d6") == fixture_checksum("berman-d6")
-        assert fixture_checksum("berman-d6") != fixture_checksum("xor")
+        assert fixture("berman-d6")[2] == fixture("berman-d6")[2]
+        assert fixture("berman-d6")[2] != fixture("xor")[2]
 
     def test_checksums_pinned(self):
-        assert fixture_checksum("berman-d6") == (
+        assert fixture("berman-d6")[2] == (
             "a8c6c94ea76f17d0775b460c36b712d3ce18821e7ae023971da1c897bc9f9cee"
         )
-        assert fixture_checksum("xor") == (
+        assert fixture("xor")[2] == (
             "81ecf75270c6a7168fc96cf138c145f0a48ef7cf5785338bd7bcd1d719fb7610"
         )
 
@@ -128,10 +128,10 @@ class TestFixtures:
         tampered = (make_table(2, [[1, 0], [0, 1]]),)
         monkeypatch.setitem(fx._FIXTURE_OPS, "xor", tampered)
         with pytest.raises(ValueError, match="pinned"):
-            fixture_ops("xor")
+            fixture("xor")
         with pytest.raises(ValueError, match="pinned"):
             get_fixture("xor")
 
     def test_unknown_fixture(self):
         with pytest.raises(KeyError):
-            fixture_ops("nope")
+            fixture("nope")

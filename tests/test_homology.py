@@ -10,6 +10,7 @@ from multishelf import (
     boundary_matrix,
     cyclic,
     distributive_witness,
+    enumerate_racks,
     homology_groups,
     int_matrix,
     make_distributive_set,
@@ -22,7 +23,7 @@ from multishelf import (
 )
 from multishelf import homology
 from multishelf.fixtures import BERMAN_SIGMA, BERMAN_TAU, XOR
-from multishelf.snf import IntMatrix, rank
+from multishelf.snf import IntMatrix
 
 
 def dense(M):
@@ -234,8 +235,24 @@ def rank_mod(M, p):
 class TestIntMatrix:
     @pytest.mark.parametrize(
         "row",
-        [((0, 1), (1, 0)), ((1, 2), (1, 3)), ((2, 1), (0, 1)), ((0, 1), (3, 1)), ((-1, 1),)],
-        ids=["stored-zero", "repeated-column", "unsorted", "column-past-end", "negative-column"],
+        [
+            ((0, 1), (1, 0)),
+            ((1, 2), (1, 3)),
+            ((2, 1), (0, 1)),
+            ((0, 1), (3, 1)),
+            ((-1, 1),),
+            (0, 0, 0),
+            ((0, 1, 2),),
+        ],
+        ids=[
+            "stored-zero",
+            "repeated-column",
+            "unsorted",
+            "column-past-end",
+            "negative-column",
+            "dense-row",
+            "triple-entry",
+        ],
     )
     def test_rejects_bad_row(self, row):
         with pytest.raises(ValueError, match="row 1"):
@@ -496,8 +513,8 @@ class TestHomologyGroups:
         for h in homology_groups(spec):
             d = h.degree
             dim = 2 ** (d + 1)
-            r_lo = 0 if d == 0 else rank(boundary_matrix(spec, d))
-            r_hi = rank(boundary_matrix(spec, d + 1))
+            r_lo = 0 if d == 0 else len(smith_normal_form(boundary_matrix(spec, d)))
+            r_hi = len(smith_normal_form(boundary_matrix(spec, d + 1)))
             assert h.free_rank == dim - r_lo - r_hi
 
     def test_ranks_invariant_under_relabeling(self):
@@ -518,6 +535,24 @@ class TestHomologyGroups:
         with pytest.raises(ValueError, match="chain dimension 1296 exceeds budget 1000"):
             homology_groups(spec, dim_budget=1000)
         assert built == []
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_one_term_homology_of_racks_is_trivial(self, n):
+        """The one-term distributive homology of a rack is trivial (Przytycki,
+        "Distributivity versus associativity in the homology theory of
+        algebraic structures", Demonstratio Math. 44 (2011); Przytycki and
+        Sikora, "Distributive products and their homology", Comm. Algebra 42
+        (2014)).  Hypotheses: (X, *) is right self-distributive,
+        (a * b) * c = (a * c) * (b * c), and every right translation
+        x -> x * y is a bijection of X.  Complex: this module's, C_d free on
+        X^(d+1) with boundary sum_i (-1)^i d_i.  Conclusion: H_0 = Z and
+        H_d = 0 for d >= 1.  (For any b, x -> (x_0 * b, .., x_d * b) is a chain
+        map, null-homotopic through x -> (-1)^(d+1) (x_0, .., x_d, b) in
+        degrees d >= 1, and an isomorphism when x -> x * b is a bijection.)
+        Checked on every rack class with n <= 4 points (1 + 2 + 6 + 19)."""
+        for rack in enumerate_racks(n).canonical:
+            groups = homology_groups(ChainSpec(make_distributive_set([rack]), (1,), 3))
+            assert [(h.free_rank, h.torsion) for h in groups] == [(1, ()), (0, ()), (0, ())]
 
     def test_dim_budget(self):
         S = make_distributive_set([right_trivial(6)])

@@ -13,13 +13,13 @@ from multishelf import (
     compatibility_graph,
     distributive_witness,
     enumerate_racks,
-    is_invertible,
     make_table,
     relabel,
     right_trivial,
     seed_catalog,
 )
 from multishelf.fixtures import BERMAN_SIGMA, BERMAN_TAU, XOR
+from multishelf.tables import noninvertible_column
 
 
 def invertible_tables(n):
@@ -61,7 +61,7 @@ class TestEnumerateRacks:
 
     def test_every_member_is_a_rack(self):
         for rack in enumerate_racks(3).racks:
-            assert is_invertible(rack)
+            assert noninvertible_column(rack) is None
             assert distributive_witness(rack, rack) is None
 
     def test_bound_enforced(self):
@@ -137,7 +137,7 @@ class TestCanonicalForm:
     def test_relabeling_a_rack_yields_a_rack(self, pi, idx):
         racks = enumerate_racks(3).racks
         r = relabel(racks[idx % len(racks)], pi)
-        assert is_invertible(r)
+        assert noninvertible_column(r) is None
         assert distributive_witness(r, r) is None
 
     def test_set_canonical_form(self):

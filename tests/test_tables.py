@@ -10,12 +10,12 @@ from multishelf import (
     distributive_witness,
     invert,
     is_idempotent,
-    is_invertible,
     make_table,
     relabel,
     right_trivial,
 )
 from multishelf.fixtures import BERMAN_SIGMA, BERMAN_TAU, XOR
+from multishelf.tables import noninvertible_column
 
 
 def all_tables(n):
@@ -93,14 +93,14 @@ class TestCompose:
 
 class TestInvertibility:
     def test_right_trivial_invertible(self):
-        assert is_invertible(right_trivial(4))
+        assert noninvertible_column(right_trivial(4)) is None
 
     def test_tau_invertible_column0(self):
-        assert is_invertible(BERMAN_TAU)
+        assert noninvertible_column(BERMAN_TAU) is None
         assert BERMAN_TAU.column(0) == (1, 0, 3, 2, 5, 4)
 
     def test_constant_column_not_invertible(self):
-        assert not is_invertible(make_table(2, [[0, 0], [0, 1]]))
+        assert noninvertible_column(make_table(2, [[0, 0], [0, 1]])) == 0
 
     def test_invert_right_trivial(self):
         assert invert(right_trivial(3)) == right_trivial(3)
@@ -130,7 +130,7 @@ class TestInvertibility:
                 compose(op, other) == ident and compose(other, op) == ident
                 for other in tables
             )
-            assert has_inverse == is_invertible(op)
+            assert has_inverse == (noninvertible_column(op) is None)
 
 
 class TestIdempotent:
@@ -140,6 +140,7 @@ class TestIdempotent:
     def test_tau_not_idempotent(self):
         assert BERMAN_TAU.entries[0][0] == 1
         assert not is_idempotent(BERMAN_TAU)
+        assert not is_idempotent(BERMAN_SIGMA)  # so the Berman set has no idempotents
 
     def test_swap_rows_not_idempotent(self):
         assert not is_idempotent(make_table(2, [[1, 1], [0, 0]]))
@@ -205,7 +206,7 @@ class TestRelabelEquivariance:
         a, b = table(ia), table(ib)
         ra, rb = relabel(a, pi), relabel(b, pi)
         assert (distributive_witness(a, b) is None) == (distributive_witness(ra, rb) is None)
-        assert is_invertible(a) == is_invertible(ra)
+        assert (noninvertible_column(a) is None) == (noninvertible_column(ra) is None)
         assert is_idempotent(a) == is_idempotent(ra)
         assert commutes(a, b) == commutes(ra, rb)
 
