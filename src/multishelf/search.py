@@ -22,6 +22,7 @@ from .tables import (
     Permutation,
     commutes,
     distributive_witness,
+    is_endomorphism,
     noninvertible_column,
     perm_compose,
     perm_inverse,
@@ -186,14 +187,11 @@ def _automorphism_mask(op: OpTable) -> int:
     """The relabelings that fix ``op``, as a bitmask over the permutations
     in lexicographic order.
 
-    ``relabel(op, p) == op`` iff ``p(a * b) = p(a) * p(b)`` for all a, b;
-    the latter stops at the first pair that fails.
+    ``relabel(op, p) == op`` iff p is an endomorphism of ``op``
+    (``is_endomorphism``), which stops at the first row that fails.
     """
-    e, pairs = op.entries, list(itertools.product(range(op.n), repeat=2))
     return sum(
-        bit
-        for p, bit in _permutation_bits(op.n).items()
-        if all(p[e[a][b]] == e[p[a]][p[b]] for a, b in pairs)
+        bit for p, bit in _permutation_bits(op.n).items() if is_endomorphism(p, op)
     )
 
 
@@ -243,9 +241,11 @@ def compatibility_graph(
     Partners j of rack i are listed in increasing order; j is a partner iff
     both ordered distributivity checks pass.  For racks A and B,
     ``(a A b) B c = (a B c) A (b B c)`` for all a, b, c says exactly that
-    every column ``x -> x B c`` is an automorphism of A.  So each check is
-    a subset test: the columns of B, as a mask over the permutations in
-    lexicographic order, within the ``catalog.automorphisms`` mask of A.
+    every column ``x -> x B c`` is an automorphism of A: the rule of
+    ``tables.is_endomorphism``, which ``verify_distributive`` runs column by
+    column, restricted to bijections.  So each check is a subset test: the
+    columns of B, as a mask over the permutations in lexicographic order,
+    within the ``catalog.automorphisms`` mask of A.
     Self-loops are implicit (every catalog member is self-distributive).
     The rows of the other racks are relabelings of these, so with singleton
     classes this is the full graph.  Raises TimeoutError once

@@ -1,4 +1,9 @@
-"""Distributive sets of tables and their closure into groups."""
+"""Distributive sets of tables and their closure into groups.
+
+A family is distributive when every ordered pair (A, B), A = B included,
+satisfies ``(a A b) B c = (a B c) A (b B c)``; that holds iff each column
+of B is an endomorphism of A, which is how ``verify_distributive`` checks it.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -8,6 +13,7 @@ from .tables import (
     OpTable,
     compose,
     distributive_witness,
+    is_endomorphism,
     noninvertible_column,
     right_trivial,
 )
@@ -72,13 +78,29 @@ def make_distributive_set(
 def verify_distributive(
     ops: Sequence[OpTable],
 ) -> Optional[tuple[int, int, int, int, int]]:
-    """First (i, j, a, b, c) where ops[i], ops[j] violate right
-    distributivity at (a, b, c), over all ordered pairs; None if there is none."""
-    for i, opA in enumerate(ops):
-        for j, opB in enumerate(ops):
-            w = distributive_witness(opA, opB)
-            if w is not None:
-                return (i, j) + w
+    """First (i, j, a, b, c), in that order, where ops[i], ops[j] violate
+    right distributivity at (a, b, c); None if there is none.
+
+    The pair (A, B) is right-distributive iff every column ``x -> x B c``
+    of B is an endomorphism of A (``is_endomorphism``), so each table is
+    tested once against each distinct column of the family, taken in order
+    of first appearance.  The first column A fails names the least j, and
+    ``distributive_witness(ops[i], ops[j])`` gives the least (a, b, c).
+    Tables on different carriers raise ValueError at the first such pair
+    (0, k), as an ordered-pair scan would.
+    """
+    size = ops[0].n if ops else 0
+    k = next((j for j, op in enumerate(ops) if op.n != size), len(ops))
+    first: dict[tuple[int, ...], int] = {}  # column -> least j having it
+    for j, op in enumerate(ops[:k]):
+        for col in zip(*op.entries):
+            first.setdefault(col, j)
+    for i, opA in enumerate(ops if k == len(ops) else ops[:1]):
+        for col, j in first.items():
+            if not is_endomorphism(col, opA):
+                return (i, j) + distributive_witness(opA, ops[j])
+    if k < len(ops):
+        raise ValueError(f"carrier mismatch: {size} vs {ops[k].n}")
     return None
 
 

@@ -132,6 +132,22 @@ def distributive_witness(opA: OpTable, opB: OpTable) -> Optional[tuple[int, int,
     return None
 
 
+def is_endomorphism(s: Sequence[int], op: OpTable) -> bool:
+    """True iff the map s (a one-line image tuple) satisfies
+    ``s(a * b) = s(a) * s(b)`` for all a, b; s need not be a bijection.
+
+    Column c of a table B is such a map for op = A exactly when
+    ``(a A b) B c = (a B c) A (b B c)`` for all a, b.  Compared row by row,
+    stopping at the first row that differs.
+    """
+    e = op.entries
+    for row, x in zip(e, s):
+        ex = e[x]
+        if [s[v] for v in row] != [ex[t] for t in s]:
+            return False
+    return True
+
+
 def commutes(opA: OpTable, opB: OpTable) -> bool:
     """True iff the two tables commute in the composition monoid."""
     if opA.n != opB.n:
