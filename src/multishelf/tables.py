@@ -149,10 +149,18 @@ def is_endomorphism(s: Sequence[int], op: OpTable) -> bool:
 
 
 def commutes(opA: OpTable, opB: OpTable) -> bool:
-    """True iff the two tables commute in the composition monoid."""
+    """True iff the two tables commute in the composition monoid:
+    ``B[A[a][b]][b] == A[B[a][b]][b]`` for all a, b, compared entry by entry
+    up to the first mismatch."""
     if opA.n != opB.n:
         raise ValueError(f"carrier mismatch: {opA.n} vs {opB.n}")
-    return compose(opA, opB) == compose(opB, opA)
+    eA, eB = opA.entries, opB.entries
+    columns = range(opA.n)
+    for ra, rb in zip(eA, eB):
+        for b in columns:
+            if eB[ra[b]][b] != eA[rb[b]][b]:
+                return False
+    return True
 
 
 def relabel(op: OpTable, pi: Sequence[int]) -> OpTable:

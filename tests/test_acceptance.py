@@ -351,7 +351,7 @@ def test_criterion_6_n5():
     assert (report.racks_found, report.compatible_pairs) == (1708, 42651)
     catalog = enumerate_racks(5)
     assert len(catalog.canonical) == 74  # OEIS A181771
-    assert catalog.nodes_pruned == report.nodes_pruned == 49939
+    assert catalog.nodes_pruned == report.nodes_pruned == 14937
     print("ACCEPTANCE 6 (n=5): PASS - commutative-only over 1708 racks in 74 classes")
 
 

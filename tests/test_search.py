@@ -1,6 +1,7 @@
 import itertools
 import math
 import time
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,8 +19,9 @@ from multishelf import (
     right_trivial,
     seed_catalog,
 )
+from multishelf import search
 from multishelf.fixtures import BERMAN_SIGMA, BERMAN_TAU, XOR
-from multishelf.tables import noninvertible_column
+from multishelf.tables import noninvertible_column, perm_inverse
 
 
 def invertible_tables(n):
@@ -74,19 +76,56 @@ class TestEnumerateRacks:
         with pytest.raises(TimeoutError):
             enumerate_racks(3, deadline=time.monotonic() - 1)
 
+    def test_deadline_checked_before_the_first_class(self, monkeypatch):
+        # The deadline passes just after the backtrack returns: no class may
+        # be swept, so neither an automorphism group nor a relabeling is read.
+        backtrack = search._enumerate_pruned
+
+        def backtrack_then_expire(n, deadline):
+            result = backtrack(n, deadline)
+            monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=lambda: math.inf))
+            return result
+
+        def unreachable(*args):
+            raise AssertionError("a class was swept after the deadline")
+
+        monkeypatch.setattr(search, "_enumerate_pruned", backtrack_then_expire)
+        monkeypatch.setattr(search, "_automorphisms", unreachable)
+        monkeypatch.setattr(search, "relabel", unreachable)
+        with pytest.raises(TimeoutError):
+            enumerate_racks(4, deadline=time.monotonic() + 3600)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_backtrack_meets_every_class_once_per_column0_orbit(self, n):
+        racks, _ = search._enumerate_pruned(n, None)
+        # The relabelings fixing 0 act on column 0 by conjugation.
+        fixing0 = [q for q in itertools.permutations(range(n)) if q[0] == 0]
+        orbits = {
+            p: frozenset(tuple(q[p[x]] for x in perm_inverse(q)) for q in fixing0)
+            for p in itertools.permutations(range(n))
+        }
+        # The permutation rack a*b = s(a) has every column equal to s, so
+        # each column-0 value tried is the column 0 of some rack found.
+        column0 = {r.column(0) for r in racks}
+        assert len({orbits[p] for p in column0}) == len(column0)
+        assert {orbits[p] for p in column0} == set(orbits.values())
+        catalog = enumerate_racks(n)
+        met = {catalog.orbit[catalog.racks.index(r)] for r in racks}
+        assert met == set(catalog.representatives)
+
     def test_known_isomorphism_class_counts(self):
         # racks on 1..4 points up to relabeling: 1, 2, 6, 19
         assert [len(enumerate_racks(n).canonical) for n in (1, 2, 3, 4)] == [1, 2, 6, 19]
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_canonical_matches_canonical_form(self, n):
         catalog = enumerate_racks(n)
-        forms = {canonical_form(r) for r in catalog.racks}
-        assert catalog.canonical == tuple(sorted(forms, key=lambda t: t.entries))
-        for i, rack in enumerate(catalog.racks):
-            assert catalog.racks[catalog.orbit[i]] == canonical_form(rack)
+        forms = [canonical_form(r) for r in catalog.racks]
+        assert catalog.canonical == tuple(sorted(set(forms), key=lambda t: t.entries))
+        for i, form in enumerate(forms):
+            assert catalog.racks[catalog.orbit[i]] == form
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_orbit_sizes(self, n):
         catalog = enumerate_racks(n)
         reps = catalog.representatives
@@ -96,7 +135,7 @@ class TestEnumerateRacks:
         assert all(math.factorial(n) % k == 0 for k in sizes)
         assert sum(sizes) == len(catalog.racks)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_automorphisms(self, n):
         catalog = enumerate_racks(n)
         assert len(catalog.automorphisms) == len(catalog.racks)

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -179,6 +180,35 @@ class TestCommutes:
 
     def test_berman_pair_does_not_commute(self):
         assert not commutes(BERMAN_TAU, BERMAN_SIGMA)
+        assert compose(BERMAN_TAU, BERMAN_SIGMA) != compose(BERMAN_SIGMA, BERMAN_TAU)
+
+    def test_carrier_mismatch(self):
+        with pytest.raises(ValueError, match="carrier mismatch: 6 vs 2"):
+            commutes(BERMAN_TAU, right_trivial(2))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_composite_tables(self, seed):
+        rng = random.Random(seed)
+        hits = 0
+        for _ in range(300):
+            n = rng.randint(1, 5)
+            a = OpTable(n, tuple(tuple(rng.randrange(n) for _ in range(n)) for _ in range(n)))
+            kind = rng.randrange(4)
+            if kind == 0:  # unrelated table: almost never commutes
+                b = OpTable(n, tuple(tuple(rng.randrange(n) for _ in range(n)) for _ in range(n)))
+            elif kind == 1:  # powers of a commute with a
+                b = compose(a, a)
+            elif kind == 2:  # a power of a with one entry changed
+                rows = [list(r) for r in compose(compose(a, a), a).entries]
+                rows[rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
+                b = OpTable(n, tuple(map(tuple, rows)))
+            else:
+                b = rng.choice([a, right_trivial(n)])
+            want = compose(a, b) == compose(b, a)
+            hits += want
+            assert commutes(a, b) == want
+            assert commutes(b, a) == want
+        assert 0 < hits < 300
 
 
 class TestIdempotentCommutation:
