@@ -339,8 +339,6 @@ def certify_no_nonabelian(
                 if commutes(a, b):
                     continue  # commuting generators give an abelian group
                 closure = close_group(DistributiveSet(n, (a, b)))
-                if closure.abelian:
-                    continue
                 key = canonical_form_set(closure.ops)
                 if key not in seen:
                     seen.add(key)

@@ -11,6 +11,7 @@ from typing import Optional, Sequence
 
 from .tables import (
     OpTable,
+    commutes,
     compose,
     distributive_witness,
     is_endomorphism,
@@ -48,8 +49,7 @@ class DistributiveSet:
 class ClosureResult:
     ops: tuple[OpTable, ...]
     kind: str  # always "group"
-    cayley: tuple[tuple[int, ...], ...]
-    abelian: bool
+    abelian: bool  # the seeds commute pairwise
 
     @property
     def order(self) -> int:
@@ -104,44 +104,26 @@ def verify_distributive(
     return None
 
 
-def _close(
-    seeds: Sequence[OpTable], n: int, budget: int
-) -> tuple[list[OpTable], tuple[tuple[int, ...], ...]]:
-    """Breadth-first closure under composition, and its Cayley table.
+def _close(seeds: Sequence[OpTable], n: int, budget: int) -> list[OpTable]:
+    """Breadth-first closure under composition: the identity, then each
+    member composed with each seed, in discovery order.
 
-    Deterministic: elements are discovered in worklist order, seeds first.
-    Each ordered pair of members is composed once, and the index of its
-    product is recorded as it forms.
+    Complete because every member of the generated monoid is a word in the
+    seeds and composition is associative, so the word one seed longer is a
+    member composed with that seed.  The seeds come first, after the identity.
     """
     ident = right_trivial(n)
     members: list[OpTable] = [ident]
-    index = {ident.entries: 0}
-    for op in seeds:
-        if op.entries not in index:
-            index[op.entries] = len(members)
-            members.append(op)
-
-    def add(op: OpTable) -> int:
-        k = index.get(op.entries)
-        if k is None:
-            k = index[op.entries] = len(members)
-            members.append(op)
-            if len(members) > budget:
-                raise ClosureBudgetError(f"closure exceeded budget of {budget} tables")
-        return k
-
-    product: dict[tuple[int, int], int] = {}
-    done = 0  # members below this index have been combined with everything before `done`
-    while done < len(members):
-        size = len(members)
-        for i in range(size):
-            for j in range(size):
-                if i < done and j < done:
-                    continue
-                product[i, j] = add(compose(members[i], members[j]))
-        done = size
-    k = len(members)
-    return members, tuple(tuple(product[i, j] for j in range(k)) for i in range(k))
+    seen = {ident.entries}
+    for op in members:  # grows while it is iterated
+        for seed in seeds:
+            product = compose(op, seed)
+            if product.entries not in seen:
+                seen.add(product.entries)
+                members.append(product)
+                if len(members) > budget:
+                    raise ClosureBudgetError(f"closure exceeded budget of {budget} tables")
+    return members
 
 
 def close_group(S: DistributiveSet, budget: int = DEFAULT_CLOSURE_BUDGET) -> ClosureResult:
@@ -150,7 +132,7 @@ def close_group(S: DistributiveSet, budget: int = DEFAULT_CLOSURE_BUDGET) -> Clo
     Invertible tables form a group under composition (column b of a
     composite is the composite of the two column-b permutations), so the
     finite monoid they generate is already that group: each inverse is a
-    power.
+    power.  It is abelian iff the seeds commute pairwise.
     """
     for i, op in enumerate(S.ops):
         y = noninvertible_column(op)
@@ -158,6 +140,7 @@ def close_group(S: DistributiveSet, budget: int = DEFAULT_CLOSURE_BUDGET) -> Clo
             raise ValueError(
                 f"member {i} is not invertible: column {y} is not a permutation"
             )
-    members, cayley = _close(S.ops, S.n, budget)
+    members = _close(S.ops, S.n, budget)
     make_distributive_set(members)  # revalidate the closure as a distributive set
-    return ClosureResult(tuple(members), "group", cayley, cayley == tuple(zip(*cayley)))
+    abelian = all(commutes(a, b) for k, a in enumerate(S.ops) for b in S.ops[k + 1 :])
+    return ClosureResult(tuple(members), "group", abelian)

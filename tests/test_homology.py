@@ -20,6 +20,7 @@ from multishelf import (
     right_trivial,
     smith_normal_form,
     verify_differential,
+    verify_distributive,
 )
 from multishelf import homology
 from multishelf.fixtures import BERMAN_SIGMA, BERMAN_TAU, XOR
@@ -451,6 +452,27 @@ class TestVerifyDifferential:
         assert mat_mul(d1, d2) == zero_matrix(d1.rows, d2.cols)
         assert not verify_differential(spec)
 
+    @pytest.mark.parametrize("max_degree", [2, 3])
+    def test_equals_distributivity_on_two_points(self, max_degree):
+        # on C_2 the face identities are right distributivity of each ordered pair
+        tables = [make_table(2, [e[:2], e[2:]]) for e in itertools.product(range(2), repeat=4)]
+        for a in tables:
+            for b in tables:
+                spec = ChainSpec(DistributiveSet(2, (a, b)), (1, 1), max_degree)
+                assert verify_differential(spec) == (verify_distributive([a, b]) is None)
+
+    def test_non_distributive_pair_whose_square_vanishes(self):
+        # d_A d_B + d_B d_A = 0 here, so the anticommutator alone accepts the pair
+        a = make_table(3, [[0, 0, 0]] * 3)
+        b = make_table(3, [[1, 1, 1], [0, 0, 0], [0, 0, 0]])
+        assert verify_distributive([a, b]) is not None
+        spec = ChainSpec(DistributiveSet(3, (a, b)), (1, -1), 2)
+        d1, d2 = boundary_matrix(spec, 1), boundary_matrix(spec, 2)
+        assert mat_mul(d1, d2) == zero_matrix(d1.rows, d2.cols)
+        assert not verify_differential(spec)
+        with pytest.raises(ValueError, match="face identities .* fail: the operations are not distributive"):
+            homology_groups(spec)
+
     def test_random_weights(self):
         rng = random.Random(2012)
         S = make_distributive_set(list(regular_embed(cyclic(3)).images))
@@ -476,7 +498,7 @@ class TestHomologyGroups:
 
     def test_refuses_broken_differential(self):
         bad = DistributiveSet(2, (XOR,))
-        with pytest.raises(ValueError, match="square"):
+        with pytest.raises(ValueError, match="face identities"):
             homology_groups(ChainSpec(bad, (1,), 2))
 
     def test_dim_budget_before_verification(self):

@@ -4,6 +4,7 @@ from multishelf import (
     ClosureBudgetError,
     DistributivityError,
     close_group,
+    commutes,
     compose,
     cyclic,
     dihedral,
@@ -61,7 +62,7 @@ class TestCloseMonoid:
         sigma2 = compose(BERMAN_SIGMA, BERMAN_SIGMA)
         assert set(cl.ops) == {right_trivial(6), BERMAN_SIGMA, sigma2}
 
-    def test_cayley_table_consistent(self):
+    def test_closed_under_composition_and_abelian_by_brute_force(self):
         d5 = regular_embed(dihedral(5)).images
         closures = [
             close_group(make_distributive_set([BERMAN_SIGMA])),
@@ -69,9 +70,11 @@ class TestCloseMonoid:
             close_group(make_distributive_set([d5[1], d5[5]])),
         ]
         for cl in closures:
-            for i, a in enumerate(cl.ops):
-                for j, b in enumerate(cl.ops):
-                    assert cl.ops[cl.cayley[i][j]] == compose(a, b)
+            members = set(cl.ops)
+            assert len(members) == cl.order
+            assert all(compose(a, b) in members for a in cl.ops for b in cl.ops)
+            assert cl.abelian == all(commutes(a, b) for a in cl.ops for b in cl.ops)
+        assert [cl.abelian for cl in closures] == [True, False, False]
 
 
 class TestCloseGroup:
