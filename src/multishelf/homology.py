@@ -70,14 +70,12 @@ def _face_table(op: OpTable, degree: int) -> list[tuple[int, ...]]:
     ]
 
 
-def boundary_matrix(spec: ChainSpec, degree: int, dim_budget: int = DEFAULT_DIM_BUDGET) -> IntMatrix:
+def boundary_matrix(spec: ChainSpec, degree: int) -> IntMatrix:
     """Matrix of the degree-n differential C_n -> C_{n-1}, lex basis order."""
     if not (1 <= degree <= spec.max_degree):
         raise ValueError(f"degree {degree} outside [1, {spec.max_degree}]")
     n = spec.S.n
     cols = n ** (degree + 1)
-    if cols > dim_budget:
-        raise ValueError(f"chain dimension {cols} exceeds budget {dim_budget}")
     data = [{} for _ in range(n**degree)]  # row: {column: value}
     for op, w in zip(spec.S.ops, spec.weights):
         if w:
@@ -87,24 +85,29 @@ def boundary_matrix(spec: ChainSpec, degree: int, dim_budget: int = DEFAULT_DIM_
     return IntMatrix(len(data), cols, tuple(tuple(sorted(p for p in r.items() if p[1])) for r in data))
 
 
+def _top_degree(spec: ChainSpec) -> int:
+    """Highest chain degree a run builds face tables for; the gate needs C_2."""
+    return max(spec.max_degree, 2)
+
+
 def verify_differential(spec: ChainSpec) -> bool:
     """True iff the face maps of the operations with nonzero weight satisfy
     the presimplicial identities d_i^s d_j^t = d_{j-1}^t d_i^s, i < j, for
-    every ordered pair (s, t), s = t included, up to max_degree.
+    every ordered pair (s, t), s = t included, up to top = max(max_degree, 2).
 
-    Checked on every basis tuple x of C_{d+1}, d = 1..max_degree-1, and every
+    Checked on every basis tuple x of C_{d+1}, d = 1..top-1, and every
     0 <= i < j <= d+1 (Przytycki, Demonstratio Math. 2011).  The identities
     make the weighted differential square to zero for every weighting: in
     sum_{s,t} w_s w_t sum_{i,j} (-1)^(i+j) d_i^s d_j^t the term (s, t, i, j)
     with i < j cancels the term (t, s, j-1, i), of opposite sign, and these
     pairs exhaust the sum.  So d_s d_t + d_t d_s = 0 follows, and the check
     is never weaker than that anticommutator.  On C_2 the identities are
-    right distributivity of each ordered pair itself, so from max_degree 2 on
+    right distributivity of each ordered pair itself, so at every max_degree
     False means exactly that the weighted operations are not distributive.
     """
     ops = [op for op, w in zip(spec.S.ops, spec.weights) if w]
     lower = [_face_table(op, 1) for op in ops]
-    for d in range(1, spec.max_degree):
+    for d in range(1, _top_degree(spec)):
         upper = [_face_table(op, d + 1) for op in ops]
         pairs = [(i, j) for j in range(d + 2) for i in range(j)]
         for low_s, up_s in zip(lower, upper):
@@ -119,16 +122,21 @@ def verify_differential(spec: ChainSpec) -> bool:
 def homology_groups(
     spec: ChainSpec, dim_budget: int = DEFAULT_DIM_BUDGET
 ) -> list[HomologyGroup]:
-    """H_d = ker d_d / im d_{d+1} for d = 0..max_degree-1, via Smith normal form."""
-    # largest first, so dim_budget fails fast; it then also bounds the check's face tables
-    matrices = {d: boundary_matrix(spec, d, dim_budget) for d in range(spec.max_degree, 0, -1)}
+    """H_d = ker d_d / im d_{d+1} for d = 0..max_degree-1, via Smith normal form.
+
+    ``dim_budget`` bounds the rows of every face table and the columns of
+    every matrix the run builds; it is checked before any of them is built.
+    """
+    n = spec.S.n
+    cols = n ** (_top_degree(spec) + 1)
+    if cols > dim_budget:
+        raise ValueError(f"chain dimension {cols} exceeds budget {dim_budget}")
     if not verify_differential(spec):
         raise ValueError(
             "face identities d_i d_j = d_{j-1} d_i fail: the operations are not "
             "distributive; refusing to compute"
         )
-    factors = {d: smith_normal_form(M) for d, M in matrices.items()}
-    n = spec.S.n
+    factors = {d: smith_normal_form(boundary_matrix(spec, d)) for d in range(1, spec.max_degree + 1)}
     groups = []
     for d in range(spec.max_degree):
         above = factors[d + 1]

@@ -72,13 +72,12 @@ class SearchReport:
     nonabelian_groups: list[dict]
     conclusion: str  # "commutative-only" | "nonabelian-found" | "partial"
     nodes_pruned: int = 0
-    wall_time: float = 0.0
     seeded: bool = False
 
-    def to_document(self, include_timing: bool = False) -> dict:
-        """Structured report; timing is excluded by default so documents are
+    def to_document(self) -> dict:
+        """Structured report; it carries no timing, so documents are
         byte-stable across runs."""
-        doc = {
+        return {
             "n": self.n,
             "racks_found": self.racks_found,
             "compatible_pairs": self.compatible_pairs,
@@ -87,9 +86,6 @@ class SearchReport:
             "statistics": {"nodes_pruned": self.nodes_pruned},
             "seeded": self.seeded,
         }
-        if include_timing:
-            doc["statistics"]["wall_time_s"] = self.wall_time
-        return doc
 
 
 def _check_deadline(deadline: Optional[float]) -> None:
@@ -313,8 +309,7 @@ def certify_no_nonabelian(
     _check_size(n)
     if budget is not None and math.isnan(budget):
         raise ValueError(f"budget={budget} is not a number of seconds")
-    start = time.monotonic()
-    deadline = None if budget is None else start + budget
+    deadline = None if budget is None else time.monotonic() + budget
     catalog = None if seed_pair is None else seed_catalog(n, seed_pair)
 
     racks_found = compatible = nodes_pruned = 0
@@ -364,6 +359,5 @@ def certify_no_nonabelian(
         nonabelian_groups=nonabelian,
         conclusion=conclusion,
         nodes_pruned=nodes_pruned,
-        wall_time=time.monotonic() - start,
         seeded=seed_pair is not None,
     )

@@ -19,7 +19,7 @@ from .tables import (
     right_trivial,
 )
 
-DEFAULT_CLOSURE_BUDGET = 10_000
+CLOSURE_BUDGET = 10_000  # tables a closure may hold
 
 
 class DistributivityError(ValueError):
@@ -34,7 +34,7 @@ class DistributivityError(ValueError):
 
 
 class ClosureBudgetError(RuntimeError):
-    """Closure grew past the configured table budget."""
+    """Closure grew past CLOSURE_BUDGET tables."""
 
 
 @dataclass(frozen=True)
@@ -67,8 +67,6 @@ def make_distributive_set(
     size = ops[0].n
     if n is not None and n != size:
         raise ValueError(f"carrier mismatch: declared {n}, tables have {size}")
-    if any(op.n != size for op in ops):
-        raise ValueError("all tables must share one carrier")
     w = verify_distributive(ops)
     if w is not None:
         raise DistributivityError(w[0], w[1], w[2:])
@@ -86,25 +84,24 @@ def verify_distributive(
     tested once against each distinct column of the family, taken in order
     of first appearance.  The first column A fails names the least j, and
     ``distributive_witness(ops[i], ops[j])`` gives the least (a, b, c).
-    Tables on different carriers raise ValueError at the first such pair
-    (0, k), as an ordered-pair scan would.
+    A family on more than one carrier raises ValueError, naming the carrier
+    of ops[0] and the first other one, before any pair is tested.
     """
-    size = ops[0].n if ops else 0
-    k = next((j for j, op in enumerate(ops) if op.n != size), len(ops))
+    for op in ops:
+        if op.n != ops[0].n:
+            raise ValueError(f"carrier mismatch: {ops[0].n} vs {op.n}")
     first: dict[tuple[int, ...], int] = {}  # column -> least j having it
-    for j, op in enumerate(ops[:k]):
+    for j, op in enumerate(ops):
         for col in zip(*op.entries):
             first.setdefault(col, j)
-    for i, opA in enumerate(ops if k == len(ops) else ops[:1]):
+    for i, opA in enumerate(ops):
         for col, j in first.items():
             if not is_endomorphism(col, opA):
                 return (i, j) + distributive_witness(opA, ops[j])
-    if k < len(ops):
-        raise ValueError(f"carrier mismatch: {size} vs {ops[k].n}")
     return None
 
 
-def _close(seeds: Sequence[OpTable], n: int, budget: int) -> list[OpTable]:
+def _close(seeds: Sequence[OpTable], n: int) -> list[OpTable]:
     """Breadth-first closure under composition: the identity, then each
     member composed with each seed, in discovery order.
 
@@ -121,12 +118,12 @@ def _close(seeds: Sequence[OpTable], n: int, budget: int) -> list[OpTable]:
             if product.entries not in seen:
                 seen.add(product.entries)
                 members.append(product)
-                if len(members) > budget:
-                    raise ClosureBudgetError(f"closure exceeded budget of {budget} tables")
+                if len(members) > CLOSURE_BUDGET:
+                    raise ClosureBudgetError(f"closure exceeded budget of {CLOSURE_BUDGET} tables")
     return members
 
 
-def close_group(S: DistributiveSet, budget: int = DEFAULT_CLOSURE_BUDGET) -> ClosureResult:
+def close_group(S: DistributiveSet) -> ClosureResult:
     """Least family containing S closed under composition and inversion.
 
     Invertible tables form a group under composition (column b of a
@@ -140,7 +137,7 @@ def close_group(S: DistributiveSet, budget: int = DEFAULT_CLOSURE_BUDGET) -> Clo
             raise ValueError(
                 f"member {i} is not invertible: column {y} is not a permutation"
             )
-    members = _close(S.ops, S.n, budget)
+    members = _close(S.ops, S.n)
     make_distributive_set(members)  # revalidate the closure as a distributive set
     abelian = all(commutes(a, b) for k, a in enumerate(S.ops) for b in S.ops[k + 1 :])
     return ClosureResult(tuple(members), "group", abelian)

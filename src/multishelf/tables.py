@@ -25,9 +25,6 @@ class OpTable:
     n: int
     entries: tuple[Row, ...]
 
-    def __getitem__(self, a: int) -> Row:
-        return self.entries[a]
-
     def column(self, y: int) -> tuple[int, ...]:
         """The map x -> x * y as a one-line image tuple."""
         return tuple(row[y] for row in self.entries)

@@ -104,6 +104,11 @@ class TestVerifyDistributive:
         with pytest.raises(ValueError, match="carrier mismatch: 3 vs 2"):
             verify_distributive([large, small])
 
+    def test_mixed_carriers_rejected_before_any_pair(self):
+        # XOR fails on its own pair (0, 0), but the carriers are checked first
+        with pytest.raises(ValueError, match="carrier mismatch: 2 vs 3"):
+            verify_distributive([XOR, right_trivial(3)])
+
     def test_failing_column_only_in_later_table(self):
         # shift: a * b = a + 1; reflect: a * b = 2b - a (mod 3).  Both are
         # racks, and the shift is an automorphism of reflect, but no
@@ -132,7 +137,11 @@ class TestVerifyDistributive:
 
 
 def _pairwise(ops):
-    """The reference: every ordered pair through distributive_witness."""
+    """The reference: one carrier for the family, then every ordered pair
+    through distributive_witness."""
+    for op in ops:
+        if op.n != ops[0].n:
+            raise ValueError(f"carrier mismatch: {ops[0].n} vs {op.n}")
     for i, opA in enumerate(ops):
         for j, opB in enumerate(ops):
             w = distributive_witness(opA, opB)

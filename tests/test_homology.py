@@ -452,7 +452,7 @@ class TestVerifyDifferential:
         assert mat_mul(d1, d2) == zero_matrix(d1.rows, d2.cols)
         assert not verify_differential(spec)
 
-    @pytest.mark.parametrize("max_degree", [2, 3])
+    @pytest.mark.parametrize("max_degree", [1, 2, 3])
     def test_equals_distributivity_on_two_points(self, max_degree):
         # on C_2 the face identities are right distributivity of each ordered pair
         tables = [make_table(2, [e[:2], e[2:]]) for e in itertools.product(range(2), repeat=4)]
@@ -498,8 +498,9 @@ class TestHomologyGroups:
 
     def test_refuses_broken_differential(self):
         bad = DistributiveSet(2, (XOR,))
-        with pytest.raises(ValueError, match="face identities"):
-            homology_groups(ChainSpec(bad, (1,), 2))
+        for max_degree in (1, 2):  # at 1 no square of the differential exists
+            with pytest.raises(ValueError, match="face identities"):
+                homology_groups(ChainSpec(bad, (1,), max_degree))
 
     def test_dim_budget_before_verification(self):
         # the budget also bounds verify_differential's face tables
@@ -579,4 +580,20 @@ class TestHomologyGroups:
     def test_dim_budget(self):
         S = make_distributive_set([right_trivial(6)])
         with pytest.raises(ValueError, match="budget"):
-            boundary_matrix(ChainSpec(S, (1,), 8), 8, dim_budget=100)
+            homology_groups(ChainSpec(S, (1,), 8), dim_budget=100)
+        # max_degree 1 builds no C_2 matrix, but the gate builds C_2 face tables
+        with pytest.raises(ValueError, match="chain dimension 216 exceeds budget 100"):
+            homology_groups(ChainSpec(S, (1,), 1), dim_budget=100)
+        assert homology_groups(ChainSpec(S, (1,), 1), dim_budget=216)[0].free_rank == 1
+
+
+class TestChainSpec:
+    def test_weight_count_must_match_ops(self):
+        S = make_distributive_set([BERMAN_TAU, BERMAN_SIGMA])
+        with pytest.raises(ValueError, match="1 weights for 2 operations"):
+            ChainSpec(S, (1,), 2)
+
+    def test_negative_max_degree(self):
+        S = make_distributive_set([right_trivial(2)])
+        with pytest.raises(ValueError, match="max_degree must be >= 0"):
+            ChainSpec(S, (1,), -1)

@@ -285,8 +285,7 @@ class TestCertify:
 
     def test_report_document_excludes_timing_by_default(self):
         doc = certify_no_nonabelian(2).to_document()
-        assert "wall_time_s" not in doc["statistics"]
-        assert "wall_time_s" in certify_no_nonabelian(2).to_document(include_timing=True)["statistics"]
+        assert list(doc["statistics"]) == ["nodes_pruned"]  # no timing key
 
     def test_report_document_deterministic(self):
         import json

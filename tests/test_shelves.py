@@ -13,6 +13,7 @@ from multishelf import (
     regular_embed,
     right_trivial,
 )
+from multishelf import shelves
 from multishelf.fixtures import BERMAN_SIGMA, BERMAN_TAU, XOR
 from multishelf.search import enumerate_racks
 
@@ -38,7 +39,7 @@ class TestMakeDistributiveSet:
         assert make_distributive_set([], n=2).n == 2
 
     def test_carrier_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="carrier mismatch: 2 vs 3"):
             make_distributive_set([right_trivial(2), right_trivial(3)])
 
 
@@ -101,9 +102,10 @@ class TestCloseGroup:
         with pytest.raises(ValueError, match="member 0 is not invertible: column 0 "):
             close_group(S)
 
-    def test_budget_exceeded(self):
-        with pytest.raises(ClosureBudgetError):
-            close_group(make_distributive_set([BERMAN_TAU, BERMAN_SIGMA]), budget=3)
+    def test_budget_exceeded(self, monkeypatch):
+        monkeypatch.setattr(shelves, "CLOSURE_BUDGET", 3)
+        with pytest.raises(ClosureBudgetError, match="budget of 3 tables"):
+            close_group(make_distributive_set([BERMAN_TAU, BERMAN_SIGMA]))
 
     def test_closed_under_inverses_and_revalidates(self):
         cl = close_group(make_distributive_set([BERMAN_TAU, BERMAN_SIGMA]))
