@@ -203,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out")
     sp.set_defaults(func=_cmd_check_conjugation)
 
-    sp = sub.add_parser("search", help="certify absence of non-abelian subgroups")
+    sp = sub.add_parser("search", help="certify absence of non-abelian groups of racks")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--budget", type=float, help="seconds before reporting partial")
     sp.add_argument("--seed-pair", nargs=2, metavar="FILE")

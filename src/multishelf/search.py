@@ -1,11 +1,16 @@
 """Enumeration of racks (invertible self-distributive tables) and the
-search for non-abelian distributive subgroups on small carriers.
+search for non-abelian distributive groups of racks on small carriers.
 
-The search space is restricted to racks because every member of a
-distributive group of tables is invertible and self-distributive, and any
-non-abelian such group contains a non-commuting pair whose generated group
-is itself a non-abelian distributive group; sweeping ordered pairs of
-racks is therefore complete for the existence question.
+A distributive group of tables whose identity is the right-trivial table
+``a * b = a`` consists of racks, since each member has an inverse in the
+monoid; conversely, the identity of a group of racks is an invertible
+idempotent, hence right-trivial.  Any non-abelian such group contains a
+non-commuting pair whose generated group is itself a non-abelian group of
+racks, so sweeping ordered pairs of racks certifies that there is no
+non-abelian group of racks.  That says nothing of groups with another
+identity, whose members need not be invertible: on 3 points the tables
+with rows (0,0,0), (0,1,1), (0,2,2) and (0,0,0), (0,2,2), (0,1,1) form a
+distributive group of order 2 whose identity is the first.
 """
 from __future__ import annotations
 
@@ -14,6 +19,7 @@ import math
 import time
 from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .shelves import DistributiveSet, close_group
@@ -24,7 +30,6 @@ from .tables import (
     distributive_witness,
     is_endomorphism,
     noninvertible_column,
-    perm_compose,
     perm_inverse,
     relabel,
 )
@@ -93,12 +98,34 @@ def _check_deadline(deadline: Optional[float]) -> None:
         raise TimeoutError("search deadline passed")
 
 
-def _conj(q: Permutation, p: Permutation, qinv: Permutation) -> Permutation:
-    """x -> q(p(q^-1(x)))."""
-    return tuple([q[p[v]] for v in qinv])
+def _perm_index(n: int) -> dict[Permutation, int]:
+    """The permutations of the carrier in lexicographic order, the k-th
+    mapped to k."""
+    return {p: k for k, p in enumerate(itertools.permutations(range(n)))}
 
 
-def _enumerate_pruned(n: int, deadline: Optional[float]) -> tuple[list[OpTable], int]:
+def _symmetric(n: int, deadline: Optional[float]) -> tuple:
+    """S_n on permutation indices, as (perms, index, mul, conj): ``perms[k]``
+    is the k-th permutation of the carrier in lexicographic order, so index
+    order is lex order, and ``index`` inverts ``perms``; ``mul[a][b]``
+    applies a, then b, and ``conj[q][p]`` is x -> q(p(q^-1(x))).  The
+    deadline is checked once per row of the two n! x n! tables."""
+    index = _perm_index(n)
+    perms = list(index)
+    mul = []
+    for a in perms:
+        _check_deadline(deadline)
+        # itemgetter(*a)(b) is x -> b[a[x]], but b[0] alone when n = 1
+        then = itemgetter(*a) if n > 1 else tuple
+        mul.append(list(map(index.__getitem__, map(then, perms))))
+    conj = []
+    for q, p in enumerate(perms):
+        _check_deadline(deadline)
+        conj.append([mul[m][q] for m in mul[index[perm_inverse(p)]]])
+    return perms, index, mul, conj
+
+
+def _enumerate_pruned(n: int, deadline: Optional[float], sym: tuple) -> tuple[list[OpTable], int]:
     """Backtrack over columns with propagation of the self-conjugation
     constraint sigma_{sigma_z(y)} = sigma_z sigma_y sigma_z^-1.
 
@@ -106,49 +133,52 @@ def _enumerate_pruned(n: int, deadline: Optional[float]) -> tuple[list[OpTable],
     takes the least permutation of each such orbit (12 of 120 at n = 5, 19
     of 720 at n = 6) and still meets every relabeling class.  Each newly
     assigned column is checked, in both directions, only against the
-    columns assigned so far.  Returns (racks, nodes_pruned).
+    columns assigned so far.  Columns are indices into the tables ``sym``
+    that ``_symmetric(n, deadline)`` returns.  Returns (racks, nodes_pruned).
     """
-    perms = sorted(itertools.permutations(range(n)))
-    inverses = {p: perm_inverse(p) for p in perms}
-    fix0 = [q for q in perms if q[0] == 0]
-    column0 = [p for p in perms if all(p <= _conj(q, p, inverses[q]) for q in fix0)]
+    perms, _, _, conj = sym
+    fix0 = [q for q, qp in enumerate(perms) if qp[0] == 0]
+    column0 = [p for p in range(len(perms)) if all(p <= conj[q][p] for q in fix0)]
     found: list[OpTable] = []
     pruned = 0
 
-    def assign(cols: list[Optional[Permutation]], y: int, p: Permutation) -> bool:
+    def assign(cols: list[Optional[int]], y: int, p: int) -> bool:
         """Set column y to p and every column that forces; False on a conflict."""
         cols[y] = p
         new = [y]
         while new:
             x = new.pop()
             sx = cols[x]
-            sxinv = inverses[sx]
+            px, cx = perms[sx], conj[sx]
             for z in range(n):
                 sz = cols[z]
                 if sz is None:
                     continue
-                for w, req in (
-                    (sz[x], _conj(sz, sx, inverses[sz])),
-                    (sx[z], _conj(sx, sz, sxinv)),
-                ):
-                    if cols[w] is None:
-                        cols[w] = req
-                        new.append(w)
-                    elif cols[w] != req:
-                        return False
+                w, req = perms[sz][x], conj[sz][sx]
+                if cols[w] is None:
+                    cols[w] = req
+                    new.append(w)
+                elif cols[w] != req:
+                    return False
+                w, req = px[z], cx[sz]
+                if cols[w] is None:
+                    cols[w] = req
+                    new.append(w)
+                elif cols[w] != req:
+                    return False
         return True
 
-    def extend(cols: list[Optional[Permutation]]):
+    def extend(cols: list[Optional[int]]):
         nonlocal pruned
         _check_deadline(deadline)
         try:
             y = cols.index(None)
         except ValueError:
-            table = alpha_inverse(tuple(cols))  # type: ignore[arg-type]
+            table = alpha_inverse([perms[c] for c in cols])  # type: ignore[index]
             if distributive_witness(table, table) is None:
                 found.append(table)
             return
-        for p in perms if y else column0:
+        for p in range(len(perms)) if y else column0:
             trial = list(cols)
             if assign(trial, y, p):
                 extend(trial)
@@ -177,17 +207,17 @@ def canonical_form_set(ops: Sequence[OpTable]) -> tuple[OpTable, ...]:
     return tuple(OpTable(n, e) for e in best)
 
 
-def _permutation_bits(n: int) -> dict[Permutation, int]:
-    """The permutations of the carrier in lexicographic order, the k-th
-    mapped to ``1 << k``."""
-    return {p: 1 << k for k, p in enumerate(itertools.permutations(range(n)))}
-
-
-def _automorphisms(op: OpTable) -> list[Permutation]:
-    """The relabelings that fix ``op``, in lexicographic order: the p with
-    ``relabel(op, p) == op``, i.e. the bijective endomorphisms of ``op``
-    (``is_endomorphism``, which stops at the first row that fails)."""
-    return [p for p in itertools.permutations(range(op.n)) if is_endomorphism(p, op)]
+def _automorphisms(cols: list[int], perms: list[Permutation], conj: list[list[int]]) -> list[int]:
+    """Indices of the relabelings that fix the rack with column indices
+    ``cols``, in increasing order.  ``relabel(r, p)`` has column
+    ``conj[p][cols[y]]`` at p(y), so p fixes r iff that is ``cols[p(y)]``
+    for every y.  Most p already fail at y = 0, which is tested first."""
+    c0 = cols[0]
+    return [
+        p
+        for p, (pp, cp) in enumerate(zip(perms, conj))
+        if cols[pp[0]] == cp[c0] and all(cols[v] == cp[c] for v, c in zip(pp, cols))
+    ]
 
 
 def _check_size(n: int) -> None:
@@ -203,24 +233,30 @@ def enumerate_racks(n: int, deadline: Optional[float] = None) -> RackCatalog:
     ``_enumerate_pruned`` finds, which meet every class.  Each found rack r
     not yet swept gives its class: ``relabel(r, q)`` is the same table for
     every q in the coset ``q . Aut(r)``, so r is relabeled once per coset,
-    and the image's automorphism group is ``q Aut(r) q^-1``.  Raises
-    TimeoutError once ``time.monotonic()`` passes ``deadline``.
+    and the image's automorphism group is ``q Aut(r) q^-1``.  All of this
+    runs on the indices of the ``_symmetric`` tables, built once per call.
+    Raises TimeoutError once ``time.monotonic()`` passes ``deadline``.
     """
     _check_size(n)
-    found, pruned = _enumerate_pruned(n, deadline)
-    bits = _permutation_bits(n)
+    sym = _symmetric(n, deadline)
+    found, pruned = _enumerate_pruned(n, deadline, sym)
+    perms, index, mul, conj = sym
     shared: dict = {}  # one object per distinct mask (int) and table row (tuple)
     swept: dict[tuple, tuple[OpTable, int, int]] = {}  # entries -> (table, class, mask)
     for cls, rack in enumerate(found):
         if rack.entries in swept:
             continue
         _check_deadline(deadline)
-        aut = _automorphisms(rack)
-        for q in bits:  # lexicographic order
-            if all(q <= perm_compose(a, q) for a in aut):  # the least of q . Aut(r)
-                qinv = perm_inverse(q)
-                mask = sum(bits[_conj(q, a, qinv)] for a in aut)
-                entries = tuple([shared.setdefault(r, r) for r in relabel(rack, q).entries])
+        cols = [index[c] for c in zip(*rack.entries)]
+        aut = _automorphisms(cols, perms, conj)
+        for q, qp in enumerate(perms):
+            if all(q <= mul[a][q] for a in aut):  # the least of q . Aut(r)
+                cq = conj[q]
+                mask = sum(1 << cq[a] for a in aut)
+                image = [0] * n  # relabel(r, q) has column conj[q][cols[y]] at q(y)
+                for v, c in zip(qp, cols):
+                    image[v] = perms[cq[c]]
+                entries = tuple([shared.setdefault(r, r) for r in zip(*image)])
                 swept[entries] = (OpTable(n, entries), cls, shared.setdefault(mask, mask))
     racks, classes, masks = zip(*(swept[e] for e in sorted(swept)))
     first: dict[int, int] = {}  # class -> index of its least rack
@@ -246,14 +282,14 @@ def compatibility_graph(
     classes this is the full graph.  Raises TimeoutError once
     ``time.monotonic()`` passes ``deadline``.
     """
-    bits = _permutation_bits(catalog.n)
+    index = _perm_index(catalog.n)
     shared: dict[int, int] = {}  # one int object per distinct mask
     cols = [
         shared.setdefault(m, m)
-        for m in (sum({bits[c] for c in zip(*r.entries)}) for r in catalog.racks)
+        for m in (sum({1 << index[c] for c in zip(*r.entries)}) for r in catalog.racks)
     ]
     aut = catalog.automorphisms
-    full = (1 << len(bits)) - 1
+    full = (1 << len(index)) - 1
     adj: dict[int, list[int]] = {}
     for i in catalog.representatives:
         _check_deadline(deadline)
@@ -284,7 +320,8 @@ def seed_catalog(n: int, seed_pair: tuple[OpTable, OpTable]) -> RackCatalog:
                 f"seed pair table {k} is not self-distributive: "
                 f"(a*b)*c != (a*c)*(b*c) at (a, b, c) = {w}"
             )
-    masks = tuple(sum(map(_permutation_bits(n).get, _automorphisms(op))) for op in seed_pair)
+    indexed = _perm_index(n).items()
+    masks = tuple(sum(1 << k for p, k in indexed if is_endomorphism(p, op)) for op in seed_pair)
     return RackCatalog(n, tuple(seed_pair), (0, 1), masks)
 
 

@@ -12,16 +12,18 @@ from multishelf import (
     canonical_form_set,
     certify_no_nonabelian,
     compatibility_graph,
+    compose,
     distributive_witness,
     enumerate_racks,
     make_table,
     relabel,
     right_trivial,
     seed_catalog,
+    verify_distributive,
 )
 from multishelf import search
 from multishelf.fixtures import BERMAN_SIGMA, BERMAN_TAU, XOR
-from multishelf.tables import noninvertible_column, perm_inverse
+from multishelf.tables import noninvertible_column, perm_compose, perm_inverse
 
 
 def invertible_tables(n):
@@ -78,11 +80,11 @@ class TestEnumerateRacks:
 
     def test_deadline_checked_before_the_first_class(self, monkeypatch):
         # The deadline passes just after the backtrack returns: no class may
-        # be swept, so neither an automorphism group nor a relabeling is read.
+        # be swept, so no automorphism group is read.
         backtrack = search._enumerate_pruned
 
-        def backtrack_then_expire(n, deadline):
-            result = backtrack(n, deadline)
+        def backtrack_then_expire(*args):
+            result = backtrack(*args)
             monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=lambda: math.inf))
             return result
 
@@ -91,13 +93,29 @@ class TestEnumerateRacks:
 
         monkeypatch.setattr(search, "_enumerate_pruned", backtrack_then_expire)
         monkeypatch.setattr(search, "_automorphisms", unreachable)
-        monkeypatch.setattr(search, "relabel", unreachable)
         with pytest.raises(TimeoutError):
             enumerate_racks(4, deadline=time.monotonic() + 3600)
 
+    def test_deadline_checked_while_the_tables_are_built(self, monkeypatch):
+        # Building the S_6 tables takes longer than a 0.05 s budget, so the
+        # deadline must stop the build itself, not only the backtrack after it.
+        build = search._symmetric
+        calls = []
+
+        def recorded(*args):
+            calls.append("start")
+            sym = build(*args)
+            calls.append("done")
+            return sym
+
+        monkeypatch.setattr(search, "_symmetric", recorded)
+        with pytest.raises(TimeoutError):
+            enumerate_racks(6, deadline=time.monotonic())
+        assert calls == ["start"]
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_backtrack_meets_every_class_once_per_column0_orbit(self, n):
-        racks, _ = search._enumerate_pruned(n, None)
+        racks, _ = search._enumerate_pruned(n, None, search._symmetric(n, None))
         # The relabelings fixing 0 act on column 0 by conjugation.
         fixing0 = [q for q in itertools.permutations(range(n)) if q[0] == 0]
         orbits = {
@@ -114,8 +132,13 @@ class TestEnumerateRacks:
         assert met == set(catalog.representatives)
 
     def test_known_isomorphism_class_counts(self):
-        # racks on 1..4 points up to relabeling: 1, 2, 6, 19
-        assert [len(enumerate_racks(n).canonical) for n in (1, 2, 3, 4)] == [1, 2, 6, 19]
+        # racks on 1..5 points up to relabeling (OEIS A181771): 1, 2, 6, 19, 74
+        assert [len(enumerate_racks(n).canonical) for n in (1, 2, 3, 4, 5)] == [1, 2, 6, 19, 74]
+
+    def test_known_counts_n6(self):
+        # OEIS A181771 gives 353 racks on 6 points up to relabeling
+        catalog = enumerate_racks(6)
+        assert (len(catalog.canonical), len(catalog.racks)) == (353, 36538)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_canonical_matches_canonical_form(self, n):
@@ -151,6 +174,22 @@ class TestEnumerateRacks:
             assert mask == automorphisms_brute_force(rack)
             class_size = len({relabel(rack, pi) for pi in relabelings})
             assert bin(mask).count("1") * class_size == math.factorial(6)
+
+
+class TestSymmetricTables:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_tables_match_tuple_arithmetic(self, n):
+        perms, index, mul, conj = search._symmetric(n, None)
+        assert perms == sorted(itertools.permutations(range(n)))  # index order is lex order
+        assert [index[p] for p in perms] == list(range(len(perms)))
+        identity = index[tuple(range(n))]
+        for a, p in enumerate(perms):
+            pinv = perm_inverse(p)
+            for b, q in enumerate(perms):
+                assert perms[mul[a][b]] == perm_compose(p, q)
+                assert perms[conj[a][b]] == tuple(p[q[x]] for x in pinv)
+            inverse = index[pinv]
+            assert mul[a][inverse] == mul[inverse][a] == identity
 
 
 class TestCanonicalForm:
@@ -243,7 +282,11 @@ class TestCertify:
         report = certify_no_nonabelian(3)
         assert report.conclusion == "commutative-only"
 
-    def test_n6_seeded_berman(self):
+    def test_n6_seeded_berman(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("a seeded search built the S_n tables")
+
+        monkeypatch.setattr(search, "_symmetric", unreachable)
         report = certify_no_nonabelian(6, seed_pair=(BERMAN_TAU, BERMAN_SIGMA))
         assert report.conclusion == "nonabelian-found"
         assert report.nonabelian_groups[0]["closure_order"] == 6
@@ -259,6 +302,17 @@ class TestCertify:
         report = certify_no_nonabelian(3, seed_pair=(a, b))
         assert (report.racks_found, report.compatible_pairs) == (2, 0)
         assert report.conclusion == "commutative-only"
+
+    def test_distributive_group_of_non_racks(self):
+        # The search certifies groups of racks, whose identity is the
+        # right-trivial table.  This group of order 2 on 3 points has
+        # another identity, e, and neither member is invertible.
+        e = make_table(3, [[0, 0, 0], [0, 1, 1], [0, 2, 2]])
+        g = make_table(3, [[0, 0, 0], [0, 2, 2], [0, 1, 1]])
+        assert verify_distributive([e, g]) is None
+        assert compose(e, e) == compose(g, g) == e
+        assert compose(e, g) == compose(g, e) == g
+        assert noninvertible_column(e) == noninvertible_column(g) == 0
 
     def test_seed_table_must_be_invertible(self):
         constant = make_table(2, [[0, 0], [0, 0]])
