@@ -153,9 +153,14 @@ def _cmd_homology(args) -> int:
     S = load_set(args.set)
     try:
         weights = tuple(int(w) for w in args.weights.split(","))
+        ChainSpec(S, weights)
     except ValueError as e:
         raise ValueError(f"--weights {args.weights}: {e}") from e
-    groups = homology_groups(ChainSpec(S, weights, args.max_degree), dim_budget=args.dim_budget)
+    try:
+        spec = ChainSpec(S, weights, args.max_degree)
+    except ValueError as e:
+        raise ValueError(f"--max-degree {args.max_degree}: {e}") from e
+    groups = homology_groups(spec, dim_budget=args.dim_budget)
     doc = {
         "convention": CONVENTION,
         "basis_order": "lexicographic tuples over {0..n-1}",

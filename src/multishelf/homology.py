@@ -9,14 +9,14 @@ and the differential is the alternating sum over i = 0..d; the multi-term
 differential is the integer-weighted sum of one-term differentials.  The
 convention is certified mechanically: homology is only reported after the
 face maps are checked against the presimplicial identities, which make the
-boundary square to zero.  The boundary matrices and that check both read
-the faces from one table per operation and degree.
+boundary square to zero.  A run builds the face tables of each operation
+with nonzero weight once, for every degree at the same time, by an integer
+recurrence on the lex index; that check and the boundary matrices share them.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import chain
 
 from .shelves import DistributiveSet
 from .snf import IntMatrix, smith_normal_form
@@ -25,6 +25,8 @@ from .tables import OpTable
 CONVENTION = "right-multiply-prefix/delete-face, signs (-1)^i, weighted sum"
 DEFAULT_MAX_DEGREE = 3
 DEFAULT_DIM_BUDGET = 50_000
+
+FaceTables = list[list[list[int]]]  # [degree][face i][basis tuple x] -> lex index of d_i x
 
 
 @dataclass(frozen=True)
@@ -49,40 +51,64 @@ class HomologyGroup:
     torsion: tuple[int, ...]  # invariant factors > 1, in divisibility order
 
 
-def _tuple_index(t: Sequence[int], n: int) -> int:
-    """Rank of a tuple in the lexicographic order of X^len(t)."""
-    idx = 0
-    for v in t:
-        idx = idx * n + v
-    return idx
+def _face_tables(op: OpTable, top: int) -> FaceTables:
+    """Face tables of op in degrees 0..top: tables[d][i][x] is the lex index
+    of the face d_i of the x-th basis tuple of C_d, which enters the
+    differential with sign (-1)^i.  Degree 0's one face is the empty tuple.
 
-
-def _face_table(op: OpTable, degree: int) -> list[tuple[int, ...]]:
-    """Row x lists the lex indices of the faces d_0 .. d_degree of the x-th
-    basis tuple of C_degree; face i enters the differential with sign (-1)^i."""
+    Built by the recurrence x = (y, v), index(x) = index(y) * n + v.  For
+    i < d the face d_i x = (d_i y, v) has index (d_i y) * n + v; the last
+    face d_d x = y * v, acted on componentwise, has index act[v][y], and
+    act[v][(y, u)] = act[v][y] * n + u * v.  Each index k * n + c is read as
+    children[k][c], so the tables of one degree share their int objects.
+    """
     n, e = op.n, op.entries
-    return [
-        tuple(
-            _tuple_index(tuple(e[x[j]][x[i]] for j in range(i)) + x[i + 1 :], n)
-            for i in range(degree + 1)
-        )
-        for x in itertools.product(range(n), repeat=degree + 1)
-    ]
+    xs = range(n)
+    cols = [[e[u][v] for u in xs] for v in xs]  # cols[v][u] = u * v
+    act = [[0] for _ in xs]  # act[v][y] = index of y * v; C_{-1} holds the empty tuple
+    table = [[0] * n]
+    tables = [table]
+    for d in range(1, top + 1):
+        children = [tuple(range(k * n, k * n + n)) for k in range(n ** (d - 1))]
+        act = [[children[k][c] for k in act_v for c in col] for act_v, col in zip(act, cols)]
+        table = [list(chain.from_iterable(map(children.__getitem__, face))) for face in table]
+        table.append(list(chain.from_iterable(zip(*act))))
+        tables.append(table)
+    return tables
 
 
-def boundary_matrix(spec: ChainSpec, degree: int) -> IntMatrix:
-    """Matrix of the degree-n differential C_n -> C_{n-1}, lex basis order."""
+def _weighted_face_tables(spec: ChainSpec, top: int) -> list[FaceTables]:
+    """_face_tables(op, top) of each operation with nonzero weight, in order."""
+    return [_face_tables(op, top) for op, w in zip(spec.S.ops, spec.weights) if w]
+
+
+def boundary_matrix(
+    spec: ChainSpec, degree: int, faces: list[FaceTables] | None = None
+) -> IntMatrix:
+    """Matrix of the degree-n differential C_n -> C_{n-1}, lex basis order.
+
+    ``faces`` holds the face tables of the weighted operations, as
+    homology_groups shares them; left out, they are built here.
+    """
     if not (1 <= degree <= spec.max_degree):
         raise ValueError(f"degree {degree} outside [1, {spec.max_degree}]")
+    if faces is None:
+        faces = _weighted_face_tables(spec, degree)
     n = spec.S.n
-    cols = n ** (degree + 1)
-    data = [{} for _ in range(n**degree)]  # row: {column: value}
-    for op, w in zip(spec.S.ops, spec.weights):
-        if w:
-            for x, faces in enumerate(_face_table(op, degree)):
-                for i, face in enumerate(faces):
-                    data[face][x] = data[face].get(x, 0) + (-w if i % 2 else w)
-    return IntMatrix(len(data), cols, tuple(tuple(sorted(p for p in r.items() if p[1])) for r in data))
+    signs = [-w if i % 2 else w for w in spec.weights if w for i in range(degree + 1)]
+    columns = [face for tables in faces for face in tables[degree]]
+    data = [[] for _ in range(n**degree)]  # row: its (column, value) pairs
+    # x runs in increasing order, so every row comes out sorted
+    for x, xfaces in enumerate(zip(*columns)):
+        entries = {}
+        for face, sign in zip(xfaces, signs):
+            entries[face] = entries.get(face, 0) + sign
+        # one (x, v) pair per value, shared by every row it enters
+        pairs = {v: (x, v) for v in set(entries.values()) if v}
+        for face, v in entries.items():
+            if v:
+                data[face].append(pairs[v])
+    return IntMatrix(len(data), n ** (degree + 1), tuple(map(tuple, data)))
 
 
 def _top_degree(spec: ChainSpec) -> int:
@@ -90,32 +116,37 @@ def _top_degree(spec: ChainSpec) -> int:
     return max(spec.max_degree, 2)
 
 
-def verify_differential(spec: ChainSpec) -> bool:
+def verify_differential(spec: ChainSpec, faces: list[FaceTables] | None = None) -> bool:
     """True iff the face maps of the operations with nonzero weight satisfy
     the presimplicial identities d_i^s d_j^t = d_{j-1}^t d_i^s, i < j, for
     every ordered pair (s, t), s = t included, up to top = max(max_degree, 2).
 
     Checked on every basis tuple x of C_{d+1}, d = 1..top-1, and every
-    0 <= i < j <= d+1 (Przytycki, Demonstratio Math. 2011).  The identities
-    make the weighted differential square to zero for every weighting: in
+    0 <= i < j <= d+1 (Przytycki, Demonstratio Math. 2011), one identity at
+    a time over all x.  The identities make the weighted differential
+    square to zero for every weighting: in
     sum_{s,t} w_s w_t sum_{i,j} (-1)^(i+j) d_i^s d_j^t the term (s, t, i, j)
     with i < j cancels the term (t, s, j-1, i), of opposite sign, and these
     pairs exhaust the sum.  So d_s d_t + d_t d_s = 0 follows, and the check
     is never weaker than that anticommutator.  On C_2 the identities are
     right distributivity of each ordered pair itself, so at every max_degree
     False means exactly that the weighted operations are not distributive.
+
+    ``faces`` holds the face tables of the weighted operations through
+    degree top, as homology_groups shares them; left out, they are built here.
     """
-    ops = [op for op, w in zip(spec.S.ops, spec.weights) if w]
-    lower = [_face_table(op, 1) for op in ops]
-    for d in range(1, _top_degree(spec)):
-        upper = [_face_table(op, d + 1) for op in ops]
-        pairs = [(i, j) for j in range(d + 2) for i in range(j)]
-        for low_s, up_s in zip(lower, upper):
-            for low_t, up_t in zip(lower, upper):
-                for fs, ft in zip(up_s, up_t):
-                    if any(low_s[ft[j]][i] != low_t[fs[i]][j - 1] for i, j in pairs):
-                        return False
-        lower = upper
+    top = _top_degree(spec)
+    if faces is None:
+        faces = _weighted_face_tables(spec, top)
+    for d in range(1, top):
+        for s in faces:
+            low_s, up_s = s[d], s[d + 1]
+            for t in faces:
+                low_t, up_t = t[d], t[d + 1]
+                for j in range(1, d + 2):
+                    for i in range(j):
+                        if [low_s[i][f] for f in up_t[j]] != [low_t[j - 1][f] for f in up_s[i]]:
+                            return False
     return True
 
 
@@ -124,19 +155,29 @@ def homology_groups(
 ) -> list[HomologyGroup]:
     """H_d = ker d_d / im d_{d+1} for d = 0..max_degree-1, via Smith normal form.
 
-    ``dim_budget`` bounds the rows of every face table and the columns of
-    every matrix the run builds; it is checked before any of them is built.
+    The face tables of the weighted operations are built once, checked by
+    verify_differential and read by every boundary_matrix; each degree's
+    tables are dropped once its matrix is built.  ``dim_budget`` bounds the
+    rows of every face table and the columns of every matrix the run builds;
+    it is checked before any of them is built.
     """
     n = spec.S.n
-    cols = n ** (_top_degree(spec) + 1)
+    top = _top_degree(spec)
+    cols = n ** (top + 1)
     if cols > dim_budget:
         raise ValueError(f"chain dimension {cols} exceeds budget {dim_budget}")
-    if not verify_differential(spec):
+    faces = _weighted_face_tables(spec, top)
+    if not verify_differential(spec, faces):
         raise ValueError(
             "face identities d_i d_j = d_{j-1} d_i fail: the operations are not "
             "distributive; refusing to compute"
         )
-    factors = {d: smith_normal_form(boundary_matrix(spec, d)) for d in range(1, spec.max_degree + 1)}
+    factors = {}
+    for d in range(1, spec.max_degree + 1):
+        M = boundary_matrix(spec, d, faces)
+        for tables in faces:
+            tables[d] = None  # its last use, so the SNF runs without it
+        factors[d] = smith_normal_form(M)
     groups = []
     for d in range(spec.max_degree):
         above = factors[d + 1]

@@ -264,3 +264,25 @@ class TestHomologyCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: --weights 1,x: invalid literal for int()")
+
+    def test_weight_count_names_argument(self, berman_dir, capsys):
+        code = main(
+            ["homology", "--set", str(berman_dir / "berman-d6.json"), "--weights", "1,1,1"]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "error: --weights 1,1,1: 3 weights for 2 operations\n"
+
+    def test_negative_max_degree_names_argument(self, berman_dir, capsys):
+        code = main(
+            [
+                "homology",
+                "--set",
+                str(berman_dir / "berman-d6.json"),
+                "--weights",
+                "1,-1",
+                "--max-degree",
+                "-1",
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "error: --max-degree -1: max_degree must be >= 0\n"

@@ -353,6 +353,39 @@ class TestSmithNormalForm:
         assert f == naive_snf(m)
 
 
+def faces_by_definition(op, degree):
+    """faces[i][x]: lex index of d_i(x_0..x_d) = (x_0*x_i, .., x_{i-1}*x_i,
+    x_{i+1}, .., x_d) for the x-th basis tuple of C_degree, from tuples."""
+    n, e = op.n, op.entries
+    basis = list(itertools.product(range(n), repeat=degree + 1))
+    index = {t: k for k, t in enumerate(itertools.product(range(n), repeat=degree))}
+    return [
+        [index[tuple(e[x[j]][x[i]] for j in range(i)) + x[i + 1 :]] for x in basis]
+        for i in range(degree + 1)
+    ]
+
+
+class TestFaceTables:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_random_tables_match_definition(self, n):
+        # distributive or not: the recurrence reads only the table
+        rng = random.Random(100 + n)
+        ops = [make_table(n, [[rng.randrange(n) for _ in range(n)] for _ in range(n)]) for _ in range(4)]
+        if n > 1:
+            assert any(verify_distributive([op]) is not None for op in ops)
+        for op in ops:
+            tables = homology._face_tables(op, 4)
+            assert len(tables) == 5
+            for d in range(1, 5):
+                assert tables[d] == faces_by_definition(op, d)
+
+    @pytest.mark.parametrize("op", [BERMAN_TAU, BERMAN_SIGMA], ids=["tau", "sigma"])
+    def test_berman_matches_definition(self, op):
+        tables = homology._face_tables(op, 3)
+        for d in range(1, 4):
+            assert tables[d] == faces_by_definition(op, d)
+
+
 class TestBoundaryMatrix:
     def rt2_spec(self, weight=1, max_degree=3):
         return ChainSpec(make_distributive_set([right_trivial(2)]), (weight,), max_degree)
@@ -552,12 +585,28 @@ class TestHomologyGroups:
     def test_top_degree_budget_checked_first(self, monkeypatch):
         # an over-budget run fails before any lower degree is built
         built = []
-        face_table = homology._face_table
-        monkeypatch.setattr(homology, "_face_table", lambda *a: built.append(a) or face_table(*a))
+        face_tables = homology._face_tables
+        monkeypatch.setattr(homology, "_face_tables", lambda *a: built.append(a) or face_tables(*a))
         spec = ChainSpec(make_distributive_set([BERMAN_TAU, BERMAN_SIGMA]), (1, -1), 3)
         with pytest.raises(ValueError, match="chain dimension 1296 exceeds budget 1000"):
             homology_groups(spec, dim_budget=1000)
         assert built == []
+
+    @pytest.mark.parametrize("max_degree", [1, 3])
+    def test_face_tables_built_once_per_weighted_operation(self, monkeypatch, max_degree):
+        # the gate and every boundary matrix share one build per operation,
+        # through the top degree the gate needs; a zero weight builds nothing
+        built = []
+        face_tables = homology._face_tables
+        monkeypatch.setattr(homology, "_face_tables", lambda *a: built.append(a) or face_tables(*a))
+        add6 = make_table(6, [[(x + y) % 6 for y in range(6)] for x in range(6)])
+        assert verify_distributive([add6]) is not None
+        S = DistributiveSet(6, (BERMAN_TAU, add6, BERMAN_SIGMA))  # deliberately unvalidated
+        groups = homology_groups(ChainSpec(S, (1, 0, -1), max_degree))
+        top = max(max_degree, 2)
+        assert built == [(BERMAN_TAU, top), (BERMAN_SIGMA, top)]
+        expected = homology_groups(ChainSpec(make_distributive_set([BERMAN_TAU, BERMAN_SIGMA]), (1, -1), max_degree))
+        assert groups == expected
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_one_term_homology_of_racks_is_trivial(self, n):
