@@ -31,6 +31,7 @@ from .homology import (
     DEFAULT_DIM_BUDGET,
     DEFAULT_MAX_DEGREE,
     ChainSpec,
+    DimensionBudgetError,
     homology_groups,
 )
 from .shelves import DistributivityError
@@ -160,7 +161,11 @@ def _cmd_homology(args) -> int:
         spec = ChainSpec(S, weights, args.max_degree)
     except ValueError as e:
         raise ValueError(f"--max-degree {args.max_degree}: {e}") from e
-    groups = homology_groups(spec, dim_budget=args.dim_budget)
+    try:
+        groups = homology_groups(spec, dim_budget=args.dim_budget)
+    except DimensionBudgetError as e:
+        flags = f"--max-degree {args.max_degree} --dim-budget {args.dim_budget}"
+        raise ValueError(f"{flags}: {e}") from e
     doc = {
         "convention": CONVENTION,
         "basis_order": "lexicographic tuples over {0..n-1}",

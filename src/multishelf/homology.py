@@ -29,6 +29,10 @@ DEFAULT_DIM_BUDGET = 50_000
 FaceTables = list[list[list[int]]]  # [degree][face i][basis tuple x] -> lex index of d_i x
 
 
+class DimensionBudgetError(ValueError):
+    """A run would build chains of more dimensions than its budget allows."""
+
+
 @dataclass(frozen=True)
 class ChainSpec:
     S: DistributiveSet
@@ -122,15 +126,19 @@ def verify_differential(spec: ChainSpec, faces: list[FaceTables] | None = None) 
     every ordered pair (s, t), s = t included, up to top = max(max_degree, 2).
 
     Checked on every basis tuple x of C_{d+1}, d = 1..top-1, and every
-    0 <= i < j <= d+1 (Przytycki, Demonstratio Math. 2011), one identity at
-    a time over all x.  The identities make the weighted differential
-    square to zero for every weighting: in
-    sum_{s,t} w_s w_t sum_{i,j} (-1)^(i+j) d_i^s d_j^t the term (s, t, i, j)
-    with i < j cancels the term (t, s, j-1, i), of opposite sign, and these
-    pairs exhaust the sum.  So d_s d_t + d_t d_s = 0 follows, and the check
-    is never weaker than that anticommutator.  On C_2 the identities are
-    right distributivity of each ordered pair itself, so at every max_degree
-    False means exactly that the weighted operations are not distributive.
+    1 <= i < j <= d+1 (Przytycki, Demonstratio Math. 2011), one identity at
+    a time over all x.  The identities with i = 0 hold for every pair of
+    operations, so they are not compared: d_0 drops x_0 and reads no table
+    entry, so d_0^s d_j^t x and d_{j-1}^t d_0^s x are both
+    (x_1*x_j, ..., x_{j-1}*x_j, x_{j+1}, ...), with * the operation t.
+    The identities make the weighted differential square to zero for every
+    weighting: in sum_{s,t} w_s w_t sum_{i,j} (-1)^(i+j) d_i^s d_j^t the
+    term (s, t, i, j) with i < j cancels the term (t, s, j-1, i), of
+    opposite sign, and these pairs exhaust the sum.  So
+    d_s d_t + d_t d_s = 0 follows, and the check is never weaker than that
+    anticommutator.  On C_2 the identities are right distributivity of each
+    ordered pair itself, so at every max_degree False means exactly that
+    the weighted operations are not distributive.
 
     ``faces`` holds the face tables of the weighted operations through
     degree top, as homology_groups shares them; left out, they are built here.
@@ -143,8 +151,8 @@ def verify_differential(spec: ChainSpec, faces: list[FaceTables] | None = None) 
             low_s, up_s = s[d], s[d + 1]
             for t in faces:
                 low_t, up_t = t[d], t[d + 1]
-                for j in range(1, d + 2):
-                    for i in range(j):
+                for j in range(2, d + 2):
+                    for i in range(1, j):
                         if [low_s[i][f] for f in up_t[j]] != [low_t[j - 1][f] for f in up_s[i]]:
                             return False
     return True
@@ -165,7 +173,7 @@ def homology_groups(
     top = _top_degree(spec)
     cols = n ** (top + 1)
     if cols > dim_budget:
-        raise ValueError(f"chain dimension {cols} exceeds budget {dim_budget}")
+        raise DimensionBudgetError(f"chain dimension {cols} exceeds budget {dim_budget}")
     faces = _weighted_face_tables(spec, top)
     if not verify_differential(spec, faces):
         raise ValueError(

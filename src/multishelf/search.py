@@ -337,9 +337,11 @@ def certify_no_nonabelian(
     one representative per class and its partner over all racks.  A pair of
     commuting generators always generates an abelian group, so the closure
     is only computed for non-commuting compatible pairs; each non-abelian
-    group is listed once up to simultaneous relabeling.  With ``seed_pair``
-    the enumeration is skipped and the catalog is that pair, each table its
-    own class.  ``budget`` seconds bound every phase; when they run out the
+    group is listed once up to simultaneous relabeling.  A relabeling keeps
+    the order, so a closure's canonical form is only computed once a group
+    of its order is listed, and each listed group's at most once.  With
+    ``seed_pair`` the enumeration is skipped and the catalog is that pair,
+    each table its own class.  ``budget`` seconds bound every phase; when they run out the
     conclusion is "partial" unless a non-abelian group was already found.
     A NaN budget raises ValueError.
     """
@@ -351,7 +353,8 @@ def certify_no_nonabelian(
 
     racks_found = compatible = nodes_pruned = 0
     nonabelian: list[dict] = []
-    seen: set[tuple[OpTable, ...]] = set()
+    # closure order -> [members, canonical form or None] of each listed group
+    listed: dict[int, list[list]] = {}
     partial = False
     try:
         if catalog is None:
@@ -371,15 +374,22 @@ def certify_no_nonabelian(
                 if commutes(a, b):
                     continue  # commuting generators give an abelian group
                 closure = close_group(DistributiveSet(n, (a, b)))
-                key = canonical_form_set(closure.ops)
-                if key not in seen:
-                    seen.add(key)
-                    nonabelian.append(
-                        {
-                            "pair": [list(map(list, a.entries)), list(map(list, b.entries))],
-                            "closure_order": closure.order,
-                        }
-                    )
+                twins = listed.setdefault(closure.order, [])
+                key = None
+                if twins:
+                    key = canonical_form_set(closure.ops)
+                    for twin in twins:
+                        if twin[1] is None:
+                            twin[1] = canonical_form_set(twin[0])
+                    if any(twin[1] == key for twin in twins):
+                        continue
+                twins.append([closure.ops, key])
+                nonabelian.append(
+                    {
+                        "pair": [list(map(list, a.entries)), list(map(list, b.entries))],
+                        "closure_order": closure.order,
+                    }
+                )
     except TimeoutError:
         partial = True
 

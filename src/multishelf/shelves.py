@@ -2,7 +2,9 @@
 
 A family is distributive when every ordered pair (A, B), A = B included,
 satisfies ``(a A b) B c = (a B c) A (b B c)``; that holds iff each column
-of B is an endomorphism of A, which is how ``verify_distributive`` checks it.
+of B is an endomorphism of A.  The endomorphisms of A form a monoid under
+composition, so ``verify_distributive`` tests each table against a
+generating set of the family's columns.
 """
 from __future__ import annotations
 
@@ -14,8 +16,10 @@ from .tables import (
     commutes,
     compose,
     distributive_witness,
+    greedy_generators,
     is_endomorphism,
     noninvertible_column,
+    perm_compose,
     right_trivial,
 )
 
@@ -80,9 +84,16 @@ def verify_distributive(
     right distributivity at (a, b, c); None if there is none.
 
     The pair (A, B) is right-distributive iff every column ``x -> x B c``
-    of B is an endomorphism of A (``is_endomorphism``), so each table is
-    tested once against each distinct column of the family, taken in order
-    of first appearance.  The first column A fails names the least j, and
+    of B is an endomorphism of A (``is_endomorphism``).  End(A) holds the
+    identity map and is closed under composition, so every column of the
+    family is an endomorphism of A iff every column of a generating set is.
+    The generating set is the distinct columns, in order of first
+    appearance, that the ones kept before them do not generate
+    (``greedy_generators``); once those generate more maps than there are
+    distinct columns, all distinct columns are tested instead.  Each table
+    is tested against the generating set; only if a test fails is each
+    table tested against every distinct column, in order of first
+    appearance.  The first column ops[i] fails there names the least j, and
     ``distributive_witness(ops[i], ops[j])`` gives the least (a, b, c).
     A family on more than one carrier raises ValueError, naming the carrier
     of ops[0] and the first other one, before any pair is tested.
@@ -94,6 +105,10 @@ def verify_distributive(
     for j, op in enumerate(ops):
         for col in zip(*op.entries):
             first.setdefault(col, j)
+    if ops:
+        gens = greedy_generators(first, tuple(range(ops[0].n)), perm_compose, len(first))
+        if gens is not None and all(is_endomorphism(c, op) for op in ops for c in gens):
+            return None
     for i, opA in enumerate(ops):
         for col, j in first.items():
             if not is_endomorphism(col, opA):

@@ -12,10 +12,11 @@ composite of the two column-y permutations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
 Row = tuple[int, ...]
 Permutation = tuple[int, ...]
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -80,6 +81,36 @@ def perm_inverse(p: Permutation) -> Permutation:
 def perm_compose(p: Permutation, q: Permutation) -> Permutation:
     """Left-to-right: apply p, then q."""
     return tuple([q[v] for v in p])
+
+
+def greedy_generators(
+    elements: Iterable[T], identity: T, product: Callable[[T, T], T], limit: int
+) -> Optional[list[T]]:
+    """The elements, in order, that are not yet in the monoid generated by
+    the ones kept before them, which starts as {identity}; None once that
+    monoid has more than ``limit`` members.
+
+    The kept elements generate every given element.  The monoid is rebuilt
+    breadth first from the identity after each kept element, as every word
+    in the kept elements is a shorter word times one of them.
+    """
+    kept: list[T] = []
+    monoid = {identity}
+    for x in elements:
+        if x in monoid:
+            continue
+        kept.append(x)
+        members = [identity]
+        monoid = {identity}
+        for m in members:  # grows while it is iterated
+            for s in kept:
+                p = product(m, s)
+                if p not in monoid:
+                    if len(monoid) == limit:
+                        return None
+                    monoid.add(p)
+                    members.append(p)
+    return kept
 
 
 def noninvertible_column(op: OpTable) -> Optional[int]:

@@ -286,3 +286,13 @@ class TestHomologyCommand:
         )
         assert code == 1
         assert capsys.readouterr().err == "error: --max-degree -1: max_degree must be >= 0\n"
+
+    def test_dim_budget_names_arguments(self, berman_dir, capsys):
+        berman = str(berman_dir / "berman-d6.json")
+        code = main(
+            ["homology", "--set", berman, "--weights", "1,-1", "--max-degree", "3", "--dim-budget", "100"]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: --max-degree 3 --dim-budget 100: chain dimension 1296 exceeds budget 100\n"
+        )

@@ -11,15 +11,19 @@ from multishelf import (
     dihedral,
     distributive_witness,
     enumerate_racks,
+    group_from_table,
     make_distributive_set,
     make_table,
     regular_embed,
+    relabel,
     right_trivial,
     symmetric,
     verify_distributive,
     verify_inverse_images,
 )
-from multishelf.fixtures import XOR
+from multishelf import shelves
+from multishelf.fixtures import XOR, fixture, fixture_names
+from multishelf.tables import greedy_generators, is_endomorphism, perm_compose
 
 
 class TestRegularEmbed:
@@ -78,6 +82,45 @@ class TestRegularEmbed:
         with pytest.raises(AssertionError, match="injectivity"):
             regular_embed(cyclic(2))
 
+    def test_corrupted_non_generator_image_rejected(self, monkeypatch):
+        import multishelf.embedding as embedding
+
+        # S3 in lex order is generated by 1 = (0 2 1) and 2 = (1 0 2), and
+        # 3 * 1 = 5.  Swapping the images of 3 and 5 keeps the image set, so
+        # the identity image and distributivity still pass, and it commutes
+        # with multiplying by 1 on the right: only generator 2 can see it.
+        G = symmetric(3)
+        assert _generators(G) == [1, 2] and G.mul[3][1] == 5
+        image_table = embedding._image_table
+        swap = {3: 5, 5: 3}
+        monkeypatch.setattr(embedding, "_image_table", lambda G, g: image_table(G, swap.get(g, g)))
+        with pytest.raises(AssertionError, match=r"homomorphism fails at \(\d+,2\)"):
+            regular_embed(G)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("base", [symmetric(4), dihedral(6)], ids=["S4", "D6"])
+    def test_greedy_generators_generate_relabeled_groups(self, base, seed):
+        perm = list(range(base.m))
+        random.Random(seed).shuffle(perm)
+        G = _relabeled_group(base, perm)
+        gens = _generators(G)
+        generated = {G.identity}
+        while True:
+            more = generated | {G.mul[h][s] for h in generated for s in gens}
+            if more == generated:
+                break
+            generated = more
+        assert generated == set(range(G.m))
+        # each generator is the least element the ones before it miss
+        for k, s in enumerate(gens):
+            sub = {G.identity}
+            for _ in range(G.m):
+                sub |= {G.mul[h][t] for h in sub for t in gens[:k]}
+            assert s == min(set(range(G.m)) - sub)
+        images, base_images = regular_embed(G).images, regular_embed(base).images
+        for g in range(G.m):
+            assert images[perm[g]] == relabel(base_images[g], perm)
+
     def test_injectivity_column(self):
         G = dihedral(3)
         E = regular_embed(G)
@@ -126,7 +169,49 @@ class TestVerifyDistributive:
         for _ in range(400):
             n = rng.randint(1, 4)
             ops = _random_family(rng, n, racks[n])
-            assert _outcome(verify_distributive, ops) == _outcome(_pairwise, ops)
+            outcome = _outcome(verify_distributive, ops)
+            assert outcome == _outcome(_all_columns, ops) == _outcome(_pairwise, ops)
+
+    def test_matches_all_columns_scan_on_fixtures_and_images(self):
+        families = [list(fixture(name)[0]) for name in fixture_names()]
+        groups = [cyclic(k) for k in range(1, 7)] + [dihedral(k) for k in range(1, 7)]
+        for G in groups + [symmetric(k) for k in range(1, 5)]:
+            images = list(regular_embed(G).images)
+            families += [images, images[::-1], images[1:] + [_corrupt(images[0])]]
+        for ops in families:
+            assert verify_distributive(ops) == _all_columns(ops)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_all_columns_scan_on_image_subfamilies(self, seed):
+        # subsets of regular images in random order, now and then with one
+        # table corrupted: the generating columns are a proper subset, and a
+        # failing column may or may not be one of them
+        rng = random.Random(seed)
+        images = {G.m: regular_embed(G).images for G in (symmetric(3), dihedral(4), dihedral(6))}
+        for _ in range(60):
+            pool = images[rng.choice(sorted(images))]
+            ops = rng.sample(pool, rng.randint(1, len(pool)))
+            if rng.random() < 0.5:
+                k = rng.randrange(len(ops))
+                ops[k] = _corrupt(ops[k], rng)
+            assert verify_distributive(ops) == _all_columns(ops)
+
+    def test_falls_back_to_every_column(self, monkeypatch):
+        # The Berman pair has 5 distinct columns, which generate S3 (6 maps),
+        # so every table is tested against all 5 columns
+        ops = list(fixture("berman-d6")[0])
+        columns = list(dict.fromkeys(c for op in ops for c in zip(*op.entries)))
+        assert len(columns) == 5
+        assert greedy_generators(columns, tuple(range(6)), perm_compose, 5) is None
+        calls = _record_endomorphism_tests(monkeypatch)
+        assert verify_distributive(ops) is None
+        assert len(calls) == 2 * 5
+
+    def test_tests_generating_columns_only(self, monkeypatch):
+        ops = list(regular_embed(symmetric(4)).images)
+        calls = _record_endomorphism_tests(monkeypatch)
+        assert verify_distributive(ops) is None
+        assert len(calls) == 24 * 3  # S4 needs 3 of its 24 columns here
 
     def test_matches_pairwise_scan_edge_families(self):
         families = [[], [XOR], [right_trivial(1)], [right_trivial(3)]]
@@ -134,6 +219,53 @@ class TestVerifyDistributive:
         families += [[XOR, right_trivial(3)], [right_trivial(2), XOR, right_trivial(3)]]
         for ops in families:
             assert _outcome(verify_distributive, ops) == _outcome(_pairwise, ops)
+
+
+def _all_columns(ops):
+    """The reference: one carrier for the family, then each table against
+    every distinct column of the family, in order of first appearance."""
+    for op in ops:
+        if op.n != ops[0].n:
+            raise ValueError(f"carrier mismatch: {ops[0].n} vs {op.n}")
+    first = {}  # column -> least j having it
+    for j, op in enumerate(ops):
+        for col in zip(*op.entries):
+            first.setdefault(col, j)
+    for i, opA in enumerate(ops):
+        for col, j in first.items():
+            if not is_endomorphism(col, opA):
+                return (i, j) + distributive_witness(opA, ops[j])
+    return None
+
+
+def _record_endomorphism_tests(monkeypatch):
+    """The columns verify_distributive tests, one per is_endomorphism call."""
+    calls = []
+    endo = shelves.is_endomorphism
+    monkeypatch.setattr(shelves, "is_endomorphism", lambda s, op: calls.append(s) or endo(s, op))
+    return calls
+
+
+def _corrupt(op, rng=None):
+    """The table with one entry moved to another value."""
+    rng = rng or random.Random(op.n)
+    rows = [list(r) for r in op.entries]
+    a, b = rng.randrange(op.n), rng.randrange(op.n)
+    rows[a][b] = (rows[a][b] + rng.randrange(1, op.n)) % op.n if op.n > 1 else 0
+    return make_table(op.n, rows)
+
+
+def _generators(G):
+    return greedy_generators(range(G.m), G.identity, lambda h, s: G.mul[h][s], G.m)
+
+
+def _relabeled_group(G, perm):
+    """The same group with element g renamed perm[g]."""
+    mul = [[0] * G.m for _ in range(G.m)]
+    for a in range(G.m):
+        for b in range(G.m):
+            mul[perm[a]][perm[b]] = perm[G.mul[a][b]]
+    return group_from_table(G.m, mul, perm[G.identity])
 
 
 def _pairwise(ops):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import time
@@ -7,18 +8,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from multishelf import (
+    DistributiveSet,
     OpTable,
+    RackCatalog,
     canonical_form,
     canonical_form_set,
     certify_no_nonabelian,
+    close_group,
     compatibility_graph,
     compose,
     distributive_witness,
     enumerate_racks,
     make_table,
+    regular_embed,
     relabel,
     right_trivial,
     seed_catalog,
+    symmetric,
     verify_distributive,
 )
 from multishelf import search
@@ -39,6 +45,28 @@ def automorphisms_brute_force(op):
     in lexicographic order."""
     perms = sorted(itertools.permutations(range(op.n)))
     return sum(1 << k for k, p in enumerate(perms) if relabel(op, p) == op)
+
+
+def _pair_document(pair):
+    return [list(map(list, op.entries)) for op in pair]
+
+
+def _count_calls(monkeypatch, pairs):
+    """Make the catalog of an unseeded search the given rack pairs, each
+    table its own class, and record the closures and canonical forms the
+    search computes."""
+    catalog = RackCatalog(
+        6,
+        tuple(op for pair in pairs for op in pair),
+        tuple(range(2 * len(pairs))),
+        tuple(m for pair in pairs for m in seed_catalog(6, tuple(pair)).automorphisms),
+    )
+    monkeypatch.setattr(search, "enumerate_racks", lambda n, deadline: catalog)
+    closures, keys = [], []
+    close, canonical = search.close_group, search.canonical_form_set
+    monkeypatch.setattr(search, "close_group", lambda S: closures.append(S) or close(S))
+    monkeypatch.setattr(search, "canonical_form_set", lambda o: keys.append(o) or canonical(o))
+    return closures, keys
 
 
 def enumerate_racks_brute_force(n):
@@ -287,10 +315,49 @@ class TestCertify:
             raise AssertionError("a seeded search built the S_n tables")
 
         monkeypatch.setattr(search, "_symmetric", unreachable)
+        # one closure, so no canonical form is needed to tell it from another
+        monkeypatch.setattr(search, "canonical_form_set", unreachable)
         report = certify_no_nonabelian(6, seed_pair=(BERMAN_TAU, BERMAN_SIGMA))
         assert report.conclusion == "nonabelian-found"
         assert report.nonabelian_groups[0]["closure_order"] == 6
         assert report.seeded
+
+    def test_relabeled_twins_listed_once(self, monkeypatch):
+        # The Berman pair, a relabeling of it, and two generators of the S3
+        # regular images: every non-commuting compatible pair among them
+        # generates a relabeling of the Berman group.
+        pi = (3, 5, 0, 1, 4, 2)
+        images = regular_embed(symmetric(3)).images
+        berman = close_group(DistributiveSet(6, (BERMAN_TAU, BERMAN_SIGMA))).ops
+        assert canonical_form_set(images) == canonical_form_set(berman)
+        moved = (relabel(BERMAN_TAU, pi), relabel(BERMAN_SIGMA, pi))
+        pairs = [(BERMAN_TAU, BERMAN_SIGMA), moved, images[1:3]]
+        closures, keys = _count_calls(monkeypatch, pairs)
+        report = certify_no_nonabelian(6)
+        assert report.nonabelian_groups == [{"pair": _pair_document(pairs[0]), "closure_order": 6}]
+        assert len(closures) == 6
+        assert len(keys) == len(closures)  # each closure's canonical form once
+
+    def test_same_order_non_twin_listed(self, monkeypatch):
+        # The second closure is made a family of order 6 that no relabeling
+        # maps onto the Berman group: a constant table stands in for a member.
+        images = regular_embed(symmetric(3)).images
+        pairs = [(BERMAN_TAU, BERMAN_SIGMA), images[1:3]]
+        closures, keys = _count_calls(monkeypatch, pairs)
+        record = search.close_group
+
+        def second_changed(S):
+            cl = record(S)
+            if len(closures) == 1:
+                return cl
+            return dataclasses.replace(cl, ops=cl.ops[:-1] + (make_table(6, [[0] * 6] * 6),))
+
+        monkeypatch.setattr(search, "close_group", second_changed)
+        report = certify_no_nonabelian(6)
+        assert report.nonabelian_groups == [
+            {"pair": _pair_document(pair), "closure_order": 6} for pair in pairs
+        ]
+        assert (len(closures), len(keys)) == (2, 2)
 
     def test_seed_pair_carrier_must_match_n(self):
         with pytest.raises(ValueError, match="carrier 6, but n=5"):
