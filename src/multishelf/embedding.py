@@ -26,15 +26,9 @@ class RegularEmbedding:
 
 
 def _image_table(G: FiniteGroup, g: int) -> OpTable:
-    m = G.m
-    rows = []
-    for a in range(m):
-        row = []
-        for b in range(m):
-            conj = G.mul[G.mul[G.inv[b]][g]][b]  # b^-1 g b
-            row.append(G.mul[a][conj])
-        rows.append(tuple(row))
-    return OpTable(m, tuple(rows))
+    mul = G.mul
+    conj = [mul[mul[G.inv[b]][g]][b] for b in range(G.m)]  # b^-1 g b
+    return OpTable(G.m, tuple(tuple([row[c] for c in conj]) for row in mul))
 
 
 def regular_embed(G: FiniteGroup) -> RegularEmbedding:

@@ -19,14 +19,14 @@ import math
 import time
 from collections import Counter
 from dataclasses import dataclass
-from operator import itemgetter
-from typing import Optional, Sequence
+from functools import cache, reduce
+from operator import and_, itemgetter, or_
+from typing import Callable, Optional, Sequence
 
 from .shelves import DistributiveSet, close_group
 from .tables import (
     OpTable,
     Permutation,
-    commutes,
     distributive_witness,
     is_endomorphism,
     noninvertible_column,
@@ -40,22 +40,25 @@ PRUNED_BOUND = 6
 
 @dataclass(frozen=True)
 class RackCatalog:
-    """Racks sorted by table encoding, with their relabeling classes and
-    automorphism groups.
+    """Racks sorted by table encoding, with their relabeling classes,
+    automorphism groups and column indices.
 
     ``orbit[i]`` is the index of the first rack in the class of
     ``racks[i]``.  Since the racks are sorted, that first rack is the least
-    relabeling of each member, i.e. its canonical form.
-    ``automorphisms[i]`` is the group of relabelings that fix ``racks[i]``
-    as a bitmask: bit k stands for the k-th permutation of the carrier in
-    lexicographic order.  ``nodes_pruned`` counts the pruned nodes of the
-    column backtrack that yields a rack of each class (0 for a given catalog).
+    relabeling of each member, i.e. its canonical form.  Permutations of
+    the carrier are numbered in lexicographic order.  ``automorphisms[i]``
+    is the group of relabelings that fix ``racks[i]`` as a bitmask, bit k
+    standing for the k-th permutation, and ``columns[i][y]`` is the number
+    of the column x -> x * y of ``racks[i]``.  ``nodes_pruned`` counts the
+    pruned nodes of the column backtrack that yields a rack of each class
+    (0 for a given catalog).
     """
 
     n: int
     racks: tuple[OpTable, ...]
     orbit: tuple[int, ...]
     automorphisms: tuple[int, ...]
+    columns: tuple[tuple[int, ...], ...]
     nodes_pruned: int = 0
 
     @property
@@ -233,9 +236,10 @@ def enumerate_racks(n: int, deadline: Optional[float] = None) -> RackCatalog:
     ``_enumerate_pruned`` finds, which meet every class.  Each found rack r
     not yet swept gives its class: ``relabel(r, q)`` is the same table for
     every q in the coset ``q . Aut(r)``, so r is relabeled once per coset,
-    and the image's automorphism group is ``q Aut(r) q^-1``.  All of this
-    runs on the indices of the ``_symmetric`` tables, built once per call.
-    Raises TimeoutError once ``time.monotonic()`` passes ``deadline``.
+    at its least member, and the coset is then marked as seen.  The image's
+    automorphism group is ``q Aut(r) q^-1``.  All of this runs on the
+    indices of the ``_symmetric`` tables, built once per call.  Raises
+    TimeoutError once ``time.monotonic()`` passes ``deadline``.
     """
     _check_size(n)
     sym = _symmetric(n, deadline)
@@ -249,19 +253,48 @@ def enumerate_racks(n: int, deadline: Optional[float] = None) -> RackCatalog:
         _check_deadline(deadline)
         cols = [index[c] for c in zip(*rack.entries)]
         aut = _automorphisms(cols, perms, conj)
+        seen = bytearray(len(perms))
         for q, qp in enumerate(perms):
-            if all(q <= mul[a][q] for a in aut):  # the least of q . Aut(r)
-                cq = conj[q]
-                mask = sum(1 << cq[a] for a in aut)
-                image = [0] * n  # relabel(r, q) has column conj[q][cols[y]] at q(y)
-                for v, c in zip(qp, cols):
-                    image[v] = perms[cq[c]]
-                entries = tuple([shared.setdefault(r, r) for r in zip(*image)])
-                swept[entries] = (OpTable(n, entries), cls, shared.setdefault(mask, mask))
+            if seen[q]:
+                continue
+            for a in aut:  # q is the least of q . Aut(r)
+                seen[mul[a][q]] = 1
+            cq = conj[q]
+            mask = sum(1 << cq[a] for a in aut)
+            image = [0] * n  # relabel(r, q) has column conj[q][cols[y]] at q(y)
+            for v, c in zip(qp, cols):
+                image[v] = perms[cq[c]]
+            entries = tuple([shared.setdefault(r, r) for r in zip(*image)])
+            swept[entries] = (OpTable(n, entries), cls, shared.setdefault(mask, mask))
+    del found, sym, perms, mul, conj  # freed before the catalog is sorted
     racks, classes, masks = zip(*(swept[e] for e in sorted(swept)))
+    # Read back from the sorted racks: a tuple per image kept from the sweep
+    # lies among its short-lived objects and raised the peak memory.
+    columns = tuple([tuple([index[c] for c in zip(*r.entries)]) for r in racks])
     first: dict[int, int] = {}  # class -> index of its least rack
     orbit = tuple(first.setdefault(c, i) for i, c in enumerate(classes))
-    return RackCatalog(n, racks, orbit, masks, pruned)
+    return RackCatalog(n, racks, orbit, masks, columns, pruned)
+
+
+def _ones(x: int) -> list[int]:
+    """The positions of the set bits of x >= 0, in increasing order."""
+    digits, found = bin(x)[:1:-1], []  # least significant digit first
+    k = digits.find("1")
+    while k >= 0:
+        found.append(k)
+        k = digits.find("1", k + 1)
+    return found
+
+
+def _to_bitsets(lists: list, size: int, deadline: Optional[float]) -> None:
+    """Replace each list of indices below ``size``, one at a time, by the
+    int whose set bits they are."""
+    for p, indices in enumerate(lists):
+        _check_deadline(deadline)
+        digits = bytearray(b"0" * size)
+        for j in indices:
+            digits[j] = 49  # ord("1")
+        lists[p] = int(digits[::-1], 2)
 
 
 def compatibility_graph(
@@ -273,39 +306,45 @@ def compatibility_graph(
     both ordered distributivity checks pass.  For racks A and B,
     ``(a A b) B c = (a B c) A (b B c)`` for all a, b, c says exactly that
     every column ``x -> x B c`` is an automorphism of A: the rule of
-    ``tables.is_endomorphism``, which ``verify_distributive`` runs column by
-    column, restricted to bijections.  So each check is a subset test: the
-    columns of B, as a mask over the permutations in lexicographic order,
-    within the ``catalog.automorphisms`` mask of A.
-    Self-loops are implicit (every catalog member is self-distributive).
-    The rows of the other racks are relabelings of these, so with singleton
-    classes this is the full graph.  Raises TimeoutError once
-    ``time.monotonic()`` passes ``deadline``.
+    ``tables.is_endomorphism``, restricted to bijections.  So B is a
+    partner of A iff each column of B lies in Aut(A) and each column of A
+    in Aut(B).  Two bitsets over the rack indices per permutation p tell
+    both: ``has[p]``, the racks with column p, and ``fixes[p]``, the racks
+    whose automorphism mask holds p.  The row of A is
+    ``~OR_{p not in Aut(A)} has[p] & AND_{p in cols(A)} fixes[p]``,
+    without A itself.  The rows of the other racks are relabelings of
+    these, so with singleton classes this is the full graph.  Raises
+    TimeoutError once ``time.monotonic()`` passes ``deadline``, checked
+    once per bitset and once per row.
     """
-    index = _perm_index(catalog.n)
-    shared: dict[int, int] = {}  # one int object per distinct mask
-    cols = [
-        shared.setdefault(m, m)
-        for m in (sum({1 << index[c] for c in zip(*r.entries)}) for r in catalog.racks)
-    ]
-    aut = catalog.automorphisms
-    full = (1 << len(index)) - 1
+    size, aut, cols = len(catalog.racks), catalog.automorphisms, catalog.columns
+    has: list = [[] for _ in range(math.factorial(catalog.n))]
+    for j, cj in enumerate(cols):
+        for c in set(cj):
+            has[c].append(j)
+    _to_bitsets(has, size, deadline)
+    fixes: list = [[] for _ in has]
+    by_mask: dict[int, list[int]] = {}
+    for j, m in enumerate(aut):
+        by_mask.setdefault(m, []).append(j)
+    for m, js in by_mask.items():
+        for p in _ones(m):
+            fixes[p] += js
+    _to_bitsets(fixes, size, deadline)
+    full = (1 << len(has)) - 1
     adj: dict[int, list[int]] = {}
     for i in catalog.representatives:
         _check_deadline(deadline)
-        ci, oi = cols[i], full ^ aut[i]  # a positive ~aut[i]: faster to AND
-        adj[i] = [
-            j
-            for j, (cj, aj) in enumerate(zip(cols, aut))
-            if not (cj & oi or ci & ~aj) and j != i
-        ]
+        # out: rack i itself and every rack with a column outside Aut(rack i)
+        out = reduce(or_, map(has.__getitem__, _ones(full ^ aut[i])), 1 << i)
+        adj[i] = _ones(reduce(and_, map(fixes.__getitem__, set(cols[i])), ~out))
     return adj
 
 
 def seed_catalog(n: int, seed_pair: tuple[OpTable, OpTable]) -> RackCatalog:
     """The catalog of a seed pair: each table its own class, with its
-    automorphism mask.  Raises ValueError unless both tables are racks on
-    n points."""
+    automorphism mask and column indices.  Raises ValueError unless both
+    tables are racks on n points."""
     for k, op in enumerate(seed_pair):
         if op.n != n:
             raise ValueError(f"seed pair table has carrier {op.n}, but n={n}")
@@ -320,9 +359,25 @@ def seed_catalog(n: int, seed_pair: tuple[OpTable, OpTable]) -> RackCatalog:
                 f"seed pair table {k} is not self-distributive: "
                 f"(a*b)*c != (a*c)*(b*c) at (a, b, c) = {w}"
             )
-    indexed = _perm_index(n).items()
-    masks = tuple(sum(1 << k for p, k in indexed if is_endomorphism(p, op)) for op in seed_pair)
-    return RackCatalog(n, tuple(seed_pair), (0, 1), masks)
+    index = _perm_index(n)
+    masks = tuple(sum(1 << k for p, k in index.items() if is_endomorphism(p, op)) for op in seed_pair)
+    columns = tuple(tuple(index[c] for c in zip(*op.entries)) for op in seed_pair)
+    return RackCatalog(n, tuple(seed_pair), (0, 1), masks, columns)
+
+
+def _commutation(n: int) -> Callable[[int, int], bool]:
+    """Whether the permutations of the carrier numbered x and y (in
+    lexicographic order) commute, memoized on (x, y).  Column y of A;B is
+    column y of A, then column y of B, so two racks commute in the monoid
+    iff their column-y permutations commute for every y."""
+    perms = list(itertools.permutations(range(n)))
+
+    @cache
+    def commute(x: int, y: int) -> bool:
+        px, py = perms[x], perms[y]
+        return all(py[v] == px[w] for v, w in zip(px, py))
+
+    return commute
 
 
 def certify_no_nonabelian(
@@ -343,7 +398,8 @@ def certify_no_nonabelian(
     ``seed_pair`` the enumeration is skipped and the catalog is that pair,
     each table its own class.  ``budget`` seconds bound every phase; when they run out the
     conclusion is "partial" unless a non-abelian group was already found.
-    A NaN budget raises ValueError.
+    A NaN budget raises ValueError.  Commutation is read column by column
+    from ``catalog.columns`` (see ``_commutation``).
     """
     _check_size(n)
     if budget is not None and math.isnan(budget):
@@ -364,15 +420,16 @@ def certify_no_nonabelian(
         adj = compatibility_graph(catalog, deadline)
         size = Counter(orbit)
         compatible = sum(size[i] * len(row) for i, row in adj.items()) // 2
+        columns, commute = catalog.columns, _commutation(n)
         for i, row in adj.items():
-            a = racks[i]
+            a, ca = racks[i], columns[i]
             for j in row:
                 if orbit[j] < i:
                     continue  # a relabeling of this pair is swept from rack orbit[j]
                 _check_deadline(deadline)
-                b = racks[j]
-                if commutes(a, b):
+                if all(map(commute, ca, columns[j])):
                     continue  # commuting generators give an abelian group
+                b = racks[j]
                 closure = close_group(DistributiveSet(n, (a, b)))
                 twins = listed.setdefault(closure.order, [])
                 key = None

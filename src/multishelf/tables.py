@@ -19,7 +19,7 @@ Permutation = tuple[int, ...]
 T = TypeVar("T")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OpTable:
     """An n x n table over {0..n-1}; entries[a][b] is a * b."""
 

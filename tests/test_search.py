@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import itertools
+import json
 import math
 import time
 from types import SimpleNamespace
@@ -15,6 +17,7 @@ from multishelf import (
     canonical_form_set,
     certify_no_nonabelian,
     close_group,
+    commutes,
     compatibility_graph,
     compose,
     distributive_witness,
@@ -55,11 +58,13 @@ def _count_calls(monkeypatch, pairs):
     """Make the catalog of an unseeded search the given rack pairs, each
     table its own class, and record the closures and canonical forms the
     search computes."""
+    seeds = [seed_catalog(6, tuple(pair)) for pair in pairs]
     catalog = RackCatalog(
         6,
         tuple(op for pair in pairs for op in pair),
         tuple(range(2 * len(pairs))),
-        tuple(m for pair in pairs for m in seed_catalog(6, tuple(pair)).automorphisms),
+        tuple(m for seed in seeds for m in seed.automorphisms),
+        tuple(c for seed in seeds for c in seed.columns),
     )
     monkeypatch.setattr(search, "enumerate_racks", lambda n, deadline: catalog)
     closures, keys = [], []
@@ -203,6 +208,20 @@ class TestEnumerateRacks:
             class_size = len({relabel(rack, pi) for pi in relabelings})
             assert bin(mask).count("1") * class_size == math.factorial(6)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_columns(self, n):
+        perms = sorted(itertools.permutations(range(n)))
+        catalog = enumerate_racks(n)
+        assert len(catalog.columns) == len(catalog.racks)
+        for rack, cols in zip(catalog.racks, catalog.columns):
+            assert [perms[c] for c in cols] == [rack.column(y) for y in range(n)]
+
+    def test_seeded_columns(self):
+        perms = sorted(itertools.permutations(range(6)))
+        catalog = seed_catalog(6, (BERMAN_TAU, BERMAN_SIGMA))
+        for rack, cols in zip(catalog.racks, catalog.columns):
+            assert [perms[c] for c in cols] == [rack.column(y) for y in range(6)]
+
 
 class TestSymmetricTables:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -294,6 +313,24 @@ class TestCompatibilityGraph:
         catalog = enumerate_racks(3)
         with pytest.raises(TimeoutError):
             compatibility_graph(catalog, deadline=time.monotonic() - 1)
+
+    def test_deadline_checked_while_the_bitsets_are_built(self, monkeypatch):
+        # The clock passes the deadline once the first bitset is built: the
+        # build must stop there, not after all n! of them.
+        catalog = enumerate_racks(4)
+        build, built = search._to_bitsets, []
+
+        def recorded(lists, size, deadline):
+            built.append(lists)
+            build(lists, size, deadline)
+
+        ticks = iter([0.0])
+        monkeypatch.setattr(search, "_to_bitsets", recorded)
+        monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=lambda: next(ticks, math.inf)))
+        with pytest.raises(TimeoutError):
+            compatibility_graph(catalog, deadline=1.0)
+        assert len(built) == 1
+        assert [type(b) for b in built[0]] == [int] + [list] * 23
 
     def test_berman_pair_mutually_compatible(self):
         assert distributive_witness(BERMAN_TAU, BERMAN_SIGMA) is None
@@ -408,9 +445,34 @@ class TestCertify:
         doc = certify_no_nonabelian(2).to_document()
         assert list(doc["statistics"]) == ["nodes_pruned"]  # no timing key
 
-    def test_report_document_deterministic(self):
-        import json
+    def test_commutation_on_column_indices(self):
+        catalog = enumerate_racks(4)
+        commute = search._commutation(4)
+        outcomes = set()
+        for a, ca in zip(catalog.racks, catalog.columns):
+            for b, cb in zip(catalog.racks, catalog.columns):
+                got = all(map(commute, ca, cb))
+                assert got == commutes(a, b)
+                outcomes.add(got)
+        assert outcomes == {False, True}
 
+    @pytest.mark.parametrize(
+        "n, digest",
+        [
+            (1, "85926df9cb1747d78a5d58f1388d104aec4ccf73b242dc66f3f03c2ad2875fba"),
+            (2, "e7026ba742ec9073efd41fff4b3e11d175eb9ccce4af163de64d6e49a9b6e236"),
+            (3, "5a7a256314032a73d4e75821b44572192fe85490b88733cceed2fb743a4e5362"),
+            (4, "70020730de59475dc9d41e0fc2b91de081c411d5ea1d80b70cc7d5e7ac9a4d97"),
+            (5, "466a8f491e6aad3fe1d6ff768e571d020ec3031066111199b7aaca5624e7e5d3"),
+        ],
+    )
+    def test_report_bytes_pinned(self, n, digest):
+        # The whole report, nodes_pruned included: a faster search must
+        # leave every byte of it as it is.
+        doc = json.dumps(certify_no_nonabelian(n).to_document(), sort_keys=True)
+        assert hashlib.sha256(doc.encode()).hexdigest() == digest
+
+    def test_report_document_deterministic(self):
         a = json.dumps(certify_no_nonabelian(3).to_document(), sort_keys=True)
         b = json.dumps(certify_no_nonabelian(3).to_document(), sort_keys=True)
         assert a == b
