@@ -1,0 +1,5 @@
+"""``python -m multishelf``: the same command line as ``multishelf``."""
+from .cli import main
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -12,6 +12,18 @@ face maps are checked against the presimplicial identities, which make the
 boundary square to zero.  A run builds the face tables of each operation
 with nonzero weight once, for every degree at the same time, by an integer
 recurrence on the lex index; that check and the boundary matrices share them.
+
+Before each Smith normal form the complex is reduced by elementary
+reductions (Kaczynski, Mrozek and Slusarek, "Homology computation by
+reduction of chain complexes", Comput. Math. Appl. 35 (1998)), with pivots
+the previous degree's SNF already took.  Let P be the columns of d_{k-1}
+that its SNF pivots on with +-1 before any other pivot, and E its row
+operations up to then: the minor U = (E d_{k-1})[R, P] on the pivot rows R
+is triangular with +-1 on its diagonal, so unimodular.  Since
+d_{k-1} d_k = 0, U d_k[P] = -(E d_{k-1})[R, not P] d_k[not P]: the rows P
+of d_k are integer combinations of its other rows, and deleting them leaves
+its invariant factors unchanged.  With weights such as 2,5 no matrix has a
++-1 entry, so P is empty and nothing is dropped.
 """
 from __future__ import annotations
 
@@ -168,6 +180,11 @@ def homology_groups(
     tables are dropped once its matrix is built.  ``dim_budget`` bounds the
     rows of every face table and the columns of every matrix the run builds;
     it is checked before any of them is built.
+
+    Each SNF after the first runs on d_d without the rows that the SNF of
+    d_{d-1} matched with +-1 pivots (see the module docstring).  Deleting
+    them is exact only because d_{d-1} d_d = 0, and verify_differential
+    guarantees that before any matrix is built.
     """
     n = spec.S.n
     top = _top_degree(spec)
@@ -181,11 +198,18 @@ def homology_groups(
             "distributive; refusing to compute"
         )
     factors = {}
+    matched: set[int] = set()  # rows of d_d that d_{d-1}'s unit pivots matched
     for d in range(1, spec.max_degree + 1):
         M = boundary_matrix(spec, d, faces)
         for tables in faces:
             tables[d] = None  # its last use, so the SNF runs without it
-        factors[d] = smith_normal_form(M)
+        if matched:
+            data = tuple(row for i, row in enumerate(M.data) if i not in matched)
+            kept = object.__new__(IntMatrix)  # M's rows are validated: no __post_init__ pass
+            kept.__dict__.update(rows=len(data), cols=M.cols, data=data)
+            M = kept
+        matched = set()
+        factors[d] = smith_normal_form(M, matched)
     groups = []
     for d in range(spec.max_degree):
         above = factors[d + 1]

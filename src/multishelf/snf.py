@@ -24,6 +24,12 @@ boundary matrices that is faster than a column-to-rows index and raises peak
 memory less.  One gcd/lcm pass turns the diagonal into invariant factors,
 since diag(a, b) and diag(gcd(a, b), lcm(a, b)) are equivalent over the
 integers.
+
+An optional output argument, a set, receives the column of each +-1 pivot
+taken before the first pivot of any other value.  Up to that pivot the
+elimination has run row operations only, so with E their product the minor
+of E.M on the pivot rows and these columns is triangular with +-1 on its
+diagonal.  homology_groups reads it to drop rows of the next boundary matrix.
 """
 from __future__ import annotations
 
@@ -63,8 +69,12 @@ def int_matrix(data: Sequence[Sequence[int]]) -> IntMatrix:
     return IntMatrix(len(data), cols, tuple(pairs))
 
 
-def smith_normal_form(M: IntMatrix) -> list[int]:
-    """Invariant factors d1 | d2 | ... (positive, nonzero ones only)."""
+def smith_normal_form(M: IntMatrix, matched: set[int] | None = None) -> list[int]:
+    """Invariant factors d1 | d2 | ... (positive, nonzero ones only).
+
+    ``matched``, if given, receives the column of each +-1 pivot taken
+    before the first pivot of any other value.
+    """
     rows = {i: dict(r) for i, r in enumerate(M.data) if r}
     count = Counter(j for row in rows.values() for j in row)  # nonzeros per column
     heap: list[tuple[int, int]] = []  # (length, row), filled below
@@ -86,6 +96,8 @@ def smith_normal_form(M: IntMatrix) -> list[int]:
         c = min(small, key=lambda j: (count[j], j))
         while True:
             pv = prow.pop(c)
+            if pv != 1 and pv != -1:
+                matched = None  # later units may follow column operations
             left = []  # rows with a remainder in column c
             for i in [i for i, row in rows.items() if c in row]:
                 row = rows[i]
@@ -117,6 +129,8 @@ def smith_normal_form(M: IntMatrix) -> list[int]:
                 continue
             if pv == 1 or pv == -1:
                 ones += 1
+                if matched is not None:
+                    matched.add(c)
             else:
                 for j, v in list(prow.items()):
                     r = v % pv

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import multishelf
 from multishelf import compose, invert, make_table, right_trivial
 from multishelf.cli import main
 from multishelf.fixtures import BERMAN_SIGMA, BERMAN_TAU
@@ -14,6 +19,16 @@ from multishelf.shelves import DistributiveSet
 def berman_dir(tmp_path):
     assert main(["fixtures", "berman-d6", "--out", str(tmp_path)]) == 0
     return tmp_path
+
+
+def test_python_m_multishelf():
+    src = str(Path(multishelf.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run(
+        [sys.executable, "-m", "multishelf", "fixtures", "list"], env=env, capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.startswith("berman-d6  sha256=")
 
 
 class TestFixturesCommand:

@@ -9,6 +9,7 @@ from multishelf import (
     DistributiveSet,
     boundary_matrix,
     cyclic,
+    dihedral,
     distributive_witness,
     enumerate_racks,
     homology_groups,
@@ -352,6 +353,37 @@ class TestSmithNormalForm:
         f = smith_normal_form(int_matrix(m))
         assert f == naive_snf(m)
 
+    @pytest.mark.parametrize(
+        "m, expected",
+        [
+            ([[2, 0], [0, 1]], {1}),
+            ([[2, 3]], set()),  # its unit appears only after column operations
+            ([[2, 4], [6, 8]], set()),  # no +-1 entry
+        ],
+        ids=["unit-first", "unit-after-column-ops", "no-unit"],
+    )
+    def test_matched_unit_pivot_columns(self, m, expected):
+        matched = set()
+        assert smith_normal_form(int_matrix(m), matched) == smith_normal_form(int_matrix(m))
+        assert matched == expected
+
+    def test_matched_columns_have_unimodular_minor(self):
+        # the columns P of the unit pivots carry a +-1-diagonal triangular
+        # minor after row operations, so M[:, P] has |P| invariant factors 1
+        rng = random.Random(21)
+        recorded = 0
+        for _ in range(200):
+            r, c = rng.randint(1, 7), rng.randint(1, 7)
+            m = [[rng.choice((0, 0, 1, -1, 2, -3)) for _ in range(c)] for _ in range(r)]
+            matched = set()
+            assert smith_normal_form(int_matrix(m), matched) == naive_snf(m)
+            cols = sorted(matched)
+            if cols:
+                sub = [[row[j] for j in cols] for row in m]
+                assert smith_normal_form(int_matrix(sub)) == [1] * len(cols)
+            recorded += len(cols)
+        assert recorded
+
 
 def faces_by_definition(op, degree):
     """faces[i][x]: lex index of d_i(x_0..x_d) = (x_0*x_i, .., x_{i-1}*x_i,
@@ -607,6 +639,39 @@ class TestHomologyGroups:
         assert built == [(BERMAN_TAU, top), (BERMAN_SIGMA, top)]
         expected = homology_groups(ChainSpec(make_distributive_set([BERMAN_TAU, BERMAN_SIGMA]), (1, -1), max_degree))
         assert groups == expected
+
+    def test_drops_rows_matched_by_previous_unit_pivots(self, monkeypatch):
+        rows = []
+        snf = homology.smith_normal_form
+        monkeypatch.setattr(homology, "smith_normal_form", lambda M, *a: rows.append(M.rows) or snf(M, *a))
+        spec = ChainSpec(make_distributive_set([BERMAN_TAU, BERMAN_SIGMA]), (1, -1), 3)
+        homology_groups(spec)
+        assert rows == [6, 36 - 5, 216 - 30]
+
+    @pytest.mark.parametrize(
+        "ops, weights",
+        [
+            ("berman", (1, -1)),
+            ("berman", (1, 1)),
+            ("berman", (2, 5)),  # no +-1 entry: nothing is dropped
+            ("cyclic:3", (1, 2, -1)),
+            ("dihedral:3", (1, 0, -1, 2, 0, 1)),
+        ],
+        ids=_param_id,
+    )
+    def test_matches_snf_of_full_matrices(self, ops, weights):
+        if ops == "berman":
+            tables = [BERMAN_TAU, BERMAN_SIGMA]
+        else:
+            tables = list(regular_embed(cyclic(3) if ops == "cyclic:3" else dihedral(3)).images)
+        spec = ChainSpec(make_distributive_set(tables), weights, 3)
+        n = spec.S.n
+        factors = [[]] + [smith_normal_form(boundary_matrix(spec, d)) for d in (1, 2, 3)]
+        expected = [
+            (n ** (d + 1) - len(factors[d]) - len(factors[d + 1]), tuple(f for f in factors[d + 1] if f > 1))
+            for d in range(3)
+        ]
+        assert [(h.free_rank, h.torsion) for h in homology_groups(spec)] == expected
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_one_term_homology_of_racks_is_trivial(self, n):
