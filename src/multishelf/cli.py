@@ -91,8 +91,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_compose(args) -> int:
-    op1 = load_table(args.ops[0])
-    op2 = load_table(args.ops[1])
+    op1, op2 = map(load_table, args.ops)
     write_document(table_document(compose(op1, op2)), args.out)
     return EXIT_OK
 
@@ -102,11 +101,9 @@ def _cmd_embed_regular(args) -> int:
     E = regular_embed(G)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    files = []
-    for g, op in enumerate(E.images):
-        name = f"op_{g}.json"
+    files = [f"op_{g}.json" for g in range(len(E.images))]
+    for name, op in zip(files, E.images):
         save_table(op, outdir / name)
-        files.append(name)
     manifest = {
         "group": group_document(G),
         "images": files,
@@ -127,8 +124,7 @@ def _cmd_alpha(args) -> int:
 
 
 def _cmd_check_conjugation(args) -> int:
-    op1 = load_table(args.ops[0])
-    op2 = load_table(args.ops[1])
+    op1, op2 = map(load_table, args.ops)
     w = conjugation_condition(alpha(op1), alpha(op2))
     if w is None:
         write_document({"holds": True}, args.out)
@@ -138,9 +134,7 @@ def _cmd_check_conjugation(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    seed = None
-    if args.seed_pair:
-        seed = (load_table(args.seed_pair[0]), load_table(args.seed_pair[1]))
+    seed = tuple(map(load_table, args.seed_pair)) if args.seed_pair else None
     report = certify_no_nonabelian(args.n, budget=args.budget, seed_pair=seed)
     write_document(report.to_document(), args.report)
     if report.conclusion == "nonabelian-found":

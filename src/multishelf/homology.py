@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .shelves import DistributiveSet
-from .snf import IntMatrix, smith_normal_form
+from .snf import IntMatrix, integer, smith_normal_form
 from .tables import OpTable
 
 CONVENTION = "right-multiply-prefix/delete-face, signs (-1)^i, weighted sum"
@@ -56,6 +56,8 @@ class ChainSpec:
             raise ValueError(
                 f"{len(self.weights)} weights for {len(self.S.ops)} operations"
             )
+        for k, w in enumerate(self.weights):
+            integer(w, f"weight {k}")
         if self.max_degree < 0:
             raise ValueError("max_degree must be >= 0")
 
@@ -205,9 +207,7 @@ def homology_groups(
             tables[d] = None  # its last use, so the SNF runs without it
         if matched:
             data = tuple(row for i, row in enumerate(M.data) if i not in matched)
-            kept = object.__new__(IntMatrix)  # M's rows are validated: no __post_init__ pass
-            kept.__dict__.update(rows=len(data), cols=M.cols, data=data)
-            M = kept
+            M = IntMatrix(len(data), M.cols, data)
         matched = set()
         factors[d] = smith_normal_form(M, matched)
     groups = []

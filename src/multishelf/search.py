@@ -102,17 +102,16 @@ def _check_deadline(deadline: Optional[float]) -> None:
 
 
 def _perm_index(n: int) -> dict[Permutation, int]:
-    """The permutations of the carrier in lexicographic order, the k-th
-    mapped to k."""
+    """The permutations of the carrier in lexicographic order, the k-th to k."""
     return {p: k for k, p in enumerate(itertools.permutations(range(n)))}
 
 
 def _symmetric(n: int, deadline: Optional[float]) -> tuple:
-    """S_n on permutation indices, as (perms, index, mul, conj): ``perms[k]``
-    is the k-th permutation of the carrier in lexicographic order, so index
-    order is lex order, and ``index`` inverts ``perms``; ``mul[a][b]``
-    applies a, then b, and ``conj[q][p]`` is x -> q(p(q^-1(x))).  The
-    deadline is checked once per row of the two n! x n! tables."""
+    """S_n on permutation indices, as (perms, mul, conj): ``perms[k]`` is
+    the k-th permutation of the carrier in lexicographic order, so index
+    order is lex order; ``mul[a][b]`` applies a, then b, and ``conj[q][p]``
+    is x -> q(p(q^-1(x))).  The deadline is checked once per row of the two
+    n! x n! tables."""
     index = _perm_index(n)
     perms = list(index)
     mul = []
@@ -125,10 +124,10 @@ def _symmetric(n: int, deadline: Optional[float]) -> tuple:
     for q, p in enumerate(perms):
         _check_deadline(deadline)
         conj.append([mul[m][q] for m in mul[index[perm_inverse(p)]]])
-    return perms, index, mul, conj
+    return perms, mul, conj
 
 
-def _enumerate_pruned(n: int, deadline: Optional[float], sym: tuple) -> tuple[list[OpTable], int]:
+def _enumerate_pruned(n: int, deadline: Optional[float], sym: tuple) -> tuple[list[tuple[int, ...]], int]:
     """Backtrack over columns with propagation of the self-conjugation
     constraint sigma_{sigma_z(y)} = sigma_z sigma_y sigma_z^-1.
 
@@ -137,12 +136,13 @@ def _enumerate_pruned(n: int, deadline: Optional[float], sym: tuple) -> tuple[li
     of 720 at n = 6) and still meets every relabeling class.  Each newly
     assigned column is checked, in both directions, only against the
     columns assigned so far.  Columns are indices into the tables ``sym``
-    that ``_symmetric(n, deadline)`` returns.  Returns (racks, nodes_pruned).
+    that ``_symmetric(n, deadline)`` returns.  Returns (racks, nodes_pruned),
+    each rack as its tuple of column indices.
     """
-    perms, _, _, conj = sym
+    perms, _, conj = sym
     fix0 = [q for q, qp in enumerate(perms) if qp[0] == 0]
     column0 = [p for p in range(len(perms)) if all(p <= conj[q][p] for q in fix0)]
-    found: list[OpTable] = []
+    found: list[tuple[int, ...]] = []
     pruned = 0
 
     def assign(cols: list[Optional[int]], y: int, p: int) -> bool:
@@ -179,7 +179,7 @@ def _enumerate_pruned(n: int, deadline: Optional[float], sym: tuple) -> tuple[li
         except ValueError:
             table = alpha_inverse([perms[c] for c in cols])  # type: ignore[index]
             if distributive_witness(table, table) is None:
-                found.append(table)
+                found.append(tuple(cols))  # type: ignore[arg-type]
             return
         for p in range(len(perms)) if y else column0:
             trial = list(cols)
@@ -210,7 +210,7 @@ def canonical_form_set(ops: Sequence[OpTable]) -> tuple[OpTable, ...]:
     return tuple(OpTable(n, e) for e in best)
 
 
-def _automorphisms(cols: list[int], perms: list[Permutation], conj: list[list[int]]) -> list[int]:
+def _automorphisms(cols: Sequence[int], perms: list[Permutation], conj: list[list[int]]) -> list[int]:
     """Indices of the relabelings that fix the rack with column indices
     ``cols``, in increasing order.  ``relabel(r, p)`` has column
     ``conj[p][cols[y]]`` at p(y), so p fixes r iff that is ``cols[p(y)]``
@@ -238,20 +238,20 @@ def enumerate_racks(n: int, deadline: Optional[float] = None) -> RackCatalog:
     every q in the coset ``q . Aut(r)``, so r is relabeled once per coset,
     at its least member, and the coset is then marked as seen.  The image's
     automorphism group is ``q Aut(r) q^-1``.  All of this runs on the
-    indices of the ``_symmetric`` tables, built once per call.  Raises
+    indices of the ``_symmetric`` tables, built once per call; a rack's
+    column indices key it from the backtrack to ``columns``.  Raises
     TimeoutError once ``time.monotonic()`` passes ``deadline``.
     """
     _check_size(n)
     sym = _symmetric(n, deadline)
     found, pruned = _enumerate_pruned(n, deadline, sym)
-    perms, index, mul, conj = sym
+    perms, mul, conj = sym
     shared: dict = {}  # one object per distinct mask (int) and table row (tuple)
-    swept: dict[tuple, tuple[OpTable, int, int]] = {}  # entries -> (table, class, mask)
-    for cls, rack in enumerate(found):
-        if rack.entries in swept:
+    swept: dict[tuple, tuple[OpTable, int, int]] = {}  # columns -> (table, class, mask)
+    for cls, cols in enumerate(found):
+        if cols in swept:
             continue
         _check_deadline(deadline)
-        cols = [index[c] for c in zip(*rack.entries)]
         aut = _automorphisms(cols, perms, conj)
         seen = bytearray(len(perms))
         for q, qp in enumerate(perms):
@@ -263,14 +263,12 @@ def enumerate_racks(n: int, deadline: Optional[float] = None) -> RackCatalog:
             mask = sum(1 << cq[a] for a in aut)
             image = [0] * n  # relabel(r, q) has column conj[q][cols[y]] at q(y)
             for v, c in zip(qp, cols):
-                image[v] = perms[cq[c]]
-            entries = tuple([shared.setdefault(r, r) for r in zip(*image)])
-            swept[entries] = (OpTable(n, entries), cls, shared.setdefault(mask, mask))
+                image[v] = cq[c]
+            entries = tuple([shared.setdefault(r, r) for r in zip(*map(perms.__getitem__, image))])
+            swept[tuple(image)] = (OpTable(n, entries), cls, shared.setdefault(mask, mask))
     del found, sym, perms, mul, conj  # freed before the catalog is sorted
-    racks, classes, masks = zip(*(swept[e] for e in sorted(swept)))
-    # Read back from the sorted racks: a tuple per image kept from the sweep
-    # lies among its short-lived objects and raised the peak memory.
-    columns = tuple([tuple([index[c] for c in zip(*r.entries)]) for r in racks])
+    columns = tuple(sorted(swept, key=lambda k: swept[k][0].entries))
+    racks, classes, masks = zip(*map(swept.__getitem__, columns))
     first: dict[int, int] = {}  # class -> index of its least rack
     orbit = tuple(first.setdefault(c, i) for i, c in enumerate(classes))
     return RackCatalog(n, racks, orbit, masks, columns, pruned)
@@ -398,12 +396,12 @@ def certify_no_nonabelian(
     ``seed_pair`` the enumeration is skipped and the catalog is that pair,
     each table its own class.  ``budget`` seconds bound every phase; when they run out the
     conclusion is "partial" unless a non-abelian group was already found.
-    A NaN budget raises ValueError.  Commutation is read column by column
+    A negative or NaN budget raises ValueError.  Commutation is read column by column
     from ``catalog.columns`` (see ``_commutation``).
     """
     _check_size(n)
-    if budget is not None and math.isnan(budget):
-        raise ValueError(f"budget={budget} is not a number of seconds")
+    if budget is not None and not budget >= 0:  # NaN fails every comparison
+        raise ValueError(f"budget={budget} is not a number of seconds >= 0")
     deadline = None if budget is None else time.monotonic() + budget
     catalog = None if seed_pair is None else seed_catalog(n, seed_pair)
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
@@ -61,12 +62,19 @@ class IntMatrix:
                 last = j
 
 
+def integer(v: object, where: str) -> int:
+    """``operator.index(v)``, so numpy integers pass; a bool raises like any non-integer."""
+    if isinstance(v, bool) or not hasattr(v, "__index__"):
+        raise ValueError(f"{where}: {v!r} is not an integer")
+    return operator.index(v)
+
+
 def int_matrix(data: Sequence[Sequence[int]]) -> IntMatrix:
     cols = len(data[0]) if data else 0
     if any(len(r) != cols for r in data):
         raise ValueError(f"ragged rows: expected {cols} entries in each")
-    pairs = (tuple((j, v) for j, v in enumerate(map(int, r)) if v) for r in data)
-    return IntMatrix(len(data), cols, tuple(pairs))
+    rows = [[integer(v, f"entry ({i},{j})") for j, v in enumerate(r)] for i, r in enumerate(data)]
+    return IntMatrix(len(rows), cols, tuple(tuple((j, v) for j, v in enumerate(r) if v) for r in rows))
 
 
 def smith_normal_form(M: IntMatrix, matched: set[int] | None = None) -> list[int]:

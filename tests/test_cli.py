@@ -210,6 +210,15 @@ class TestSearchCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: budget=nan ")
 
+    def test_negative_budget_rejected(self, tmp_path, capsys):
+        # before, --budget -1 ran and reported "partial" with exit 2
+        report = tmp_path / "r.json"
+        assert main(["search", "--n", "3", "--budget", "-1", "--report", str(report)]) == 1
+        assert not report.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: budget=-1.0 ")
+
     @pytest.mark.parametrize("n", ["0", "-2"])
     def test_size_out_of_range(self, n, capsys):
         assert main(["search", "--n", n]) == 1

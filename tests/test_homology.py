@@ -274,6 +274,19 @@ class TestIntMatrix:
         assert M.data == (((1, 3),), (), ((0, -2), (2, 5)))
         assert dense(M) == ((0, 3, 0), (0, 0, 0), (-2, 0, 5))
 
+    @pytest.mark.parametrize("entry", [0.5, 1.9, 2.0, "3", True, None])
+    def test_int_matrix_rejects_non_integers(self, entry):
+        # int() would drop 0.5, truncate 1.9 and parse "3"
+        with pytest.raises(ValueError, match=r"entry \(1,0\): .* is not an integer"):
+            int_matrix([[1, 2], [entry, 3]])
+
+    def test_int_matrix_accepts_numpy_integers(self):
+        np = pytest.importorskip("numpy")
+        M = int_matrix([list(map(np.int64, r)) for r in [[0, 2], [-1, 0]]])
+        assert M.data == (((1, 2),), ((0, -1),))
+        assert all(type(v) is int for row in M.data for _, v in row)
+        assert smith_normal_form(M) == [1, 2]
+
 
 class TestSmithNormalForm:
     def test_zero_matrix(self):
@@ -648,6 +661,19 @@ class TestHomologyGroups:
         homology_groups(spec)
         assert rows == [6, 36 - 5, 216 - 30]
 
+    def test_reduced_matrices_are_validated(self, monkeypatch):
+        # each matrix an SNF runs on, reduced ones included, passes IntMatrix's checks
+        checked = []
+
+        class Recorded(IntMatrix):
+            def __post_init__(self):
+                checked.append(self.rows)
+                super().__post_init__()
+
+        monkeypatch.setattr(homology, "IntMatrix", Recorded)
+        homology_groups(ChainSpec(make_distributive_set([BERMAN_TAU, BERMAN_SIGMA]), (1, -1), 3))
+        assert checked == [6, 36, 36 - 5, 216, 216 - 30]
+
     @pytest.mark.parametrize(
         "ops, weights",
         [
@@ -711,3 +737,17 @@ class TestChainSpec:
         S = make_distributive_set([right_trivial(2)])
         with pytest.raises(ValueError, match="max_degree must be >= 0"):
             ChainSpec(S, (1,), -1)
+
+    @pytest.mark.parametrize(
+        "weights, position", [((0.5, -1), 0), ((1, 2.0), 1), ((1, True), 1), (("1", -1), 0)]
+    )
+    def test_rejects_non_integer_weights(self, weights, position):
+        S = make_distributive_set([BERMAN_TAU, BERMAN_SIGMA])
+        with pytest.raises(ValueError, match=f"weight {position}: .* is not an integer"):
+            ChainSpec(S, weights, 2)
+
+    def test_accepts_numpy_integer_weights(self):
+        np = pytest.importorskip("numpy")
+        S = make_distributive_set([BERMAN_TAU, BERMAN_SIGMA])
+        spec = ChainSpec(S, (np.int64(1), np.int64(-1)), 2)
+        assert homology_groups(spec) == homology_groups(ChainSpec(S, (1, -1), 2))

@@ -33,6 +33,7 @@ from multishelf import (
 from multishelf import search
 from multishelf.fixtures import BERMAN_SIGMA, BERMAN_TAU, XOR
 from multishelf.tables import noninvertible_column, perm_compose, perm_inverse
+from multishelf.translate import alpha_inverse
 
 
 def invertible_tables(n):
@@ -148,7 +149,9 @@ class TestEnumerateRacks:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_backtrack_meets_every_class_once_per_column0_orbit(self, n):
-        racks, _ = search._enumerate_pruned(n, None, search._symmetric(n, None))
+        sym = search._symmetric(n, None)
+        found, _ = search._enumerate_pruned(n, None, sym)
+        racks = [alpha_inverse([sym[0][c] for c in cols]) for cols in found]
         # The relabelings fixing 0 act on column 0 by conjugation.
         fixing0 = [q for q in itertools.permutations(range(n)) if q[0] == 0]
         orbits = {
@@ -226,9 +229,9 @@ class TestEnumerateRacks:
 class TestSymmetricTables:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_tables_match_tuple_arithmetic(self, n):
-        perms, index, mul, conj = search._symmetric(n, None)
+        perms, mul, conj = search._symmetric(n, None)
         assert perms == sorted(itertools.permutations(range(n)))  # index order is lex order
-        assert [index[p] for p in perms] == list(range(len(perms)))
+        index = {p: k for k, p in enumerate(perms)}
         identity = index[tuple(range(n))]
         for a, p in enumerate(perms):
             pinv = perm_inverse(p)
@@ -436,6 +439,11 @@ class TestCertify:
     def test_nan_budget_rejected(self):
         with pytest.raises(ValueError, match="budget=nan "):
             certify_no_nonabelian(3, budget=float("nan"))
+
+    @pytest.mark.parametrize("budget", [-1, -1e-9, -math.inf])
+    def test_negative_budget_rejected(self, budget):
+        with pytest.raises(ValueError, match=f"budget={budget} "):
+            certify_no_nonabelian(3, budget=budget)
 
     def test_budget_zero_reports_partial(self):
         report = certify_no_nonabelian(3, budget=0.0)
