@@ -113,7 +113,8 @@ def boundary_matrix(
     if faces is None:
         faces = _weighted_face_tables(spec, degree)
     n = spec.S.n
-    signs = [-w if i % 2 else w for w in spec.weights if w for i in range(degree + 1)]
+    # IntMatrix takes Python ints only, and a weight may be a numpy integer
+    signs = [int(-w if i % 2 else w) for w in spec.weights if w for i in range(degree + 1)]
     columns = [face for tables in faces for face in tables[degree]]
     data = [[] for _ in range(n**degree)]  # row: its (column, value) pairs
     # x runs in increasing order, so every row comes out sorted

@@ -135,9 +135,13 @@ def _enumerate_pruned(n: int, deadline: Optional[float], sym: tuple) -> tuple[li
     takes the least permutation of each such orbit (12 of 120 at n = 5, 19
     of 720 at n = 6) and still meets every relabeling class.  Each newly
     assigned column is checked, in both directions, only against the
-    columns assigned so far.  Columns are indices into the tables ``sym``
-    that ``_symmetric(n, deadline)`` returns.  Returns (racks, nodes_pruned),
-    each rack as its tuple of column indices.
+    columns assigned so far; a candidate for the next free column is first
+    tested against the columns already set, without copying the assignment.
+    Every completion meets the constraint for all pairs, so it is a rack, but
+    it is returned unchecked: ``enumerate_racks`` checks the first completion
+    of each relabeling class.  Columns are indices into the tables ``sym``
+    that ``_symmetric(n, deadline)`` returns.  Returns (completions,
+    nodes_pruned), each completion as its tuple of column indices.
     """
     perms, _, conj = sym
     fix0 = [q for q, qp in enumerate(perms) if qp[0] == 0]
@@ -177,16 +181,27 @@ def _enumerate_pruned(n: int, deadline: Optional[float], sym: tuple) -> tuple[li
         try:
             y = cols.index(None)
         except ValueError:
-            table = alpha_inverse([perms[c] for c in cols])  # type: ignore[index]
-            if distributive_witness(table, table) is None:
-                found.append(tuple(cols))  # type: ignore[arg-type]
+            found.append(tuple(cols))  # type: ignore[arg-type]
             return
+        assigned = [(z, c) for z, c in enumerate(cols) if c is not None]
         for p in range(len(perms)) if y else column0:
-            trial = list(cols)
-            if assign(trial, y, p):
-                extend(trial)
-            else:
+            # The first checks ``assign`` makes on popping y, read on cols
+            # before the copy: a value set there stays set in the trial.
+            pp, cp = perms[p], conj[p]
+            w = cols[pp[y]]
+            if w is not None and w != p:
                 pruned += 1
+                continue
+            for z, c in assigned:
+                w = cols[pp[z]]
+                if w is not None and w != cp[c]:
+                    break
+            else:
+                trial = list(cols)
+                if assign(trial, y, p):
+                    extend(trial)
+                    continue
+            pruned += 1
 
     extend([None] * n)
     return found, pruned
@@ -233,13 +248,17 @@ def enumerate_racks(n: int, deadline: Optional[float] = None) -> RackCatalog:
     their relabeling classes and automorphism groups.
 
     The catalog is the union of the relabeling classes of the racks that
-    ``_enumerate_pruned`` finds, which meet every class.  Each found rack r
-    not yet swept gives its class: ``relabel(r, q)`` is the same table for
-    every q in the coset ``q . Aut(r)``, so r is relabeled once per coset,
-    at its least member, and the coset is then marked as seen.  The image's
-    automorphism group is ``q Aut(r) q^-1``.  All of this runs on the
-    indices of the ``_symmetric`` tables, built once per call; a rack's
-    column indices key it from the backtrack to ``columns``.  Raises
+    ``_enumerate_pruned`` finds, which meet every class.  Each completion r
+    not yet swept is checked with ``distributive_witness``, skipped if it
+    fails, and gives its class.  That is one check per class and as strong
+    as checking every completion: each rack of the catalog is a relabeling
+    of a checked one, relabeling keeps self-distributivity, and a
+    completion already swept adds nothing.  ``relabel(r, q)`` is the same
+    table for every q in the coset ``q . Aut(r)``, so r is relabeled once
+    per coset, at its least member, and the coset is then marked as seen.
+    The image's automorphism group is ``q Aut(r) q^-1``.  All of this runs
+    on the indices of the ``_symmetric`` tables, built once per call; a
+    rack's column indices key it from the backtrack to ``columns``.  Raises
     TimeoutError once ``time.monotonic()`` passes ``deadline``.
     """
     _check_size(n)
@@ -252,6 +271,9 @@ def enumerate_racks(n: int, deadline: Optional[float] = None) -> RackCatalog:
         if cols in swept:
             continue
         _check_deadline(deadline)
+        table = alpha_inverse([perms[c] for c in cols])
+        if distributive_witness(table, table) is not None:
+            continue
         aut = _automorphisms(cols, perms, conj)
         seen = bytearray(len(perms))
         for q, qp in enumerate(perms):

@@ -57,6 +57,8 @@ class IntMatrix:
                     j, v = entry
                 except (TypeError, ValueError):
                     raise ValueError(f"row {i}: {entry!r} is not a (column, value) pair") from None
+                if type(j) is not int or type(v) is not int:
+                    raise ValueError(f"row {i}: ({j!r}, {v!r}) is not a pair of ints")
                 if not (last < j < self.cols and v):
                     raise ValueError(f"row {i}: ({j}, {v}) is zero, unsorted or out of range")
                 last = j

@@ -245,6 +245,12 @@ class TestIntMatrix:
             ((-1, 1),),
             (0, 0, 0),
             ((0, 1, 2),),
+            ((0, 0.5),),
+            ((0, True),),
+            ((0, 1.0),),
+            ((0.0, 1),),
+            ((False, 1),),
+            (("0", 1),),
         ],
         ids=[
             "stored-zero",
@@ -254,6 +260,12 @@ class TestIntMatrix:
             "negative-column",
             "dense-row",
             "triple-entry",
+            "float-value",
+            "bool-value",
+            "integral-float-value",
+            "float-column",
+            "bool-column",
+            "str-column",
         ],
     )
     def test_rejects_bad_row(self, row):

@@ -75,6 +75,15 @@ def _count_calls(monkeypatch, pairs):
     return closures, keys
 
 
+def _count_witness_calls(monkeypatch):
+    """Record the first table of each ``distributive_witness`` call made
+    from the search module."""
+    tables = []
+    check = search.distributive_witness
+    monkeypatch.setattr(search, "distributive_witness", lambda a, b: tables.append(a) or check(a, b))
+    return tables
+
+
 def enumerate_racks_brute_force(n):
     """Reference enumerator: the self-distributive invertible tables,
     sorted by table encoding."""
@@ -171,10 +180,50 @@ class TestEnumerateRacks:
         # racks on 1..5 points up to relabeling (OEIS A181771): 1, 2, 6, 19, 74
         assert [len(enumerate_racks(n).canonical) for n in (1, 2, 3, 4, 5)] == [1, 2, 6, 19, 74]
 
-    def test_known_counts_n6(self):
+    def test_known_counts_n6(self, monkeypatch):
         # OEIS A181771 gives 353 racks on 6 points up to relabeling
+        checked = _count_witness_calls(monkeypatch)
         catalog = enumerate_racks(6)
         assert (len(catalog.canonical), len(catalog.racks)) == (353, 36538)
+        assert catalog.nodes_pruned == 1_050_371
+        assert len(checked) == 353  # one check per class
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_backtrack_completions_are_racks(self, n):
+        # The backtrack returns its completions unchecked.
+        sym = search._symmetric(n, None)
+        found, _ = search._enumerate_pruned(n, None, sym)
+        for cols in found:
+            table = alpha_inverse([sym[0][c] for c in cols])
+            assert distributive_witness(table, table) is None
+
+    @pytest.mark.parametrize("n, classes", [(4, 19), (5, 74)])
+    def test_one_check_per_class(self, monkeypatch, n, classes):
+        checked = _count_witness_calls(monkeypatch)
+        catalog = enumerate_racks(n)
+        assert len(checked) == len(catalog.canonical) == classes
+        assert {canonical_form(t) for t in checked} == set(catalog.canonical)
+
+    def test_failed_check_drops_the_class(self, monkeypatch):
+        # A completion whose check fails is skipped, so a class all of whose
+        # tables fail the check is missing and the other classes are kept.
+        full = enumerate_racks(4)
+        target = full.canonical[7]
+        members = {r for r, o in zip(full.racks, full.orbit) if full.racks[o] == target}
+        check = search.distributive_witness
+        monkeypatch.setattr(
+            search,
+            "distributive_witness",
+            lambda a, b: (0, 0, 0) if a in members else check(a, b),
+        )
+        catalog = enumerate_racks(4)
+        assert catalog.canonical == tuple(c for c in full.canonical if c != target)
+        kept = [j for j, r in enumerate(full.racks) if r not in members]
+        assert catalog.racks == tuple(full.racks[j] for j in kept)
+        assert catalog.automorphisms == tuple(full.automorphisms[j] for j in kept)
+        assert catalog.columns == tuple(full.columns[j] for j in kept)
+        assert [catalog.racks[o] for o in catalog.orbit] == [full.racks[full.orbit[j]] for j in kept]
+        assert catalog.nodes_pruned == full.nodes_pruned
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_canonical_matches_canonical_form(self, n):
