@@ -13,7 +13,6 @@ files written from it cannot drift.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 
 from .formats import set_document
@@ -78,6 +77,8 @@ def fixture(name: str) -> tuple[tuple[OpTable, ...], dict, str]:
 
 def document_checksum(doc: dict) -> str:
     """sha256 of a JSON document serialized with sorted keys."""
+    import hashlib  # loads OpenSSL, which a run that computes no checksum does without
+
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 

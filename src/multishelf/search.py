@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from collections import Counter
 from dataclasses import dataclass
 from functools import cache, reduce
 from operator import and_, itemgetter, or_
@@ -43,6 +42,7 @@ class RackCatalog:
     """Racks sorted by table encoding, with their relabeling classes,
     automorphism groups and column indices.
 
+    The search reads ``_sweep`` and builds no catalog but a seed pair's.
     ``orbit[i]`` is the index of the first rack in the class of
     ``racks[i]``.  Since the racks are sorted, that first rack is the least
     relabeling of each member, i.e. its canonical form.  Permutations of
@@ -217,11 +217,7 @@ def canonical_form_set(ops: Sequence[OpTable]) -> tuple[OpTable, ...]:
     if not ops:
         return ()
     n = ops[0].n
-    best = None
-    for pi in itertools.permutations(range(n)):
-        cand = tuple(sorted(relabel(op, pi).entries for op in ops))
-        if best is None or cand < best:
-            best = cand
+    best = min(tuple(sorted(relabel(op, pi).entries for op in ops)) for pi in itertools.permutations(range(n)))
     return tuple(OpTable(n, e) for e in best)
 
 
@@ -243,30 +239,25 @@ def _check_size(n: int) -> None:
         raise ValueError(f"n={n} outside [1, {PRUNED_BOUND}]")
 
 
-def enumerate_racks(n: int, deadline: Optional[float] = None) -> RackCatalog:
-    """Complete catalog of racks on n points, sorted by table encoding, with
-    their relabeling classes and automorphism groups.
-
-    The catalog is the union of the relabeling classes of the racks that
-    ``_enumerate_pruned`` finds, which meet every class.  Each completion r
-    not yet swept is checked with ``distributive_witness``, skipped if it
-    fails, and gives its class.  That is one check per class and as strong
-    as checking every completion: each rack of the catalog is a relabeling
-    of a checked one, relabeling keeps self-distributivity, and a
-    completion already swept adds nothing.  ``relabel(r, q)`` is the same
-    table for every q in the coset ``q . Aut(r)``, so r is relabeled once
-    per coset, at its least member, and the coset is then marked as seen.
-    The image's automorphism group is ``q Aut(r) q^-1``.  All of this runs
-    on the indices of the ``_symmetric`` tables, built once per call; a
-    rack's column indices key it from the backtrack to ``columns``.  Raises
-    TimeoutError once ``time.monotonic()`` passes ``deadline``.
+def _sweep(n: int, deadline: Optional[float]) -> tuple[tuple, int]:
+    """Every labelled rack on n points, on ``_symmetric`` indices.  The
+    completions of ``_enumerate_pruned`` meet every class.  Each one not yet
+    swept is checked with ``distributive_witness`` (one table per class),
+    skipped if it fails, and relabeled once per coset ``q . Aut(r)``, at its
+    least member q; relabeling keeps self-distributivity, and the image's
+    automorphism group is ``q Aut(r) q^-1``.  Each image is keyed by its
+    table's row-major base-n encoding, so key order is table order.  Returns
+    ((columns, classes, masks), nodes_pruned), parallel tuples sorted on the
+    keys; a class is the number of the completion relabeled.  The deadline
+    is checked once per class.
     """
-    _check_size(n)
     sym = _symmetric(n, deadline)
     found, pruned = _enumerate_pruned(n, deadline, sym)
     perms, mul, conj = sym
-    shared: dict = {}  # one object per distinct mask (int) and table row (tuple)
-    swept: dict[tuple, tuple[OpTable, int, int]] = {}  # columns -> (table, class, mask)
+    # Column p at b puts the digit p(a) at place (n-1-a)n + n-1-b of the key.
+    weight = [[sum(v * n ** ((n - 1 - a) * n + n - 1 - b) for a, v in enumerate(pp)) for pp in perms] for b in range(n)]
+    shared: dict[int, int] = {}  # one object per distinct mask
+    swept: dict[tuple[int, ...], tuple[int, int, int]] = {}  # columns -> (key, class, mask)
     for cls, cols in enumerate(found):
         if cols in swept:
             continue
@@ -286,14 +277,28 @@ def enumerate_racks(n: int, deadline: Optional[float] = None) -> RackCatalog:
             image = [0] * n  # relabel(r, q) has column conj[q][cols[y]] at q(y)
             for v, c in zip(qp, cols):
                 image[v] = cq[c]
-            entries = tuple([shared.setdefault(r, r) for r in zip(*map(perms.__getitem__, image))])
-            swept[tuple(image)] = (OpTable(n, entries), cls, shared.setdefault(mask, mask))
-    del found, sym, perms, mul, conj  # freed before the catalog is sorted
-    columns = tuple(sorted(swept, key=lambda k: swept[k][0].entries))
-    racks, classes, masks = zip(*map(swept.__getitem__, columns))
+            swept[tuple(image)] = (sum(map(list.__getitem__, weight, image)), cls, shared.setdefault(mask, mask))
+    columns = sorted(swept, key=swept.__getitem__)  # on the keys, which are distinct
+    _, classes, masks = zip(*map(swept.__getitem__, columns))
+    return (tuple(columns), classes, masks), pruned
+
+
+def enumerate_racks(n: int, deadline: Optional[float] = None) -> RackCatalog:
+    """Complete catalog of racks on n points: the racks of ``_sweep``, each
+    with its table.  Raises TimeoutError once ``time.monotonic()`` passes
+    ``deadline``.
+    """
+    _check_size(n)
+    (columns, classes, masks), pruned = _sweep(n, deadline)
+    perms = list(itertools.permutations(range(n)))
+    rows: dict = {}  # one object per distinct table row
+    racks = []
+    for cols in columns:
+        _check_deadline(deadline)
+        racks.append(OpTable(n, tuple([rows.setdefault(r, r) for r in zip(*map(perms.__getitem__, cols))])))
     first: dict[int, int] = {}  # class -> index of its least rack
     orbit = tuple(first.setdefault(c, i) for i, c in enumerate(classes))
-    return RackCatalog(n, racks, orbit, masks, columns, pruned)
+    return RackCatalog(n, tuple(racks), orbit, masks, columns, pruned)
 
 
 def _ones(x: int) -> list[int]:
@@ -317,48 +322,52 @@ def _to_bitsets(lists: list, size: int, deadline: Optional[float]) -> None:
         lists[p] = int(digits[::-1], 2)
 
 
-def compatibility_graph(
-    catalog: RackCatalog, deadline: Optional[float] = None
-) -> dict[int, list[int]]:
-    """Compatible partners of the first rack of each relabeling class.
-
-    Partners j of rack i are listed in increasing order; j is a partner iff
-    both ordered distributivity checks pass.  For racks A and B,
-    ``(a A b) B c = (a B c) A (b B c)`` for all a, b, c says exactly that
-    every column ``x -> x B c`` is an automorphism of A: the rule of
-    ``tables.is_endomorphism``, restricted to bijections.  So B is a
-    partner of A iff each column of B lies in Aut(A) and each column of A
-    in Aut(B).  Two bitsets over the rack indices per permutation p tell
-    both: ``has[p]``, the racks with column p, and ``fixes[p]``, the racks
-    whose automorphism mask holds p.  The row of A is
-    ``~OR_{p not in Aut(A)} has[p] & AND_{p in cols(A)} fixes[p]``,
-    without A itself.  The rows of the other racks are relabelings of
-    these, so with singleton classes this is the full graph.  Raises
-    TimeoutError once ``time.monotonic()`` passes ``deadline``, checked
-    once per bitset and once per row.
+def _partner_rows(n: int, columns: Sequence, masks: Sequence, rows: Sequence, deadline: Optional[float]) -> list[int]:
+    """The compatible partners of the racks at positions ``rows``, each as
+    a bitset over the positions of the racks with ``columns`` and ``masks``.
+    For racks A and B, ``(a A b) B c = (a B c) A (b B c)`` for all a, b, c
+    says exactly that every column ``x -> x B c`` is an automorphism of A
+    (``tables.is_endomorphism``, restricted to bijections).  So B is a
+    partner of A, both ordered checks passing, iff each column of B lies in
+    Aut(A) and each column of A in Aut(B).  Two bitsets over the racks per
+    permutation p tell both: ``has[p]``, the racks with column p, and
+    ``fixes[p]``, the racks whose automorphism mask holds p.  The row of A
+    is ``~OR_{p not in Aut(A)} has[p] & AND_{p in cols(A)} fixes[p]``,
+    without A itself.  The deadline is checked once per bitset and per row.
     """
-    size, aut, cols = len(catalog.racks), catalog.automorphisms, catalog.columns
-    has: list = [[] for _ in range(math.factorial(catalog.n))]
-    for j, cj in enumerate(cols):
+    has: list = [[] for _ in range(math.factorial(n))]
+    for j, cj in enumerate(columns):
         for c in set(cj):
             has[c].append(j)
-    _to_bitsets(has, size, deadline)
+    _to_bitsets(has, len(columns), deadline)
     fixes: list = [[] for _ in has]
     by_mask: dict[int, list[int]] = {}
-    for j, m in enumerate(aut):
+    for j, m in enumerate(masks):
         by_mask.setdefault(m, []).append(j)
     for m, js in by_mask.items():
         for p in _ones(m):
             fixes[p] += js
-    _to_bitsets(fixes, size, deadline)
+    _to_bitsets(fixes, len(columns), deadline)
     full = (1 << len(has)) - 1
-    adj: dict[int, list[int]] = {}
-    for i in catalog.representatives:
+    found = []
+    for i in rows:
         _check_deadline(deadline)
         # out: rack i itself and every rack with a column outside Aut(rack i)
-        out = reduce(or_, map(has.__getitem__, _ones(full ^ aut[i])), 1 << i)
-        adj[i] = _ones(reduce(and_, map(fixes.__getitem__, set(cols[i])), ~out))
-    return adj
+        out = reduce(or_, map(has.__getitem__, _ones(full ^ masks[i])), 1 << i)
+        found.append(reduce(and_, map(fixes.__getitem__, set(columns[i])), ~out))
+    return found
+
+
+def compatibility_graph(catalog: RackCatalog, deadline: Optional[float] = None) -> dict[int, list[int]]:
+    """Compatible partners of the first rack of each relabeling class, in
+    increasing order: the rows of ``_partner_rows`` that the search reads,
+    listed.  The rows of the other racks are relabelings of these, so with
+    singleton classes this is the full graph.  Raises TimeoutError once
+    ``time.monotonic()`` passes ``deadline``.
+    """
+    reps = catalog.representatives
+    rows = _partner_rows(catalog.n, catalog.columns, catalog.automorphisms, reps, deadline)
+    return dict(zip(reps, map(_ones, rows)))
 
 
 def seed_catalog(n: int, seed_pair: tuple[OpTable, OpTable]) -> RackCatalog:
@@ -370,9 +379,7 @@ def seed_catalog(n: int, seed_pair: tuple[OpTable, OpTable]) -> RackCatalog:
             raise ValueError(f"seed pair table has carrier {op.n}, but n={n}")
         y = noninvertible_column(op)
         if y is not None:
-            raise ValueError(
-                f"seed pair table {k} is not invertible: column {y} is not a permutation"
-            )
+            raise ValueError(f"seed pair table {k} is not invertible: column {y} is not a permutation")
         w = distributive_witness(op, op)
         if w is not None:
             raise ValueError(
@@ -407,25 +414,27 @@ def certify_no_nonabelian(
 ) -> SearchReport:
     """Sweep compatible rack pairs and test the groups they generate.
 
-    Compatibility, commutation and the generated group do not change under
-    a relabeling of the carrier, so the first rack of a pair ranges over
-    one representative per class and its partner over all racks.  A pair of
-    commuting generators always generates an abelian group, so the closure
-    is only computed for non-commuting compatible pairs; each non-abelian
-    group is listed once up to simultaneous relabeling.  A relabeling keeps
-    the order, so a closure's canonical form is only computed once a group
-    of its order is listed, and each listed group's at most once.  With
-    ``seed_pair`` the enumeration is skipped and the catalog is that pair,
-    each table its own class.  ``budget`` seconds bound every phase; when they run out the
-    conclusion is "partial" unless a non-abelian group was already found.
-    A negative or NaN budget raises ValueError.  Commutation is read column by column
-    from ``catalog.columns`` (see ``_commutation``).
+    Runs on the columns, classes and masks of ``_sweep``, in table order, or
+    of a ``seed_pair`` in its order, each its own class.  All of it is
+    invariant under relabeling, so the first rack of a pair is the first
+    rack of each class, classes ranked by it, and its partners are its
+    ``_partner_rows`` bitset cut to the classes ranked at or after it.  Only
+    non-commuting partners (see ``_commutation``) can give a non-abelian
+    group; they are closed in order, each pair's tables built then.  Each
+    non-abelian group is listed once up to simultaneous relabeling: a
+    closure's canonical form is only computed once a group of its order is
+    listed, and each listed group's at most once.  ``budget`` seconds bound
+    every phase; when they run out the conclusion is "partial" unless a
+    non-abelian group was already found.  A negative or NaN budget raises
+    ValueError.
     """
     _check_size(n)
     if budget is not None and not budget >= 0:  # NaN fails every comparison
         raise ValueError(f"budget={budget} is not a number of seconds >= 0")
     deadline = None if budget is None else time.monotonic() + budget
-    catalog = None if seed_pair is None else seed_catalog(n, seed_pair)
+    if seed_pair is not None:
+        seed = seed_catalog(n, seed_pair)
+        labelled = (seed.columns, (0, 1), seed.automorphisms)
 
     racks_found = compatible = nodes_pruned = 0
     nonabelian: list[dict] = []
@@ -433,23 +442,31 @@ def certify_no_nonabelian(
     listed: dict[int, list[list]] = {}
     partial = False
     try:
-        if catalog is None:
-            catalog = enumerate_racks(n, deadline)
-        racks, orbit = catalog.racks, catalog.orbit
-        racks_found, nodes_pruned = len(racks), catalog.nodes_pruned
-        adj = compatibility_graph(catalog, deadline)
-        size = Counter(orbit)
-        compatible = sum(size[i] * len(row) for i, row in adj.items()) // 2
-        columns, commute = catalog.columns, _commutation(n)
-        for i, row in adj.items():
-            a, ca = racks[i], columns[i]
-            for j in row:
-                if orbit[j] < i:
-                    continue  # a relabeling of this pair is swept from rack orbit[j]
-                _check_deadline(deadline)
+        if seed_pair is None:
+            labelled, nodes_pruned = _sweep(n, deadline)
+        columns, classes, masks = labelled
+        racks_found = len(columns)
+        members: dict[int, list[int]] = {}  # class -> its racks, classes ranked by their first
+        for j, c in enumerate(classes):
+            members.setdefault(c, []).append(j)
+        ranked = list(members.values())
+        rows = _partner_rows(n, columns, masks, [js[0] for js in ranked], deadline)
+        compatible = sum(len(js) * row.bit_count() for js, row in zip(ranked, rows)) // 2
+        perms, commute = list(itertools.permutations(range(n))), _commutation(n)
+        later = bytearray(b"1" * racks_found)  # "1" at the racks of the classes ranked from here on
+        for js, row in zip(ranked, rows):
+            _check_deadline(deadline)
+            row &= int(later[::-1], 2)
+            for j in js:
+                later[j] = 48  # ord("0")
+            ca = columns[js[0]]
+            if not any(ca):
+                continue  # every column the identity: it commutes with every rack
+            for j in _ones(row):
                 if all(map(commute, ca, columns[j])):
                     continue  # commuting generators give an abelian group
-                b = racks[j]
+                _check_deadline(deadline)
+                a, b = (alpha_inverse([perms[c] for c in cols]) for cols in (ca, columns[j]))
                 closure = close_group(DistributiveSet(n, (a, b)))
                 twins = listed.setdefault(closure.order, [])
                 key = None
@@ -461,27 +478,10 @@ def certify_no_nonabelian(
                     if any(twin[1] == key for twin in twins):
                         continue
                 twins.append([closure.ops, key])
-                nonabelian.append(
-                    {
-                        "pair": [list(map(list, a.entries)), list(map(list, b.entries))],
-                        "closure_order": closure.order,
-                    }
-                )
+                pair = [list(map(list, a.entries)), list(map(list, b.entries))]
+                nonabelian.append({"pair": pair, "closure_order": closure.order})
     except TimeoutError:
         partial = True
 
-    if nonabelian:
-        conclusion = "nonabelian-found"
-    elif partial:
-        conclusion = "partial"
-    else:
-        conclusion = "commutative-only"
-    return SearchReport(
-        n=n,
-        racks_found=racks_found,
-        compatible_pairs=compatible,
-        nonabelian_groups=nonabelian,
-        conclusion=conclusion,
-        nodes_pruned=nodes_pruned,
-        seeded=seed_pair is not None,
-    )
+    conclusion = "nonabelian-found" if nonabelian else "partial" if partial else "commutative-only"
+    return SearchReport(n, racks_found, compatible, nonabelian, conclusion, nodes_pruned, seed_pair is not None)

@@ -21,14 +21,30 @@ def berman_dir(tmp_path):
     return tmp_path
 
 
-def test_python_m_multishelf():
+def _python_m(*args):
+    """Run ``python [args] -m multishelf ...`` in a fresh interpreter on this source tree."""
     src = str(Path(multishelf.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    run = subprocess.run(
-        [sys.executable, "-m", "multishelf", "fixtures", "list"], env=env, capture_output=True, text=True
-    )
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+def test_python_m_multishelf():
+    run = _python_m("-m", "multishelf", "fixtures", "list")
     assert run.returncode == 0, run.stderr
     assert run.stdout.startswith("berman-d6  sha256=")
+
+
+def test_openssl_loaded_only_for_checksums():
+    # hashlib loads OpenSSL (_hashlib): a search computes no checksum, so it
+    # must not import it, and the fixture listing must still print the pins.
+    run = _python_m("-X", "importtime", "-m", "multishelf", "search", "--n", "3")
+    assert run.returncode == 0, run.stderr
+    imported = {line.rsplit("|", 1)[1].strip() for line in run.stderr.splitlines() if line.startswith("import time:")}
+    assert "multishelf.search" in imported
+    assert "_hashlib" not in imported and "hashlib" not in imported
+    run = _python_m("-m", "multishelf", "fixtures", "list")
+    assert run.returncode == 0, run.stderr
+    assert "berman-d6  sha256=a8c6c94ea76f17d0775b460c36b712d3ce18821e7ae023971da1c897bc9f9cee" in run.stdout
 
 
 class TestFixturesCommand:

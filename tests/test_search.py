@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 from multishelf import (
     DistributiveSet,
     OpTable,
-    RackCatalog,
     canonical_form,
     canonical_form_set,
     certify_no_nonabelian,
@@ -56,23 +55,40 @@ def _pair_document(pair):
 
 
 def _count_calls(monkeypatch, pairs):
-    """Make the catalog of an unseeded search the given rack pairs, each
-    table its own class, and record the closures and canonical forms the
-    search computes."""
+    """Make the racks of an unseeded search's sweep the given rack pairs,
+    in order, each table its own class, and record the closures and
+    canonical forms the search computes."""
     seeds = [seed_catalog(6, tuple(pair)) for pair in pairs]
-    catalog = RackCatalog(
-        6,
-        tuple(op for pair in pairs for op in pair),
+    labelled = (
+        tuple(c for seed in seeds for c in seed.columns),
         tuple(range(2 * len(pairs))),
         tuple(m for seed in seeds for m in seed.automorphisms),
-        tuple(c for seed in seeds for c in seed.columns),
     )
-    monkeypatch.setattr(search, "enumerate_racks", lambda n, deadline: catalog)
+    monkeypatch.setattr(search, "_sweep", lambda n, deadline: (labelled, 0))
     closures, keys = [], []
     close, canonical = search.close_group, search.canonical_form_set
     monkeypatch.setattr(search, "close_group", lambda S: closures.append(S) or close(S))
     monkeypatch.setattr(search, "canonical_form_set", lambda o: keys.append(o) or canonical(o))
     return closures, keys
+
+
+def _expire_after(monkeypatch, name):
+    """Make the clock pass every deadline once ``search.<name>`` returns."""
+    call = getattr(search, name)
+
+    def call_then_expire(*args):
+        result = call(*args)
+        monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=lambda: math.inf))
+        return result
+
+    monkeypatch.setattr(search, name, call_then_expire)
+
+
+def _unreachable(what):
+    def fail(*args):
+        raise AssertionError(what)
+
+    return fail
 
 
 def _count_witness_calls(monkeypatch):
@@ -124,18 +140,8 @@ class TestEnumerateRacks:
     def test_deadline_checked_before_the_first_class(self, monkeypatch):
         # The deadline passes just after the backtrack returns: no class may
         # be swept, so no automorphism group is read.
-        backtrack = search._enumerate_pruned
-
-        def backtrack_then_expire(*args):
-            result = backtrack(*args)
-            monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=lambda: math.inf))
-            return result
-
-        def unreachable(*args):
-            raise AssertionError("a class was swept after the deadline")
-
-        monkeypatch.setattr(search, "_enumerate_pruned", backtrack_then_expire)
-        monkeypatch.setattr(search, "_automorphisms", unreachable)
+        _expire_after(monkeypatch, "_enumerate_pruned")
+        monkeypatch.setattr(search, "_automorphisms", _unreachable("a class was swept after the deadline"))
         with pytest.raises(TimeoutError):
             enumerate_racks(4, deadline=time.monotonic() + 3600)
 
@@ -155,6 +161,13 @@ class TestEnumerateRacks:
         with pytest.raises(TimeoutError):
             enumerate_racks(6, deadline=time.monotonic())
         assert calls == ["start"]
+
+    def test_deadline_checked_while_the_catalog_tables_are_built(self, monkeypatch):
+        # The deadline passes once the sweep returns: no table may be built.
+        _expire_after(monkeypatch, "_sweep")
+        monkeypatch.setattr(search, "OpTable", _unreachable("a table was built after the deadline"))
+        with pytest.raises(TimeoutError):
+            enumerate_racks(4, deadline=time.monotonic() + 3600)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_backtrack_meets_every_class_once_per_column0_orbit(self, n):
@@ -183,10 +196,18 @@ class TestEnumerateRacks:
     def test_known_counts_n6(self, monkeypatch):
         # OEIS A181771 gives 353 racks on 6 points up to relabeling
         checked = _count_witness_calls(monkeypatch)
-        catalog = enumerate_racks(6)
-        assert (len(catalog.canonical), len(catalog.racks)) == (353, 36538)
-        assert catalog.nodes_pruned == 1_050_371
+        (columns, classes, _), pruned = search._sweep(6, None)
+        assert (len(set(classes)), len(columns), len(set(columns))) == (353, 36538, 36538)
+        assert pruned == 1_050_371
         assert len(checked) == 353  # one check per class
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_sweep_returns_racks_in_table_order(self, n):
+        # The sweep sorts on integer keys, which must order the tables.
+        perms = sorted(itertools.permutations(range(n)))
+        (columns, _, _), _ = search._sweep(n, None)
+        entries = [alpha_inverse([perms[c] for c in cols]).entries for cols in columns]
+        assert all(a < b for a, b in zip(entries, entries[1:]))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_backtrack_completions_are_racks(self, n):
@@ -366,6 +387,19 @@ class TestCompatibilityGraph:
         with pytest.raises(TimeoutError):
             compatibility_graph(catalog, deadline=time.monotonic() - 1)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_search_rows_match_compatibility_graph(self, n):
+        # The search reads bitset rows over the sweep's racks, for the first
+        # rack of each class.
+        (columns, classes, masks), _ = search._sweep(n, None)
+        reps: dict = {}
+        for j, c in enumerate(classes):
+            reps.setdefault(c, j)
+        rows = search._partner_rows(n, columns, masks, list(reps.values()), None)
+        assert all(type(row) is int for row in rows)
+        listed = {i: search._ones(row) for i, row in zip(reps.values(), rows)}
+        assert listed == compatibility_graph(enumerate_racks(n))
+
     def test_deadline_checked_while_the_bitsets_are_built(self, monkeypatch):
         # The clock passes the deadline once the first bitset is built: the
         # build must stop there, not after all n! of them.
@@ -400,9 +434,7 @@ class TestCertify:
         assert report.conclusion == "commutative-only"
 
     def test_n6_seeded_berman(self, monkeypatch):
-        def unreachable(*args):
-            raise AssertionError("a seeded search built the S_n tables")
-
+        unreachable = _unreachable("a seeded search built the S_n tables")
         monkeypatch.setattr(search, "_symmetric", unreachable)
         # one closure, so no canonical form is needed to tell it from another
         monkeypatch.setattr(search, "canonical_form_set", unreachable)
@@ -494,6 +526,36 @@ class TestCertify:
         with pytest.raises(ValueError, match=f"budget={budget} "):
             certify_no_nonabelian(3, budget=budget)
 
+    def test_unseeded_search_builds_no_table_for_the_labelled_racks(self, monkeypatch):
+        # The only tables are the 74 that the sweep checks, one per class:
+        # no pair closes at n = 5, and no catalog is built.
+        monkeypatch.setattr(search, "enumerate_racks", _unreachable("the search built the catalog"))
+        monkeypatch.setattr(search, "OpTable", _unreachable("the search built a labelled table"))
+        built, build = [], search.alpha_inverse
+        monkeypatch.setattr(search, "alpha_inverse", lambda cols: built.append(cols) or build(cols))
+        doc = json.dumps(certify_no_nonabelian(5).to_document(), sort_keys=True)
+        want = "466a8f491e6aad3fe1d6ff768e571d020ec3031066111199b7aaca5624e7e5d3"  # as test_report_bytes_pinned
+        assert hashlib.sha256(doc.encode()).hexdigest() == want
+        assert len(built) == 74
+
+    def test_deadline_checked_while_the_rows_are_built(self, monkeypatch):
+        # The deadline passes once the sweep returns: the row phase stops at
+        # its first bitset, and the report counts the racks and no pair.
+        _expire_after(monkeypatch, "_sweep")
+        built, build = [], search._to_bitsets
+        monkeypatch.setattr(search, "_to_bitsets", lambda lists, *args: built.append(lists) or build(lists, *args))
+        report = certify_no_nonabelian(5, budget=3600)
+        assert (report.conclusion, report.racks_found, report.compatible_pairs) == ("partial", 1708, 0)
+        assert len(built) == 1 and all(type(b) is list for b in built[0])
+
+    def test_deadline_checked_before_the_pair_sweep(self, monkeypatch):
+        # The deadline passes once the rows are built: the pairs are counted,
+        # and no partner is tested for commutation.
+        _expire_after(monkeypatch, "_partner_rows")
+        monkeypatch.setattr(search, "_commutation", lambda n: _unreachable("a pair was swept after the deadline"))
+        report = certify_no_nonabelian(5, budget=3600)
+        assert (report.conclusion, report.racks_found, report.compatible_pairs) == ("partial", 1708, 42651)
+
     def test_budget_zero_reports_partial(self):
         report = certify_no_nonabelian(3, budget=0.0)
         assert report.conclusion == "partial"
@@ -527,6 +589,21 @@ class TestCertify:
         # The whole report, nodes_pruned included: a faster search must
         # leave every byte of it as it is.
         doc = json.dumps(certify_no_nonabelian(n).to_document(), sort_keys=True)
+        assert hashlib.sha256(doc.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "seed_pair, digest",
+        [
+            (None, "919c5f6dd46cf3343509fb742e19db33611cf83ef67cfcc6ba60c136f0642291"),
+            ((BERMAN_TAU, BERMAN_SIGMA), "02867f4800f434ccef887a5effcda30b0f3dc9be8433892493162d2becc5798a"),
+            ((BERMAN_SIGMA, BERMAN_TAU), "44ca4c4926187a75083c0d89366ce20c5255b018a65e79f67b7311de409bfea3"),
+        ],
+        ids=["unseeded", "tau-sigma", "sigma-tau"],
+    )
+    def test_n6_report_bytes_pinned(self, seed_pair, digest):
+        # The reported pair itself, not only the counts: the first
+        # non-commuting pair met for the group must stay the one listed.
+        doc = json.dumps(certify_no_nonabelian(6, seed_pair=seed_pair).to_document(), sort_keys=True)
         assert hashlib.sha256(doc.encode()).hexdigest() == digest
 
     def test_report_document_deterministic(self):
