@@ -278,6 +278,7 @@ def _sweep(n: int, deadline: Optional[float]) -> tuple[tuple, int]:
             for v, c in zip(qp, cols):
                 image[v] = cq[c]
             swept[tuple(image)] = (sum(map(list.__getitem__, weight, image)), cls, shared.setdefault(mask, mask))
+    del found, sym, perms, mul, conj  # freed before the sort
     columns = sorted(swept, key=swept.__getitem__)  # on the keys, which are distinct
     _, classes, masks = zip(*map(swept.__getitem__, columns))
     return (tuple(columns), classes, masks), pruned
@@ -392,12 +393,10 @@ def seed_catalog(n: int, seed_pair: tuple[OpTable, OpTable]) -> RackCatalog:
     return RackCatalog(n, tuple(seed_pair), (0, 1), masks, columns)
 
 
-def _commutation(n: int) -> Callable[[int, int], bool]:
-    """Whether the permutations of the carrier numbered x and y (in
-    lexicographic order) commute, memoized on (x, y).  Column y of A;B is
-    column y of A, then column y of B, so two racks commute in the monoid
-    iff their column-y permutations commute for every y."""
-    perms = list(itertools.permutations(range(n)))
+def _commutation(perms: Sequence[Permutation]) -> Callable[[int, int], bool]:
+    """Whether ``perms[x]`` and ``perms[y]`` commute, memoized on (x, y).
+    Column y of A;B is column y of A, then column y of B, so two racks
+    commute in the monoid iff their column-y permutations all commute."""
 
     @cache
     def commute(x: int, y: int) -> bool:
@@ -452,7 +451,8 @@ def certify_no_nonabelian(
         ranked = list(members.values())
         rows = _partner_rows(n, columns, masks, [js[0] for js in ranked], deadline)
         compatible = sum(len(js) * row.bit_count() for js, row in zip(ranked, rows)) // 2
-        perms, commute = list(itertools.permutations(range(n))), _commutation(n)
+        perms = list(itertools.permutations(range(n)))
+        commute = _commutation(perms)
         later = bytearray(b"1" * racks_found)  # "1" at the racks of the classes ranked from here on
         for js, row in zip(ranked, rows):
             _check_deadline(deadline)

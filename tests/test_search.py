@@ -552,7 +552,7 @@ class TestCertify:
         # The deadline passes once the rows are built: the pairs are counted,
         # and no partner is tested for commutation.
         _expire_after(monkeypatch, "_partner_rows")
-        monkeypatch.setattr(search, "_commutation", lambda n: _unreachable("a pair was swept after the deadline"))
+        monkeypatch.setattr(search, "_commutation", lambda perms: _unreachable("a pair was swept after the deadline"))
         report = certify_no_nonabelian(5, budget=3600)
         assert (report.conclusion, report.racks_found, report.compatible_pairs) == ("partial", 1708, 42651)
 
@@ -566,7 +566,7 @@ class TestCertify:
 
     def test_commutation_on_column_indices(self):
         catalog = enumerate_racks(4)
-        commute = search._commutation(4)
+        commute = search._commutation(sorted(itertools.permutations(range(4))))
         outcomes = set()
         for a, ca in zip(catalog.racks, catalog.columns):
             for b, cb in zip(catalog.racks, catalog.columns):
