@@ -17,8 +17,9 @@ from __future__ import annotations
 import itertools
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import cache, cached_property, reduce
 from operator import and_, itemgetter, or_
 from typing import Callable, Optional, Sequence
 
@@ -39,27 +40,38 @@ PRUNED_BOUND = 6
 
 @dataclass(frozen=True)
 class RackCatalog:
-    """Racks sorted by table encoding, with their relabeling classes,
-    automorphism groups and column indices.
+    """Racks as column indices, with their relabeling classes and
+    automorphism groups: in table order from ``enumerate_racks``, in the
+    pair's order from ``seed_catalog``.
 
-    The search reads ``_sweep`` and builds no catalog but a seed pair's.
-    ``orbit[i]`` is the index of the first rack in the class of
-    ``racks[i]``.  Since the racks are sorted, that first rack is the least
-    relabeling of each member, i.e. its canonical form.  Permutations of
-    the carrier are numbered in lexicographic order.  ``automorphisms[i]``
-    is the group of relabelings that fix ``racks[i]`` as a bitmask, bit k
-    standing for the k-th permutation, and ``columns[i][y]`` is the number
-    of the column x -> x * y of ``racks[i]``.  ``nodes_pruned`` counts the
-    pruned nodes of the column backtrack that yields a rack of each class
-    (0 for a given catalog).
+    Permutations of the carrier are numbered in lexicographic order, and
+    ``columns[i][y]`` is the number of the column x -> x * y of the i-th
+    rack.  ``orbit[i]`` is the index of the first rack in the class of the
+    i-th; in table order that first rack is the least relabeling of each
+    member, i.e. its canonical form.  ``automorphisms[i]`` is the group of
+    relabelings that fix the i-th rack as a bitmask, bit k standing for the
+    k-th permutation.  ``nodes_pruned`` counts the pruned nodes of the
+    column backtrack that yields a rack of each class (0 for a seed
+    catalog).  The tables, ``racks``, are built on first read; the search
+    reads none of them.
     """
 
     n: int
-    racks: tuple[OpTable, ...]
+    columns: tuple[tuple[int, ...], ...]
     orbit: tuple[int, ...]
     automorphisms: tuple[int, ...]
-    columns: tuple[tuple[int, ...], ...]
     nodes_pruned: int = 0
+
+    @cached_property
+    def racks(self) -> tuple[OpTable, ...]:
+        """The table of each rack, built from its columns; equal rows are
+        one object."""
+        perms = list(itertools.permutations(range(self.n)))
+        rows: dict = {}
+        return tuple(
+            OpTable(self.n, tuple([rows.setdefault(r, r) for r in zip(*map(perms.__getitem__, cols))]))
+            for cols in self.columns
+        )
 
     @property
     def representatives(self) -> list[int]:
@@ -239,18 +251,19 @@ def _check_size(n: int) -> None:
         raise ValueError(f"n={n} outside [1, {PRUNED_BOUND}]")
 
 
-def _sweep(n: int, deadline: Optional[float]) -> tuple[tuple, int]:
-    """Every labelled rack on n points, on ``_symmetric`` indices.  The
-    completions of ``_enumerate_pruned`` meet every class.  Each one not yet
-    swept is checked with ``distributive_witness`` (one table per class),
-    skipped if it fails, and relabeled once per coset ``q . Aut(r)``, at its
-    least member q; relabeling keeps self-distributivity, and the image's
-    automorphism group is ``q Aut(r) q^-1``.  Each image is keyed by its
-    table's row-major base-n encoding, so key order is table order.  Returns
-    ((columns, classes, masks), nodes_pruned), parallel tuples sorted on the
-    keys; a class is the number of the completion relabeled.  The deadline
-    is checked once per class.
+def enumerate_racks(n: int, deadline: Optional[float] = None) -> RackCatalog:
+    """Complete catalog of racks on n points, on ``_symmetric`` indices.
+    The completions of ``_enumerate_pruned`` meet every class.  Each one not
+    yet swept is checked with ``distributive_witness`` (one table per
+    class), skipped if it fails, and relabeled once per coset ``q . Aut(r)``,
+    at its least member q; relabeling keeps self-distributivity, and the
+    image's automorphism group is ``q Aut(r) q^-1``.  Each image is keyed by
+    its table's row-major base-n encoding, and the racks are sorted on the
+    keys, i.e. in table order.  No other table is built.  Raises
+    TimeoutError once ``time.monotonic()`` passes ``deadline``, which is
+    checked once per class.
     """
+    _check_size(n)
     sym = _symmetric(n, deadline)
     found, pruned = _enumerate_pruned(n, deadline, sym)
     perms, mul, conj = sym
@@ -281,25 +294,9 @@ def _sweep(n: int, deadline: Optional[float]) -> tuple[tuple, int]:
     del found, sym, perms, mul, conj  # freed before the sort
     columns = sorted(swept, key=swept.__getitem__)  # on the keys, which are distinct
     _, classes, masks = zip(*map(swept.__getitem__, columns))
-    return (tuple(columns), classes, masks), pruned
-
-
-def enumerate_racks(n: int, deadline: Optional[float] = None) -> RackCatalog:
-    """Complete catalog of racks on n points: the racks of ``_sweep``, each
-    with its table.  Raises TimeoutError once ``time.monotonic()`` passes
-    ``deadline``.
-    """
-    _check_size(n)
-    (columns, classes, masks), pruned = _sweep(n, deadline)
-    perms = list(itertools.permutations(range(n)))
-    rows: dict = {}  # one object per distinct table row
-    racks = []
-    for cols in columns:
-        _check_deadline(deadline)
-        racks.append(OpTable(n, tuple([rows.setdefault(r, r) for r in zip(*map(perms.__getitem__, cols))])))
     first: dict[int, int] = {}  # class -> index of its least rack
     orbit = tuple(first.setdefault(c, i) for i, c in enumerate(classes))
-    return RackCatalog(n, tuple(racks), orbit, masks, columns, pruned)
+    return RackCatalog(n, tuple(columns), orbit, masks, pruned)
 
 
 def _ones(x: int) -> list[int]:
@@ -323,9 +320,11 @@ def _to_bitsets(lists: list, size: int, deadline: Optional[float]) -> None:
         lists[p] = int(digits[::-1], 2)
 
 
-def _partner_rows(n: int, columns: Sequence, masks: Sequence, rows: Sequence, deadline: Optional[float]) -> list[int]:
-    """The compatible partners of the racks at positions ``rows``, each as
-    a bitset over the positions of the racks with ``columns`` and ``masks``.
+def compatibility_graph(catalog: RackCatalog, deadline: Optional[float] = None) -> dict[int, list[int]]:
+    """Compatible partners of the first rack of each relabeling class, in
+    increasing order.  The rows of the other racks are relabelings of these,
+    so with singleton classes this is the full graph.
+
     For racks A and B, ``(a A b) B c = (a B c) A (b B c)`` for all a, b, c
     says exactly that every column ``x -> x B c`` is an automorphism of A
     (``tables.is_endomorphism``, restricted to bijections).  So B is a
@@ -334,9 +333,11 @@ def _partner_rows(n: int, columns: Sequence, masks: Sequence, rows: Sequence, de
     permutation p tell both: ``has[p]``, the racks with column p, and
     ``fixes[p]``, the racks whose automorphism mask holds p.  The row of A
     is ``~OR_{p not in Aut(A)} has[p] & AND_{p in cols(A)} fixes[p]``,
-    without A itself.  The deadline is checked once per bitset and per row.
+    without A itself.  Raises TimeoutError once ``time.monotonic()`` passes
+    ``deadline``, which is checked once per bitset and per row.
     """
-    has: list = [[] for _ in range(math.factorial(n))]
+    columns, masks = catalog.columns, catalog.automorphisms
+    has: list = [[] for _ in range(math.factorial(catalog.n))]
     for j, cj in enumerate(columns):
         for c in set(cj):
             has[c].append(j)
@@ -350,25 +351,13 @@ def _partner_rows(n: int, columns: Sequence, masks: Sequence, rows: Sequence, de
             fixes[p] += js
     _to_bitsets(fixes, len(columns), deadline)
     full = (1 << len(has)) - 1
-    found = []
-    for i in rows:
+    graph = {}
+    for i in catalog.representatives:
         _check_deadline(deadline)
         # out: rack i itself and every rack with a column outside Aut(rack i)
         out = reduce(or_, map(has.__getitem__, _ones(full ^ masks[i])), 1 << i)
-        found.append(reduce(and_, map(fixes.__getitem__, set(columns[i])), ~out))
-    return found
-
-
-def compatibility_graph(catalog: RackCatalog, deadline: Optional[float] = None) -> dict[int, list[int]]:
-    """Compatible partners of the first rack of each relabeling class, in
-    increasing order: the rows of ``_partner_rows`` that the search reads,
-    listed.  The rows of the other racks are relabelings of these, so with
-    singleton classes this is the full graph.  Raises TimeoutError once
-    ``time.monotonic()`` passes ``deadline``.
-    """
-    reps = catalog.representatives
-    rows = _partner_rows(catalog.n, catalog.columns, catalog.automorphisms, reps, deadline)
-    return dict(zip(reps, map(_ones, rows)))
+        graph[i] = _ones(reduce(and_, map(fixes.__getitem__, set(columns[i])), ~out))
+    return graph
 
 
 def seed_catalog(n: int, seed_pair: tuple[OpTable, OpTable]) -> RackCatalog:
@@ -390,7 +379,7 @@ def seed_catalog(n: int, seed_pair: tuple[OpTable, OpTable]) -> RackCatalog:
     index = _perm_index(n)
     masks = tuple(sum(1 << k for p, k in index.items() if is_endomorphism(p, op)) for op in seed_pair)
     columns = tuple(tuple(index[c] for c in zip(*op.entries)) for op in seed_pair)
-    return RackCatalog(n, tuple(seed_pair), (0, 1), masks, columns)
+    return RackCatalog(n, columns, (0, 1), masks)
 
 
 def _commutation(perms: Sequence[Permutation]) -> Callable[[int, int], bool]:
@@ -413,11 +402,12 @@ def certify_no_nonabelian(
 ) -> SearchReport:
     """Sweep compatible rack pairs and test the groups they generate.
 
-    Runs on the columns, classes and masks of ``_sweep``, in table order, or
-    of a ``seed_pair`` in its order, each its own class.  All of it is
-    invariant under relabeling, so the first rack of a pair is the first
-    rack of each class, classes ranked by it, and its partners are its
-    ``_partner_rows`` bitset cut to the classes ranked at or after it.  Only
+    Runs on ``enumerate_racks(n)``, in table order, or on the
+    ``seed_catalog`` of ``seed_pair``, in its order, each table its own
+    class, and on the catalog's ``compatibility_graph``; no labelled table
+    is read.  All of it is invariant under relabeling, so the first rack of
+    a pair is the first rack of a class, and its partners are its row of
+    the graph without the classes whose first rack comes before it.  Only
     non-commuting partners (see ``_commutation``) can give a non-abelian
     group; they are closed in order, each pair's tables built then.  Each
     non-abelian group is listed once up to simultaneous relabeling: a
@@ -425,15 +415,12 @@ def certify_no_nonabelian(
     listed, and each listed group's at most once.  ``budget`` seconds bound
     every phase; when they run out the conclusion is "partial" unless a
     non-abelian group was already found.  A negative or NaN budget raises
-    ValueError.
+    ValueError, and so does a seed pair that ``seed_catalog`` rejects.
     """
     _check_size(n)
     if budget is not None and not budget >= 0:  # NaN fails every comparison
         raise ValueError(f"budget={budget} is not a number of seconds >= 0")
     deadline = None if budget is None else time.monotonic() + budget
-    if seed_pair is not None:
-        seed = seed_catalog(n, seed_pair)
-        labelled = (seed.columns, (0, 1), seed.automorphisms)
 
     racks_found = compatible = nodes_pruned = 0
     nonabelian: list[dict] = []
@@ -441,28 +428,22 @@ def certify_no_nonabelian(
     listed: dict[int, list[list]] = {}
     partial = False
     try:
-        if seed_pair is None:
-            labelled, nodes_pruned = _sweep(n, deadline)
-        columns, classes, masks = labelled
-        racks_found = len(columns)
-        members: dict[int, list[int]] = {}  # class -> its racks, classes ranked by their first
-        for j, c in enumerate(classes):
-            members.setdefault(c, []).append(j)
-        ranked = list(members.values())
-        rows = _partner_rows(n, columns, masks, [js[0] for js in ranked], deadline)
-        compatible = sum(len(js) * row.bit_count() for js, row in zip(ranked, rows)) // 2
+        catalog = enumerate_racks(n, deadline) if seed_pair is None else seed_catalog(n, seed_pair)
+        columns, orbit = catalog.columns, catalog.orbit
+        racks_found, nodes_pruned = len(columns), catalog.nodes_pruned
+        graph = compatibility_graph(catalog, deadline)
+        size = Counter(orbit)
+        compatible = sum(size[i] * len(row) for i, row in graph.items()) // 2
         perms = list(itertools.permutations(range(n)))
         commute = _commutation(perms)
-        later = bytearray(b"1" * racks_found)  # "1" at the racks of the classes ranked from here on
-        for js, row in zip(ranked, rows):
+        for i, row in graph.items():
             _check_deadline(deadline)
-            row &= int(later[::-1], 2)
-            for j in js:
-                later[j] = 48  # ord("0")
-            ca = columns[js[0]]
+            ca = columns[i]
             if not any(ca):
                 continue  # every column the identity: it commutes with every rack
-            for j in _ones(row):
+            for j in row:
+                if orbit[j] < i:
+                    continue  # the pair of classes is swept from j's class
                 if all(map(commute, ca, columns[j])):
                     continue  # commuting generators give an abelian group
                 _check_deadline(deadline)

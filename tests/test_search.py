@@ -55,16 +55,17 @@ def _pair_document(pair):
 
 
 def _count_calls(monkeypatch, pairs):
-    """Make the racks of an unseeded search's sweep the given rack pairs,
-    in order, each table its own class, and record the closures and
+    """Make the catalog of an unseeded search the given rack pairs, in
+    order, each table its own class, and record the closures and
     canonical forms the search computes."""
     seeds = [seed_catalog(6, tuple(pair)) for pair in pairs]
-    labelled = (
+    catalog = search.RackCatalog(
+        6,
         tuple(c for seed in seeds for c in seed.columns),
         tuple(range(2 * len(pairs))),
         tuple(m for seed in seeds for m in seed.automorphisms),
     )
-    monkeypatch.setattr(search, "_sweep", lambda n, deadline: (labelled, 0))
+    monkeypatch.setattr(search, "enumerate_racks", lambda n, deadline: catalog)
     closures, keys = [], []
     close, canonical = search.close_group, search.canonical_form_set
     monkeypatch.setattr(search, "close_group", lambda S: closures.append(S) or close(S))
@@ -82,6 +83,15 @@ def _expire_after(monkeypatch, name):
         return result
 
     monkeypatch.setattr(search, name, call_then_expire)
+
+
+def _count_phases(monkeypatch, *names):
+    """Record each call of ``search.<name>`` for the given names."""
+    calls = []
+    for name in names:
+        call = getattr(search, name)
+        monkeypatch.setattr(search, name, lambda *args, name=name, call=call: calls.append(name) or call(*args))
+    return calls
 
 
 def _unreachable(what):
@@ -162,12 +172,13 @@ class TestEnumerateRacks:
             enumerate_racks(6, deadline=time.monotonic())
         assert calls == ["start"]
 
-    def test_deadline_checked_while_the_catalog_tables_are_built(self, monkeypatch):
-        # The deadline passes once the sweep returns: no table may be built.
-        _expire_after(monkeypatch, "_sweep")
-        monkeypatch.setattr(search, "OpTable", _unreachable("a table was built after the deadline"))
-        with pytest.raises(TimeoutError):
-            enumerate_racks(4, deadline=time.monotonic() + 3600)
+    def test_catalog_tables_built_on_first_read(self, monkeypatch):
+        # The sweep builds no catalog table; the first read of racks builds
+        # them all, and later reads return the same tuple.
+        monkeypatch.setattr(search, "OpTable", _unreachable("enumerate_racks built a catalog table"))
+        catalog = enumerate_racks(4)
+        monkeypatch.setattr(search, "OpTable", OpTable)
+        assert catalog.racks is catalog.racks
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_backtrack_meets_every_class_once_per_column0_orbit(self, n):
@@ -196,16 +207,19 @@ class TestEnumerateRacks:
     def test_known_counts_n6(self, monkeypatch):
         # OEIS A181771 gives 353 racks on 6 points up to relabeling
         checked = _count_witness_calls(monkeypatch)
-        (columns, classes, _), pruned = search._sweep(6, None)
-        assert (len(set(classes)), len(columns), len(set(columns))) == (353, 36538, 36538)
-        assert pruned == 1_050_371
+        monkeypatch.setattr(search, "OpTable", _unreachable("a catalog table was built"))
+        catalog = enumerate_racks(6)
+        columns = catalog.columns
+        assert (len(set(catalog.orbit)), len(columns), len(set(columns))) == (353, 36538, 36538)
+        assert catalog.nodes_pruned == 1_050_371
         assert len(checked) == 353  # one check per class
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-    def test_sweep_returns_racks_in_table_order(self, n):
+    def test_sweep_returns_racks_in_table_order(self, monkeypatch, n):
         # The sweep sorts on integer keys, which must order the tables.
         perms = sorted(itertools.permutations(range(n)))
-        (columns, _, _), _ = search._sweep(n, None)
+        monkeypatch.setattr(search, "OpTable", _unreachable("a catalog table was built"))
+        columns = enumerate_racks(n).columns
         entries = [alpha_inverse([perms[c] for c in cols]).entries for cols in columns]
         assert all(a < b for a, b in zip(entries, entries[1:]))
 
@@ -288,6 +302,12 @@ class TestEnumerateRacks:
         assert len(catalog.columns) == len(catalog.racks)
         for rack, cols in zip(catalog.racks, catalog.columns):
             assert [perms[c] for c in cols] == [rack.column(y) for y in range(n)]
+
+    @pytest.mark.parametrize("pair", [(BERMAN_TAU, BERMAN_SIGMA), (BERMAN_SIGMA, BERMAN_TAU)], ids=["tau-sigma", "sigma-tau"])
+    def test_seeded_tables_and_pruned_nodes(self, pair):
+        catalog = seed_catalog(6, pair)
+        assert catalog.racks == pair
+        assert catalog.nodes_pruned == 0
 
     def test_seeded_columns(self):
         perms = sorted(itertools.permutations(range(6)))
@@ -387,19 +407,6 @@ class TestCompatibilityGraph:
         with pytest.raises(TimeoutError):
             compatibility_graph(catalog, deadline=time.monotonic() - 1)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-    def test_search_rows_match_compatibility_graph(self, n):
-        # The search reads bitset rows over the sweep's racks, for the first
-        # rack of each class.
-        (columns, classes, masks), _ = search._sweep(n, None)
-        reps: dict = {}
-        for j, c in enumerate(classes):
-            reps.setdefault(c, j)
-        rows = search._partner_rows(n, columns, masks, list(reps.values()), None)
-        assert all(type(row) is int for row in rows)
-        listed = {i: search._ones(row) for i, row in zip(reps.values(), rows)}
-        assert listed == compatibility_graph(enumerate_racks(n))
-
     def test_deadline_checked_while_the_bitsets_are_built(self, monkeypatch):
         # The clock passes the deadline once the first bitset is built: the
         # build must stop there, not after all n! of them.
@@ -434,14 +441,22 @@ class TestCertify:
         assert report.conclusion == "commutative-only"
 
     def test_n6_seeded_berman(self, monkeypatch):
-        unreachable = _unreachable("a seeded search built the S_n tables")
-        monkeypatch.setattr(search, "_symmetric", unreachable)
+        monkeypatch.setattr(search, "_symmetric", _unreachable("a seeded search built the S_n tables"))
+        monkeypatch.setattr(search, "enumerate_racks", _unreachable("a seeded search enumerated racks"))
         # one closure, so no canonical form is needed to tell it from another
-        monkeypatch.setattr(search, "canonical_form_set", unreachable)
+        monkeypatch.setattr(search, "canonical_form_set", _unreachable("a canonical form was computed"))
+        calls = _count_phases(monkeypatch, "compatibility_graph")
         report = certify_no_nonabelian(6, seed_pair=(BERMAN_TAU, BERMAN_SIGMA))
         assert report.conclusion == "nonabelian-found"
         assert report.nonabelian_groups[0]["closure_order"] == 6
         assert report.seeded
+        assert calls == ["compatibility_graph"]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_unseeded_search_runs_through_the_catalog_and_graph(self, monkeypatch, n):
+        calls = _count_phases(monkeypatch, "enumerate_racks", "compatibility_graph")
+        certify_no_nonabelian(n)
+        assert calls == ["enumerate_racks", "compatibility_graph"]
 
     def test_relabeled_twins_listed_once(self, monkeypatch):
         # The Berman pair, a relabeling of it, and two generators of the S3
@@ -528,8 +543,7 @@ class TestCertify:
 
     def test_unseeded_search_builds_no_table_for_the_labelled_racks(self, monkeypatch):
         # The only tables are the 74 that the sweep checks, one per class:
-        # no pair closes at n = 5, and no catalog is built.
-        monkeypatch.setattr(search, "enumerate_racks", _unreachable("the search built the catalog"))
+        # no pair closes at n = 5, and the catalog's tables are never read.
         monkeypatch.setattr(search, "OpTable", _unreachable("the search built a labelled table"))
         built, build = [], search.alpha_inverse
         monkeypatch.setattr(search, "alpha_inverse", lambda cols: built.append(cols) or build(cols))
@@ -539,9 +553,9 @@ class TestCertify:
         assert len(built) == 74
 
     def test_deadline_checked_while_the_rows_are_built(self, monkeypatch):
-        # The deadline passes once the sweep returns: the row phase stops at
+        # The deadline passes once the catalog is built: the row phase stops at
         # its first bitset, and the report counts the racks and no pair.
-        _expire_after(monkeypatch, "_sweep")
+        _expire_after(monkeypatch, "enumerate_racks")
         built, build = [], search._to_bitsets
         monkeypatch.setattr(search, "_to_bitsets", lambda lists, *args: built.append(lists) or build(lists, *args))
         report = certify_no_nonabelian(5, budget=3600)
@@ -551,7 +565,7 @@ class TestCertify:
     def test_deadline_checked_before_the_pair_sweep(self, monkeypatch):
         # The deadline passes once the rows are built: the pairs are counted,
         # and no partner is tested for commutation.
-        _expire_after(monkeypatch, "_partner_rows")
+        _expire_after(monkeypatch, "compatibility_graph")
         monkeypatch.setattr(search, "_commutation", lambda perms: _unreachable("a pair was swept after the deadline"))
         report = certify_no_nonabelian(5, budget=3600)
         assert (report.conclusion, report.racks_found, report.compatible_pairs) == ("partial", 1708, 42651)
