@@ -11,8 +11,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from . import fixtures as fx
 from .embedding import regular_embed, verify_inverse_images
@@ -44,13 +45,20 @@ EXIT_WITNESS = 1
 EXIT_PARTIAL = 2
 
 
+@contextmanager
+def _named(*words: object) -> Iterator[None]:
+    """Prefix a ValueError raised inside with the flag and values it concerns."""
+    try:
+        yield
+    except ValueError as e:
+        raise ValueError(f"{' '.join(map(str, words))}: {e}") from e
+
+
 def _parse_group(spec: str) -> FiniteGroup:
     for prefix, factory in (("cyclic", cyclic), ("dihedral", dihedral), ("symmetric", symmetric)):
         if spec.startswith(prefix + ":"):
-            try:
+            with _named("--group", spec):
                 return factory(int(spec.split(":", 1)[1]))
-            except ValueError as e:
-                raise ValueError(f"--group {spec}: {e}") from e
     return load_group(spec)
 
 
@@ -92,7 +100,9 @@ def _cmd_validate(args) -> int:
 
 def _cmd_compose(args) -> int:
     op1, op2 = map(load_table, args.ops)
-    write_document(table_document(compose(op1, op2)), args.out)
+    with _named("--ops", *args.ops):
+        op = compose(op1, op2)
+    write_document(table_document(op), args.out)
     return EXIT_OK
 
 
@@ -118,14 +128,17 @@ def _cmd_embed_regular(args) -> int:
 
 
 def _cmd_alpha(args) -> int:
-    for col in alpha(load_table(args.op)):
-        print(" ".join(str(x) for x in col))
+    op = load_table(args.op)
+    with _named("--op", args.op):
+        cols = alpha(op)
+    print("\n".join(" ".join(map(str, col)) for col in cols))
     return EXIT_OK
 
 
 def _cmd_check_conjugation(args) -> int:
     op1, op2 = map(load_table, args.ops)
-    w = conjugation_condition(alpha(op1), alpha(op2))
+    with _named("--ops", *args.ops):
+        w = conjugation_condition(alpha(op1), alpha(op2))
     if w is None:
         write_document({"holds": True}, args.out)
         return EXIT_OK
@@ -146,15 +159,11 @@ def _cmd_search(args) -> int:
 
 def _cmd_homology(args) -> int:
     S = load_set(args.set)
-    try:
+    with _named("--weights", args.weights):
         weights = tuple(int(w) for w in args.weights.split(","))
         ChainSpec(S, weights)
-    except ValueError as e:
-        raise ValueError(f"--weights {args.weights}: {e}") from e
-    try:
+    with _named("--max-degree", args.max_degree):
         spec = ChainSpec(S, weights, args.max_degree)
-    except ValueError as e:
-        raise ValueError(f"--max-degree {args.max_degree}: {e}") from e
     try:
         groups = homology_groups(spec, dim_budget=args.dim_budget)
     except DimensionBudgetError as e:

@@ -424,8 +424,8 @@ def certify_no_nonabelian(
 
     racks_found = compatible = nodes_pruned = 0
     nonabelian: list[dict] = []
-    # closure order -> [members, canonical form or None] of each listed group
-    listed: dict[int, list[list]] = {}
+    listed: dict[int, list[tuple[OpTable, ...]]] = {}  # closure order -> members of each listed group
+    canonical = cache(canonical_form_set)
     partial = False
     try:
         catalog = enumerate_racks(n, deadline) if seed_pair is None else seed_catalog(n, seed_pair)
@@ -449,16 +449,10 @@ def certify_no_nonabelian(
                 _check_deadline(deadline)
                 a, b = (alpha_inverse([perms[c] for c in cols]) for cols in (ca, columns[j]))
                 closure = close_group(DistributiveSet(n, (a, b)))
-                twins = listed.setdefault(closure.order, [])
-                key = None
-                if twins:
-                    key = canonical_form_set(closure.ops)
-                    for twin in twins:
-                        if twin[1] is None:
-                            twin[1] = canonical_form_set(twin[0])
-                    if any(twin[1] == key for twin in twins):
-                        continue
-                twins.append([closure.ops, key])
+                same_order = listed.setdefault(closure.order, [])
+                if any(canonical(closure.ops) == canonical(ops) for ops in same_order):
+                    continue
+                same_order.append(closure.ops)
                 pair = [list(map(list, a.entries)), list(map(list, b.entries))]
                 nonabelian.append({"pair": pair, "closure_order": closure.order})
     except TimeoutError:

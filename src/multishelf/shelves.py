@@ -16,6 +16,7 @@ from .tables import (
     commutes,
     compose,
     distributive_witness,
+    generated,
     greedy_generators,
     is_endomorphism,
     noninvertible_column,
@@ -116,35 +117,15 @@ def verify_distributive(
     return None
 
 
-def _close(seeds: Sequence[OpTable], n: int) -> list[OpTable]:
-    """Breadth-first closure under composition: the identity, then each
-    member composed with each seed, in discovery order.
-
-    Complete because every member of the generated monoid is a word in the
-    seeds and composition is associative, so the word one seed longer is a
-    member composed with that seed.  The seeds come first, after the identity.
-    """
-    ident = right_trivial(n)
-    members: list[OpTable] = [ident]
-    seen = {ident.entries}
-    for op in members:  # grows while it is iterated
-        for seed in seeds:
-            product = compose(op, seed)
-            if product.entries not in seen:
-                seen.add(product.entries)
-                members.append(product)
-                if len(members) > CLOSURE_BUDGET:
-                    raise ClosureBudgetError(f"closure exceeded budget of {CLOSURE_BUDGET} tables")
-    return members
-
-
 def close_group(S: DistributiveSet) -> ClosureResult:
     """Least family containing S closed under composition and inversion.
 
     Invertible tables form a group under composition (column b of a
     composite is the composite of the two column-b permutations), so the
     finite monoid they generate is already that group: each inverse is a
-    power.  It is abelian iff the seeds commute pairwise.
+    power.  Its members come in ``generated``'s discovery order from the
+    right-trivial table, at most CLOSURE_BUDGET of them (else
+    ClosureBudgetError).  It is abelian iff the seeds commute pairwise.
     """
     for i, op in enumerate(S.ops):
         y = noninvertible_column(op)
@@ -152,7 +133,9 @@ def close_group(S: DistributiveSet) -> ClosureResult:
             raise ValueError(
                 f"member {i} is not invertible: column {y} is not a permutation"
             )
-    members = _close(S.ops, S.n)
+    members = generated(S.ops, right_trivial(S.n), compose, CLOSURE_BUDGET)
+    if members is None:
+        raise ClosureBudgetError(f"closure exceeded budget of {CLOSURE_BUDGET} tables")
     make_distributive_set(members)  # revalidate the closure as a distributive set
     abelian = all(commutes(a, b) for k, a in enumerate(S.ops) for b in S.ops[k + 1 :])
     return ClosureResult(tuple(members), "group", abelian)

@@ -83,6 +83,27 @@ def perm_compose(p: Permutation, q: Permutation) -> Permutation:
     return tuple([q[v] for v in p])
 
 
+def generated(
+    seeds: Sequence[T], identity: T, product: Callable[[T, T], T], limit: int
+) -> Optional[list[T]]:
+    """The monoid generated by the seeds, breadth first from the identity:
+    each member, in discovery order, times each seed, in order, so the seeds
+    come first after the identity.  None once a (limit+1)-th member would be
+    added.  Complete for an associative product: a word is a shorter word
+    times one seed."""
+    members = [identity]
+    seen = {identity}
+    for m in members:  # grows while it is iterated
+        for s in seeds:
+            p = product(m, s)
+            if p not in seen:
+                if len(members) == limit:
+                    return None
+                seen.add(p)
+                members.append(p)
+    return members
+
+
 def greedy_generators(
     elements: Iterable[T], identity: T, product: Callable[[T, T], T], limit: int
 ) -> Optional[list[T]]:
@@ -90,9 +111,8 @@ def greedy_generators(
     the ones kept before them, which starts as {identity}; None once that
     monoid has more than ``limit`` members.
 
-    The kept elements generate every given element.  The monoid is rebuilt
-    breadth first from the identity after each kept element, as every word
-    in the kept elements is a shorter word times one of them.
+    The kept elements generate every given element.  After each kept
+    element, ``generated`` rebuilds the monoid from all the kept ones.
     """
     kept: list[T] = []
     monoid = {identity}
@@ -100,16 +120,9 @@ def greedy_generators(
         if x in monoid:
             continue
         kept.append(x)
-        members = [identity]
-        monoid = {identity}
-        for m in members:  # grows while it is iterated
-            for s in kept:
-                p = product(m, s)
-                if p not in monoid:
-                    if len(monoid) == limit:
-                        return None
-                    monoid.add(p)
-                    members.append(p)
+        if (members := generated(kept, identity, product, limit)) is None:
+            return None
+        monoid = set(members)
     return kept
 
 

@@ -116,6 +116,15 @@ class TestComposeCommand:
         assert code == 0
         assert load_table(out) == right_trivial(6)
 
+    def test_carrier_mismatch_names_files(self, berman_dir, capsys):
+        assert main(["fixtures", "xor", "--out", str(berman_dir)]) == 0
+        capsys.readouterr()
+        xor, tau = str(berman_dir / "op0.json"), str(berman_dir / "tau.json")
+        assert main(["compose", "--ops", xor, tau]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --ops {xor} {tau}: carrier mismatch: 2 vs 6\n"
+
 
 class TestEmbedRegularCommand:
     def test_cyclic_3(self, tmp_path, capsys):
@@ -155,6 +164,11 @@ class TestAlphaCommand:
         path = tmp_path / "t.json"
         save_table(make_table(2, [[0, 0], [0, 1]]), path)
         assert main(["alpha", "--op", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: --op {path}: alpha requires an invertible table: column 0 is not a permutation\n"
+        )
 
 
 class TestCheckConjugationCommand:
@@ -176,6 +190,25 @@ class TestCheckConjugationCommand:
         xor = str(tmp_path / "op0.json")
         assert main(["check-conjugation", "--ops", xor, xor]) == 1
         assert json.loads(capsys.readouterr().out)["holds"] is False
+
+    def test_size_mismatch_names_files(self, berman_dir, capsys):
+        assert main(["fixtures", "xor", "--out", str(berman_dir)]) == 0
+        capsys.readouterr()
+        xor, tau = str(berman_dir / "op0.json"), str(berman_dir / "tau.json")
+        assert main(["check-conjugation", "--ops", xor, tau]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --ops {xor} {tau}: size mismatch: 2 vs 6\n"
+
+    def test_noninvertible_names_files(self, berman_dir, capsys):
+        tau, proj = str(berman_dir / "tau.json"), str(berman_dir / "proj.json")
+        save_table(make_table(2, [[0, 0], [0, 1]]), proj)
+        assert main(["check-conjugation", "--ops", tau, proj]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: --ops {tau} {proj}: alpha requires an invertible table: column 0 is not a permutation\n"
+        )
 
 
 class TestSearchCommand:
@@ -210,7 +243,7 @@ class TestSearchCommand:
         assert json.loads(report.read_text())["conclusion"] == "partial"
 
     def test_budget_holds_at_n6(self, tmp_path):
-        # enumeration alone takes tens of seconds at n = 6
+        # an unseeded n = 6 search takes about 1 s; the budget stops it long before
         report = tmp_path / "r.json"
         start = time.monotonic()
         code = main(["search", "--n", "6", "--budget", "0.05", "--report", str(report)])

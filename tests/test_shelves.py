@@ -107,6 +107,21 @@ class TestCloseGroup:
         with pytest.raises(ClosureBudgetError, match="budget of 3 tables"):
             close_group(make_distributive_set([BERMAN_TAU, BERMAN_SIGMA]))
 
+    def test_budget_boundary_is_the_order(self, monkeypatch):
+        # S3 has 6 members: a budget of 6 holds it, 5 does not
+        S = make_distributive_set([BERMAN_TAU, BERMAN_SIGMA])
+        monkeypatch.setattr(shelves, "CLOSURE_BUDGET", 6)
+        assert close_group(S).order == 6
+        monkeypatch.setattr(shelves, "CLOSURE_BUDGET", 5)
+        with pytest.raises(ClosureBudgetError, match="budget of 5 tables"):
+            close_group(S)
+
+    def test_members_in_discovery_order(self):
+        # the identity, the seeds, then each member composed with each seed
+        t, s = BERMAN_TAU, BERMAN_SIGMA
+        cl = close_group(make_distributive_set([t, s]))
+        assert cl.ops == (right_trivial(6), t, s, compose(t, s), compose(s, t), compose(s, s))
+
     def test_closed_under_inverses_and_revalidates(self):
         cl = close_group(make_distributive_set([BERMAN_TAU, BERMAN_SIGMA]))
         for op in cl.ops:

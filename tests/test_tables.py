@@ -16,7 +16,7 @@ from multishelf import (
     right_trivial,
 )
 from multishelf.fixtures import BERMAN_SIGMA, BERMAN_TAU, XOR
-from multishelf.tables import noninvertible_column
+from multishelf.tables import generated, noninvertible_column, perm_compose
 
 
 def all_tables(n):
@@ -90,6 +90,26 @@ class TestCompose:
 
         a, b, c = table(ia), table(ib), table(ic)
         assert compose(compose(a, b), c) == compose(a, compose(b, c))
+
+
+class TestGenerated:
+    def test_identity_then_seeds_then_products(self):
+        # each member times each seed, members and seeds in order
+        r, t = (1, 2, 0), (1, 0, 2)
+        got = generated([r, t], (0, 1, 2), perm_compose, 6)
+        assert got == [(0, 1, 2), r, t, (2, 0, 1), (0, 2, 1), (2, 1, 0)]
+
+    def test_none_exactly_past_limit(self):
+        add5 = lambda a, b: (a + b) % 5
+        assert generated([1], 0, add5, 5) == [0, 1, 2, 3, 4]
+        assert generated([1], 0, add5, 4) is None
+        # repeated seeds and the identity add no member
+        assert generated([0, 1, 1], 0, add5, 5) == [0, 1, 2, 3, 4]
+
+    def test_tables_by_value(self):
+        # a product equal to a member but built anew is not a new member
+        got = generated([BERMAN_TAU], right_trivial(6), compose, 2)
+        assert got == [right_trivial(6), BERMAN_TAU]
 
 
 class TestInvertibility:
