@@ -36,7 +36,7 @@ from .homology import (
     homology_groups,
 )
 from .shelves import DistributivityError
-from .search import certify_no_nonabelian
+from .search import _check_seed, _check_size, certify_no_nonabelian
 from .tables import compose
 from .translate import alpha, conjugation_condition
 
@@ -136,9 +136,12 @@ def _cmd_alpha(args) -> int:
 
 
 def _cmd_check_conjugation(args) -> int:
-    op1, op2 = map(load_table, args.ops)
+    cols = []
+    for path, op in zip(args.ops, list(map(load_table, args.ops))):  # read both files first
+        with _named("--ops", path):
+            cols.append(alpha(op))
     with _named("--ops", *args.ops):
-        w = conjugation_condition(alpha(op1), alpha(op2))
+        w = conjugation_condition(*cols)
     if w is None:
         write_document({"holds": True}, args.out)
         return EXIT_OK
@@ -147,7 +150,12 @@ def _cmd_check_conjugation(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    with _named("--n", args.n):
+        _check_size(args.n)
     seed = tuple(map(load_table, args.seed_pair)) if args.seed_pair else None
+    for k, path in enumerate(args.seed_pair or ()):
+        with _named("--seed-pair", path):
+            _check_seed(args.n, seed[k], k)  # the search checks them again, but names no file
     report = certify_no_nonabelian(args.n, budget=args.budget, seed_pair=seed)
     write_document(report.to_document(), args.report)
     if report.conclusion == "nonabelian-found":

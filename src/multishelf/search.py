@@ -20,7 +20,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property, reduce
-from operator import and_, itemgetter, or_
+from operator import and_, itemgetter
 from typing import Callable, Optional, Sequence
 
 from .shelves import DistributiveSet, close_group
@@ -119,24 +119,31 @@ def _perm_index(n: int) -> dict[Permutation, int]:
 
 
 def _symmetric(n: int, deadline: Optional[float]) -> tuple:
-    """S_n on permutation indices, as (perms, mul, conj): ``perms[k]`` is
-    the k-th permutation of the carrier in lexicographic order, so index
-    order is lex order; ``mul[a][b]`` applies a, then b, and ``conj[q][p]``
-    is x -> q(p(q^-1(x))).  The deadline is checked once per row of the two
-    n! x n! tables."""
+    """S_n on permutation indices, as (perms, conj): ``perms[k]`` is the
+    k-th permutation of the carrier in lexicographic order, so index order
+    is lex order, and ``conj[q][p]`` is x -> q(p(q^-1(x))).  The rows of the
+    generators (0 1) and x -> x+1 (one permutation at n = 2, none at n = 1)
+    come from the tuples; every other row, reached breadth first, is one
+    gather, since conjugating by h, then g, is ``conj[g][conj[h][p]]``.
+    The deadline is checked once per row."""
     index = _perm_index(n)
     perms = list(index)
-    mul = []
-    for a in perms:
+    conj: list = [tuple(range(len(perms)))] + [None] * (len(perms) - 1)
+    gens = {index[g]: g for g in ((1, 0) + tuple(range(2, n)), tuple(range(1, n)) + (0,))} if n > 1 else {}
+    for k, g in gens.items():
         _check_deadline(deadline)
-        # itemgetter(*a)(b) is x -> b[a[x]], but b[0] alone when n = 1
-        then = itemgetter(*a) if n > 1 else tuple
-        mul.append(list(map(index.__getitem__, map(then, perms))))
-    conj = []
-    for q, p in enumerate(perms):
-        _check_deadline(deadline)
-        conj.append([mul[m][q] for m in mul[index[perm_inverse(p)]]])
-    return perms, mul, conj
+        ginv = perm_inverse(g)
+        conj[k] = tuple(index[tuple(g[p[v]] for v in ginv)] for p in perms)
+    queue = list(gens)
+    for h in queue:
+        row = itemgetter(*conj[h])  # n! > 1 indices, so it returns a tuple
+        for k, g in gens.items():
+            q = index[tuple(map(g.__getitem__, perms[h]))]  # h, then g
+            if conj[q] is None:
+                _check_deadline(deadline)
+                conj[q] = row(conj[k])
+                queue.append(q)
+    return perms, conj
 
 
 def _enumerate_pruned(n: int, deadline: Optional[float], sym: tuple) -> tuple[list[tuple[int, ...]], int]:
@@ -155,7 +162,7 @@ def _enumerate_pruned(n: int, deadline: Optional[float], sym: tuple) -> tuple[li
     that ``_symmetric(n, deadline)`` returns.  Returns (completions,
     nodes_pruned), each completion as its tuple of column indices.
     """
-    perms, _, conj = sym
+    perms, conj = sym
     fix0 = [q for q, qp in enumerate(perms) if qp[0] == 0]
     column0 = [p for p in range(len(perms)) if all(p <= conj[q][p] for q in fix0)]
     found: list[tuple[int, ...]] = []
@@ -233,19 +240,6 @@ def canonical_form_set(ops: Sequence[OpTable]) -> tuple[OpTable, ...]:
     return tuple(OpTable(n, e) for e in best)
 
 
-def _automorphisms(cols: Sequence[int], perms: list[Permutation], conj: list[list[int]]) -> list[int]:
-    """Indices of the relabelings that fix the rack with column indices
-    ``cols``, in increasing order.  ``relabel(r, p)`` has column
-    ``conj[p][cols[y]]`` at p(y), so p fixes r iff that is ``cols[p(y)]``
-    for every y.  Most p already fail at y = 0, which is tested first."""
-    c0 = cols[0]
-    return [
-        p
-        for p, (pp, cp) in enumerate(zip(perms, conj))
-        if cols[pp[0]] == cp[c0] and all(cols[v] == cp[c] for v, c in zip(pp, cols))
-    ]
-
-
 def _check_size(n: int) -> None:
     if not 1 <= n <= PRUNED_BOUND:
         raise ValueError(f"n={n} outside [1, {PRUNED_BOUND}]")
@@ -254,21 +248,25 @@ def _check_size(n: int) -> None:
 def enumerate_racks(n: int, deadline: Optional[float] = None) -> RackCatalog:
     """Complete catalog of racks on n points, on ``_symmetric`` indices.
     The completions of ``_enumerate_pruned`` meet every class.  Each one not
-    yet swept is checked with ``distributive_witness`` (one table per
-    class), skipped if it fails, and relabeled once per coset ``q . Aut(r)``,
-    at its least member q; relabeling keeps self-distributivity, and the
-    image's automorphism group is ``q Aut(r) q^-1``.  Each image is keyed by
-    its table's row-major base-n encoding, and the racks are sorted on the
-    keys, i.e. in table order.  No other table is built.  Raises
-    TimeoutError once ``time.monotonic()`` passes ``deadline``, which is
-    checked once per class.
+    yet swept, r, is checked with ``distributive_witness`` (one table per
+    class) and skipped if it fails.  Its image table lists the columns of
+    ``relabel(r, q)`` for every q: Aut(r) is the q whose image is r, and
+    each distinct image, one per coset ``q . Aut(r)``, is kept at its least
+    q; relabeling keeps self-distributivity, and the image's automorphism
+    group is ``q Aut(r) q^-1``.  Each image is keyed by its table's
+    row-major base-n encoding, and the racks are sorted on the keys, i.e.
+    in table order.  No other table is built.  Raises TimeoutError once
+    ``time.monotonic()`` passes ``deadline``, checked once per class.
     """
     _check_size(n)
     sym = _symmetric(n, deadline)
     found, pruned = _enumerate_pruned(n, deadline, sym)
-    perms, mul, conj = sym
+    perms, conj = sym
+    # at[x](cols)[q] is cols[q^-1(x)]; the extra last index keeps a tuple at n = 1
+    at = [itemgetter(*ax, 0) for ax in zip(*map(perm_inverse, perms))]
     # Column p at b puts the digit p(a) at place (n-1-a)n + n-1-b of the key.
-    weight = [[sum(v * n ** ((n - 1 - a) * n + n - 1 - b) for a, v in enumerate(pp)) for pp in perms] for b in range(n)]
+    base = [sum(v * n ** ((n - 1 - a) * n) for a, v in enumerate(pp)) for pp in perms]
+    weight = [[w * n ** (n - 1 - b) for w in base] for b in range(n)]
     shared: dict[int, int] = {}  # one object per distinct mask
     swept: dict[tuple[int, ...], tuple[int, int, int]] = {}  # columns -> (key, class, mask)
     for cls, cols in enumerate(found):
@@ -278,20 +276,14 @@ def enumerate_racks(n: int, deadline: Optional[float] = None) -> RackCatalog:
         table = alpha_inverse([perms[c] for c in cols])
         if distributive_witness(table, table) is not None:
             continue
-        aut = _automorphisms(cols, perms, conj)
-        seen = bytearray(len(perms))
-        for q, qp in enumerate(perms):
-            if seen[q]:
-                continue
-            for a in aut:  # q is the least of q . Aut(r)
-                seen[mul[a][q]] = 1
+        # images[q]: the columns of relabel(r, q), which has conj[q][cols[q^-1(x)]] at x
+        images = list(zip(*[[cq[c] for cq, c in zip(conj, ax(cols))] for ax in at]))
+        aut = [q for q, image in enumerate(images) if image == cols]
+        for image, q in dict(zip(reversed(images), reversed(range(len(perms))))).items():  # each at its least q
             cq = conj[q]
             mask = sum(1 << cq[a] for a in aut)
-            image = [0] * n  # relabel(r, q) has column conj[q][cols[y]] at q(y)
-            for v, c in zip(qp, cols):
-                image[v] = cq[c]
-            swept[tuple(image)] = (sum(map(list.__getitem__, weight, image)), cls, shared.setdefault(mask, mask))
-    del found, sym, perms, mul, conj  # freed before the sort
+            swept[image] = (sum(map(list.__getitem__, weight, image)), cls, shared.setdefault(mask, mask))
+    del found, sym, perms, conj, images  # freed before the sort
     columns = sorted(swept, key=swept.__getitem__)  # on the keys, which are distinct
     _, classes, masks = zip(*map(swept.__getitem__, columns))
     first: dict[int, int] = {}  # class -> index of its least rack
@@ -329,20 +321,15 @@ def compatibility_graph(catalog: RackCatalog, deadline: Optional[float] = None) 
     says exactly that every column ``x -> x B c`` is an automorphism of A
     (``tables.is_endomorphism``, restricted to bijections).  So B is a
     partner of A, both ordered checks passing, iff each column of B lies in
-    Aut(A) and each column of A in Aut(B).  Two bitsets over the racks per
-    permutation p tell both: ``has[p]``, the racks with column p, and
-    ``fixes[p]``, the racks whose automorphism mask holds p.  The row of A
-    is ``~OR_{p not in Aut(A)} has[p] & AND_{p in cols(A)} fixes[p]``,
-    without A itself.  Raises TimeoutError once ``time.monotonic()`` passes
-    ``deadline``, which is checked once per bitset and per row.
+    Aut(A) and each column of A in Aut(B).  The bitset ``fixes[p]`` holds
+    the racks whose automorphism mask holds p, so the candidates for the row
+    of A are ``AND_{p in cols(A)} fixes[p]``, without A itself, and the row
+    keeps those whose columns all lie in Aut(A).  Raises TimeoutError once
+    ``time.monotonic()`` passes ``deadline``, which is checked once per
+    bitset and per row.
     """
     columns, masks = catalog.columns, catalog.automorphisms
-    has: list = [[] for _ in range(math.factorial(catalog.n))]
-    for j, cj in enumerate(columns):
-        for c in set(cj):
-            has[c].append(j)
-    _to_bitsets(has, len(columns), deadline)
-    fixes: list = [[] for _ in has]
+    fixes: list = [[] for _ in range(math.factorial(catalog.n))]
     by_mask: dict[int, list[int]] = {}
     for j, m in enumerate(masks):
         by_mask.setdefault(m, []).append(j)
@@ -350,14 +337,28 @@ def compatibility_graph(catalog: RackCatalog, deadline: Optional[float] = None) 
         for p in _ones(m):
             fixes[p] += js
     _to_bitsets(fixes, len(columns), deadline)
-    full = (1 << len(has)) - 1
     graph = {}
     for i in catalog.representatives:
         _check_deadline(deadline)
-        # out: rack i itself and every rack with a column outside Aut(rack i)
-        out = reduce(or_, map(has.__getitem__, _ones(full ^ masks[i])), 1 << i)
-        graph[i] = _ones(reduce(and_, map(fixes.__getitem__, set(columns[i])), ~out))
+        aut = set(_ones(masks[i]))
+        cands = _ones(reduce(and_, map(fixes.__getitem__, set(columns[i])), ~(1 << i)))
+        graph[i] = list(itertools.compress(cands, map(aut.issuperset, map(columns.__getitem__, cands))))
     return graph
+
+
+def _check_seed(n: int, op: OpTable, k: int) -> None:
+    """Raise ValueError unless ``op``, table k of a seed pair, is a rack on n points."""
+    if op.n != n:
+        raise ValueError(f"seed pair table has carrier {op.n}, but n={n}")
+    y = noninvertible_column(op)
+    if y is not None:
+        raise ValueError(f"seed pair table {k} is not invertible: column {y} is not a permutation")
+    w = distributive_witness(op, op)
+    if w is not None:
+        raise ValueError(
+            f"seed pair table {k} is not self-distributive: "
+            f"(a*b)*c != (a*c)*(b*c) at (a, b, c) = {w}"
+        )
 
 
 def seed_catalog(n: int, seed_pair: tuple[OpTable, OpTable]) -> RackCatalog:
@@ -365,17 +366,7 @@ def seed_catalog(n: int, seed_pair: tuple[OpTable, OpTable]) -> RackCatalog:
     automorphism mask and column indices.  Raises ValueError unless both
     tables are racks on n points."""
     for k, op in enumerate(seed_pair):
-        if op.n != n:
-            raise ValueError(f"seed pair table has carrier {op.n}, but n={n}")
-        y = noninvertible_column(op)
-        if y is not None:
-            raise ValueError(f"seed pair table {k} is not invertible: column {y} is not a permutation")
-        w = distributive_witness(op, op)
-        if w is not None:
-            raise ValueError(
-                f"seed pair table {k} is not self-distributive: "
-                f"(a*b)*c != (a*c)*(b*c) at (a, b, c) = {w}"
-            )
+        _check_seed(n, op, k)
     index = _perm_index(n)
     masks = tuple(sum(1 << k for p, k in index.items() if is_endomorphism(p, op)) for op in seed_pair)
     columns = tuple(tuple(index[c] for c in zip(*op.entries)) for op in seed_pair)

@@ -207,7 +207,7 @@ class TestCheckConjugationCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            f"error: --ops {tau} {proj}: alpha requires an invertible table: column 0 is not a permutation\n"
+            f"error: --ops {proj}: alpha requires an invertible table: column 0 is not a permutation\n"
         )
 
 
@@ -268,12 +268,12 @@ class TestSearchCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: budget=-1.0 ")
 
-    @pytest.mark.parametrize("n", ["0", "-2"])
+    @pytest.mark.parametrize("n", ["0", "-2", "7"])
     def test_size_out_of_range(self, n, capsys):
         assert main(["search", "--n", n]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(f"error: n={n} ")
+        assert captured.err == f"error: --n {n}: n={n} outside [1, 6]\n"
 
     def test_seed_pair_carrier_mismatch(self, tmp_path, capsys):
         path = tmp_path / "rt3.json"
@@ -281,7 +281,7 @@ class TestSearchCommand:
         assert main(["search", "--n", "6", "--seed-pair", str(path), str(path)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: seed pair table has carrier 3, but n=6\n"
+        assert captured.err == f"error: --seed-pair {path}: seed pair table has carrier 3, but n=6\n"
 
     def test_seed_pair_not_a_rack(self, tmp_path, capsys):
         path = tmp_path / "const.json"
@@ -292,7 +292,7 @@ class TestSearchCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            "error: seed pair table 1 is not invertible: column 0 is not a permutation\n"
+            f"error: --seed-pair {path}: seed pair table 1 is not invertible: column 0 is not a permutation\n"
         )
 
     def test_report_byte_identical(self, tmp_path):

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import time
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -31,7 +32,7 @@ from multishelf import (
 )
 from multishelf import search
 from multishelf.fixtures import BERMAN_SIGMA, BERMAN_TAU, XOR
-from multishelf.tables import noninvertible_column, perm_compose, perm_inverse
+from multishelf.tables import noninvertible_column, perm_inverse
 from multishelf.translate import alpha_inverse
 
 
@@ -149,9 +150,9 @@ class TestEnumerateRacks:
 
     def test_deadline_checked_before_the_first_class(self, monkeypatch):
         # The deadline passes just after the backtrack returns: no class may
-        # be swept, so no automorphism group is read.
+        # be swept, so no class's table is built to be checked.
         _expire_after(monkeypatch, "_enumerate_pruned")
-        monkeypatch.setattr(search, "_automorphisms", _unreachable("a class was swept after the deadline"))
+        monkeypatch.setattr(search, "alpha_inverse", _unreachable("a class was swept after the deadline"))
         with pytest.raises(TimeoutError):
             enumerate_racks(4, deadline=time.monotonic() + 3600)
 
@@ -213,6 +214,15 @@ class TestEnumerateRacks:
         assert (len(set(catalog.orbit)), len(columns), len(set(columns))) == (353, 36538, 36538)
         assert catalog.nodes_pruned == 1_050_371
         assert len(checked) == 353  # one check per class
+        # Aut(r) and the class of r are the stabilizer and orbit of S_6 acting on r
+        size = Counter(catalog.orbit)
+        assert all(bin(m).count("1") * size[o] == 720 for m, o in zip(catalog.automorphisms, catalog.orbit))
+        # the last rack of every 18th class, most of them relabeled away from the class's first
+        last = {o: j for j, o in enumerate(catalog.orbit)}
+        perms = sorted(itertools.permutations(range(6)))
+        for j in [last[i] for i in catalog.representatives[::18]]:
+            rack = alpha_inverse([perms[c] for c in columns[j]])
+            assert catalog.automorphisms[j] == automorphisms_brute_force(rack)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_sweep_returns_racks_in_table_order(self, monkeypatch, n):
@@ -319,17 +329,24 @@ class TestEnumerateRacks:
 class TestSymmetricTables:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_tables_match_tuple_arithmetic(self, n):
-        perms, mul, conj = search._symmetric(n, None)
+        perms, conj = search._symmetric(n, None)
         assert perms == sorted(itertools.permutations(range(n)))  # index order is lex order
-        index = {p: k for k, p in enumerate(perms)}
-        identity = index[tuple(range(n))]
+        assert len(conj) == len(perms)
         for a, p in enumerate(perms):
             pinv = perm_inverse(p)
             for b, q in enumerate(perms):
-                assert perms[mul[a][b]] == perm_compose(p, q)
                 assert perms[conj[a][b]] == tuple(p[q[x]] for x in pinv)
-            inverse = index[pinv]
-            assert mul[a][inverse] == mul[inverse][a] == identity
+
+    def test_n6_rows_match_tuple_arithmetic(self):
+        # The rows of the two generators come from tuples, and every other
+        # row from gathers: check both generators and a spread of the others.
+        perms, conj = search._symmetric(6, None)
+        index = {p: k for k, p in enumerate(perms)}
+        generators = [index[(1, 0, 2, 3, 4, 5)], index[(1, 2, 3, 4, 5, 0)]]
+        for a in generators + list(range(0, 720, 37)) + [719]:
+            p = perms[a]
+            pinv = perm_inverse(p)
+            assert [perms[c] for c in conj[a]] == [tuple(p[q[x]] for x in pinv) for q in perms]
 
 
 class TestCanonicalForm:
