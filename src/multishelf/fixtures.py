@@ -14,6 +14,7 @@ files written from it cannot drift.
 from __future__ import annotations
 
 import json
+import sys
 
 from .formats import set_document
 from .shelves import DistributiveSet, make_distributive_set
@@ -76,10 +77,19 @@ def fixture(name: str) -> tuple[tuple[OpTable, ...], dict, str]:
 
 
 def document_checksum(doc: dict) -> str:
-    """sha256 of a JSON document serialized with sorted keys."""
-    import hashlib  # loads OpenSSL, which a run that computes no checksum does without
+    """sha256 of a JSON document serialized with sorted keys, from CPython's
+    built-in SHA-256 module (``_sha2`` from Python 3.12, ``_sha256`` before),
+    which ``hashlib`` also falls back to without OpenSSL.  ``hashlib``,
+    which loads OpenSSL, is imported only when that module is missing."""
+    try:
+        if sys.version_info >= (3, 12):
+            from _sha2 import sha256
+        else:
+            from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
-    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+    return sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
 def get_fixture(name: str) -> DistributiveSet:

@@ -301,17 +301,6 @@ def _ones(x: int) -> list[int]:
     return found
 
 
-def _to_bitsets(lists: list, size: int, deadline: Optional[float]) -> None:
-    """Replace each list of indices below ``size``, one at a time, by the
-    int whose set bits they are."""
-    for p, indices in enumerate(lists):
-        _check_deadline(deadline)
-        digits = bytearray(b"0" * size)
-        for j in indices:
-            digits[j] = 49  # ord("1")
-        lists[p] = int(digits[::-1], 2)
-
-
 def compatibility_graph(catalog: RackCatalog, deadline: Optional[float] = None) -> dict[int, list[int]]:
     """Compatible partners of the first rack of each relabeling class, in
     increasing order.  The rows of the other racks are relabelings of these,
@@ -322,21 +311,23 @@ def compatibility_graph(catalog: RackCatalog, deadline: Optional[float] = None) 
     (``tables.is_endomorphism``, restricted to bijections).  So B is a
     partner of A, both ordered checks passing, iff each column of B lies in
     Aut(A) and each column of A in Aut(B).  The bitset ``fixes[p]`` holds
-    the racks whose automorphism mask holds p, so the candidates for the row
-    of A are ``AND_{p in cols(A)} fixes[p]``, without A itself, and the row
-    keeps those whose columns all lie in Aut(A).  Raises TimeoutError once
-    ``time.monotonic()`` passes ``deadline``, which is checked once per
-    bitset and per row.
+    the racks whose automorphism mask holds p: the OR of the bitsets of the
+    racks sharing each distinct mask that holds p.  So the candidates for
+    the row of A are ``AND_{p in cols(A)} fixes[p]``, without A itself, and
+    the row keeps those whose columns all lie in Aut(A).  Raises
+    TimeoutError once ``time.monotonic()`` passes ``deadline``, which is
+    checked once per distinct mask and per row.
     """
     columns, masks = catalog.columns, catalog.automorphisms
-    fixes: list = [[] for _ in range(math.factorial(catalog.n))]
+    fixes = [0] * math.factorial(catalog.n)
     by_mask: dict[int, list[int]] = {}
     for j, m in enumerate(masks):
         by_mask.setdefault(m, []).append(j)
     for m, js in by_mask.items():
+        _check_deadline(deadline)
+        bits = sum(1 << j for j in js)
         for p in _ones(m):
-            fixes[p] += js
-    _to_bitsets(fixes, len(columns), deadline)
+            fixes[p] |= bits
     graph = {}
     for i in catalog.representatives:
         _check_deadline(deadline)

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -34,17 +35,37 @@ def test_python_m_multishelf():
     assert run.stdout.startswith("berman-d6  sha256=")
 
 
-def test_openssl_loaded_only_for_checksums():
-    # hashlib loads OpenSSL (_hashlib): a search computes no checksum, so it
-    # must not import it, and the fixture listing must still print the pins.
+def _imported(run) -> set[str]:
+    """The modules a ``-X importtime`` run imported, from its stderr."""
+    return {line.rsplit("|", 1)[1].strip() for line in run.stderr.splitlines() if line.startswith("import time:")}
+
+
+def test_openssl_loaded_by_no_search_or_fixture_run(tmp_path):
+    # hashlib loads OpenSSL (_hashlib). A search computes no checksum, so it
+    # must import neither; fixture pins come from CPython's built-in SHA-256
+    # module, so a run that checks them must not load OpenSSL either, and the
+    # fixture listing must still print the pins.
     run = _python_m("-X", "importtime", "-m", "multishelf", "search", "--n", "3")
     assert run.returncode == 0, run.stderr
-    imported = {line.rsplit("|", 1)[1].strip() for line in run.stderr.splitlines() if line.startswith("import time:")}
+    imported = _imported(run)
     assert "multishelf.search" in imported
     assert "_hashlib" not in imported and "hashlib" not in imported
     run = _python_m("-m", "multishelf", "fixtures", "list")
     assert run.returncode == 0, run.stderr
     assert "berman-d6  sha256=a8c6c94ea76f17d0775b460c36b712d3ce18821e7ae023971da1c897bc9f9cee" in run.stdout
+    if not any(map(importlib.util.find_spec, ["_sha2", "_sha256"])):
+        pytest.skip("this interpreter has no built-in SHA-256 module (_sha2 or _sha256), so pins need hashlib")
+    for args in (
+        ["-m", "multishelf", "fixtures", "list"],
+        ["-m", "multishelf", "fixtures", "berman-d6", "--out", str(tmp_path)],
+        ["-c", "from multishelf.fixtures import get_fixture; get_fixture('berman-d6')"],
+    ):
+        run = _python_m("-X", "importtime", *args)
+        assert run.returncode == 0, run.stderr
+        imported = _imported(run)
+        assert "multishelf.fixtures" in imported
+        assert "_hashlib" not in imported, args
+    assert (tmp_path / "berman-d6.json").is_file()
 
 
 class TestFixturesCommand:

@@ -1,4 +1,7 @@
+import hashlib
+import importlib.util
 import json
+import sys
 
 import pytest
 
@@ -6,6 +9,7 @@ from multishelf import cyclic, make_distributive_set, make_table, right_trivial
 from multishelf.fixtures import (
     BERMAN_SIGMA,
     BERMAN_TAU,
+    document_checksum,
     fixture,
     fixture_names,
     get_fixture,
@@ -121,6 +125,22 @@ class TestFixtures:
         assert fixture("xor")[2] == (
             "81ecf75270c6a7168fc96cf138c145f0a48ef7cf5785338bd7bcd1d719fb7610"
         )
+
+    @pytest.mark.parametrize("fallback", [False, True], ids=["built-in", "hashlib"])
+    def test_checksum_is_sha256_of_sorted_json(self, monkeypatch, fallback):
+        # CPython's built-in SHA-256 and the hashlib fallback give one digest
+        docs = [fixture(name)[1] for name in fixture_names()] + [
+            set_document(make_distributive_set([right_trivial(n)])) for n in (1, 3)
+        ] + [group_document(cyclic(5)), {"b": [1, None, "\u00e9"], "a": {"z": 0.5, "y": True}}]
+        want = [hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest() for doc in docs]
+        builtin = not fallback and any(map(importlib.util.find_spec, ["_sha2", "_sha256"]))
+        sha256, hashed = hashlib.sha256, []
+        monkeypatch.setattr(hashlib, "sha256", lambda data: hashed.append(data) or sha256(data))
+        if fallback:
+            monkeypatch.setitem(sys.modules, "_sha2", None)
+            monkeypatch.setitem(sys.modules, "_sha256", None)
+        assert [document_checksum(doc) for doc in docs] == want
+        assert len(hashed) == (0 if builtin else len(docs))  # hashlib only without a built-in module
 
     def test_tampered_table_raises(self, monkeypatch):
         import multishelf.fixtures as fx

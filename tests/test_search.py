@@ -425,22 +425,17 @@ class TestCompatibilityGraph:
             compatibility_graph(catalog, deadline=time.monotonic() - 1)
 
     def test_deadline_checked_while_the_bitsets_are_built(self, monkeypatch):
-        # The clock passes the deadline once the first bitset is built: the
-        # build must stop there, not after all n! of them.
+        # The clock passes the deadline once the first mask's racks are added
+        # to the bitsets: the build must stop there, not after all the masks.
         catalog = enumerate_racks(4)
-        build, built = search._to_bitsets, []
-
-        def recorded(lists, size, deadline):
-            built.append(lists)
-            build(lists, size, deadline)
-
+        assert len(set(catalog.automorphisms)) > 1
+        ones, spread = search._ones, []
+        monkeypatch.setattr(search, "_ones", lambda x: spread.append(x) or ones(x))
         ticks = iter([0.0])
-        monkeypatch.setattr(search, "_to_bitsets", recorded)
         monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=lambda: next(ticks, math.inf)))
         with pytest.raises(TimeoutError):
             compatibility_graph(catalog, deadline=1.0)
-        assert len(built) == 1
-        assert [type(b) for b in built[0]] == [int] + [list] * 23
+        assert spread == [catalog.automorphisms[0]]
 
     def test_berman_pair_mutually_compatible(self):
         assert distributive_witness(BERMAN_TAU, BERMAN_SIGMA) is None
@@ -570,14 +565,15 @@ class TestCertify:
         assert len(built) == 74
 
     def test_deadline_checked_while_the_rows_are_built(self, monkeypatch):
-        # The deadline passes once the catalog is built: the row phase stops at
-        # its first bitset, and the report counts the racks and no pair.
+        # The deadline passes once the catalog is built: the row phase stops
+        # before its first mask is spread over the bitsets, and the report
+        # counts the racks and no pair.
         _expire_after(monkeypatch, "enumerate_racks")
-        built, build = [], search._to_bitsets
-        monkeypatch.setattr(search, "_to_bitsets", lambda lists, *args: built.append(lists) or build(lists, *args))
+        ones, spread = search._ones, []
+        monkeypatch.setattr(search, "_ones", lambda x: spread.append(x) or ones(x))
         report = certify_no_nonabelian(5, budget=3600)
         assert (report.conclusion, report.racks_found, report.compatible_pairs) == ("partial", 1708, 0)
-        assert len(built) == 1 and all(type(b) is list for b in built[0])
+        assert spread == []
 
     def test_deadline_checked_before_the_pair_sweep(self, monkeypatch):
         # The deadline passes once the rows are built: the pairs are counted,
