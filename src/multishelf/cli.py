@@ -36,7 +36,7 @@ from .homology import (
     homology_groups,
 )
 from .shelves import DistributivityError
-from .search import _check_seed, _check_size, certify_no_nonabelian
+from .search import _check_budget, _check_seed, _check_size, certify_no_nonabelian
 from .tables import compose
 from .translate import alpha, conjugation_condition
 
@@ -152,6 +152,8 @@ def _cmd_check_conjugation(args) -> int:
 def _cmd_search(args) -> int:
     with _named("--n", args.n):
         _check_size(args.n)
+    with _named("--budget", args.budget):
+        _check_budget(args.budget)
     seed = tuple(map(load_table, args.seed_pair)) if args.seed_pair else None
     for k, path in enumerate(args.seed_pair or ()):
         with _named("--seed-pair", path):

@@ -22,8 +22,10 @@ operations up to then: the minor U = (E d_{k-1})[R, P] on the pivot rows R
 is triangular with +-1 on its diagonal, so unimodular.  Since
 d_{k-1} d_k = 0, U d_k[P] = -(E d_{k-1})[R, not P] d_k[not P]: the rows P
 of d_k are integer combinations of its other rows, and deleting them leaves
-its invariant factors unchanged.  With weights such as 2,5 no matrix has a
-+-1 entry, so P is empty and nothing is dropped.
+its invariant factors unchanged.  The SNF of d_k leaves them out itself
+(its ``drop`` argument), so each boundary matrix is built and checked once.
+With weights such as 2,5 no matrix has a +-1 entry, so P is empty and
+nothing is dropped.
 """
 from __future__ import annotations
 
@@ -56,8 +58,9 @@ class ChainSpec:
             raise ValueError(
                 f"{len(self.weights)} weights for {len(self.S.ops)} operations"
             )
-        for k, w in enumerate(self.weights):
-            integer(w, f"weight {k}")
+        # exact ints, as int_matrix keeps matrix entries: a weight may be a numpy integer
+        weights = tuple(integer(w, f"weight {k}") for k, w in enumerate(self.weights))
+        object.__setattr__(self, "weights", weights)
         if self.max_degree < 0:
             raise ValueError("max_degree must be >= 0")
 
@@ -113,8 +116,7 @@ def boundary_matrix(
     if faces is None:
         faces = _weighted_face_tables(spec, degree)
     n = spec.S.n
-    # IntMatrix takes Python ints only, and a weight may be a numpy integer
-    signs = [int(-w if i % 2 else w) for w in spec.weights if w for i in range(degree + 1)]
+    signs = [-w if i % 2 else w for w in spec.weights if w for i in range(degree + 1)]
     columns = [face for tables in faces for face in tables[degree]]
     data = [[] for _ in range(n**degree)]  # row: its (column, value) pairs
     # x runs in increasing order, so every row comes out sorted
@@ -184,10 +186,11 @@ def homology_groups(
     rows of every face table and the columns of every matrix the run builds;
     it is checked before any of them is built.
 
-    Each SNF after the first runs on d_d without the rows that the SNF of
-    d_{d-1} matched with +-1 pivots (see the module docstring).  Deleting
-    them is exact only because d_{d-1} d_d = 0, and verify_differential
-    guarantees that before any matrix is built.
+    Each SNF after the first leaves out the rows of d_d that the SNF of
+    d_{d-1} matched with +-1 pivots (see the module docstring); d_d itself
+    is passed as boundary_matrix built it.  Leaving them out is exact only
+    because d_{d-1} d_d = 0, and verify_differential guarantees that before
+    any matrix is built.
     """
     n = spec.S.n
     top = _top_degree(spec)
@@ -206,11 +209,8 @@ def homology_groups(
         M = boundary_matrix(spec, d, faces)
         for tables in faces:
             tables[d] = None  # its last use, so the SNF runs without it
-        if matched:
-            data = tuple(row for i, row in enumerate(M.data) if i not in matched)
-            M = IntMatrix(len(data), M.cols, data)
-        matched = set()
-        factors[d] = smith_normal_form(M, matched)
+        drop, matched = matched, set()
+        factors[d] = smith_normal_form(M, matched, drop)
     groups = []
     for d in range(spec.max_degree):
         above = factors[d + 1]

@@ -245,6 +245,11 @@ def _check_size(n: int) -> None:
         raise ValueError(f"n={n} outside [1, {PRUNED_BOUND}]")
 
 
+def _check_budget(budget: Optional[float]) -> None:
+    if budget is not None and not budget >= 0:  # NaN fails every comparison
+        raise ValueError(f"budget={budget} is not a number of seconds >= 0")
+
+
 def enumerate_racks(n: int, deadline: Optional[float] = None) -> RackCatalog:
     """Complete catalog of racks on n points, on ``_symmetric`` indices.
     The completions of ``_enumerate_pruned`` meet every class.  Each one not
@@ -400,8 +405,7 @@ def certify_no_nonabelian(
     ValueError, and so does a seed pair that ``seed_catalog`` rejects.
     """
     _check_size(n)
-    if budget is not None and not budget >= 0:  # NaN fails every comparison
-        raise ValueError(f"budget={budget} is not a number of seconds >= 0")
+    _check_budget(budget)
     deadline = None if budget is None else time.monotonic() + budget
 
     racks_found = compatible = nodes_pruned = 0

@@ -29,7 +29,9 @@ An optional output argument, a set, receives the column of each +-1 pivot
 taken before the first pivot of any other value.  Up to that pivot the
 elimination has run row operations only, so with E their product the minor
 of E.M on the pivot rows and these columns is triangular with +-1 on its
-diagonal.  homology_groups reads it to drop rows of the next boundary matrix.
+diagonal.  The optional ``drop`` holds rows of M to leave out: the SNF is
+that of M without them, and M itself is neither copied nor checked again.
+homology_groups passes the set one degree fills as the next degree's drop.
 """
 from __future__ import annotations
 
@@ -38,7 +40,7 @@ import math
 import operator
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Collection, Sequence
 
 
 @dataclass(frozen=True)
@@ -79,13 +81,18 @@ def int_matrix(data: Sequence[Sequence[int]]) -> IntMatrix:
     return IntMatrix(len(rows), cols, tuple(tuple((j, v) for j, v in enumerate(r) if v) for r in rows))
 
 
-def smith_normal_form(M: IntMatrix, matched: set[int] | None = None) -> list[int]:
-    """Invariant factors d1 | d2 | ... (positive, nonzero ones only).
+def smith_normal_form(
+    M: IntMatrix, matched: set[int] | None = None, drop: Collection[int] = ()
+) -> list[int]:
+    """Invariant factors d1 | d2 | ... (positive, nonzero ones only) of M
+    without the rows in ``drop``.
 
     ``matched``, if given, receives the column of each +-1 pivot taken
-    before the first pivot of any other value.
+    before the first pivot of any other value.  The kept rows keep their
+    indices and their order, so pivots, factors and ``matched`` are those of
+    the submatrix of the kept rows.
     """
-    rows = {i: dict(r) for i, r in enumerate(M.data) if r}
+    rows = {i: dict(r) for i, r in enumerate(M.data) if r and i not in drop}
     count = Counter(j for row in rows.values() for j in row)  # nonzeros per column
     heap: list[tuple[int, int]] = []  # (length, row), filled below
     ones = 0

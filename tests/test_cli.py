@@ -278,7 +278,7 @@ class TestSearchCommand:
         assert not report.exists()
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: budget=nan ")
+        assert captured.err.startswith("error: --budget nan: budget=nan ")
 
     def test_negative_budget_rejected(self, tmp_path, capsys):
         # before, --budget -1 ran and reported "partial" with exit 2
@@ -287,7 +287,7 @@ class TestSearchCommand:
         assert not report.exists()
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: budget=-1.0 ")
+        assert captured.err.startswith("error: --budget -1.0: budget=-1.0 ")
 
     @pytest.mark.parametrize("n", ["0", "-2", "7"])
     def test_size_out_of_range(self, n, capsys):
