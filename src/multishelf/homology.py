@@ -12,6 +12,8 @@ face maps are checked against the presimplicial identities, which make the
 boundary square to zero.  A run builds the face tables of each operation
 with nonzero weight once, for every degree at the same time, by an integer
 recurrence on the lex index; that check and the boundary matrices share them.
+The face d_0 drops x_0 and reads no table, so it is one map for every
+operation: a boundary matrix enters it once, weighted by the weight sum.
 
 Before each Smith normal form the complex is reduced by elementary
 reductions (Kaczynski, Mrozek and Slusarek, "Homology computation by
@@ -108,27 +110,30 @@ def boundary_matrix(
 ) -> IntMatrix:
     """Matrix of the degree-n differential C_n -> C_{n-1}, lex basis order.
 
-    ``faces`` holds the face tables of the weighted operations, as
-    homology_groups shares them; left out, they are built here.
+    Face 0 enters once, with weight sum(spec.weights), and not at all when
+    that sum is 0.  ``faces`` holds the face tables of the weighted
+    operations, as homology_groups shares them; left out, they are built here.
     """
     if not (1 <= degree <= spec.max_degree):
         raise ValueError(f"degree {degree} outside [1, {spec.max_degree}]")
     if faces is None:
         faces = _weighted_face_tables(spec, degree)
     n = spec.S.n
-    signs = [-w if i % 2 else w for w in spec.weights if w for i in range(degree + 1)]
-    columns = [face for tables in faces for face in tables[degree]]
+    signs = [-w if i % 2 else w for w in spec.weights if w for i in range(1, degree + 1)]
+    columns = [face for tables in faces for face in tables[degree][1:]]
+    if w0 := sum(spec.weights):  # face 0: index x mod n**degree
+        signs.append(w0)
+        columns.append([*range(n**degree)] * n)
     data = [[] for _ in range(n**degree)]  # row: its (column, value) pairs
     # x runs in increasing order, so every row comes out sorted
     for x, xfaces in enumerate(zip(*columns)):
         entries = {}
         for face, sign in zip(xfaces, signs):
             entries[face] = entries.get(face, 0) + sign
-        # one (x, v) pair per value, shared by every row it enters
-        pairs = {v: (x, v) for v in set(entries.values()) if v}
+        pairs = {}  # one (x, v) pair per value, shared by every row it enters
         for face, v in entries.items():
             if v:
-                data[face].append(pairs[v])
+                data[face].append(pairs.setdefault(v, (x, v)))
     return IntMatrix(len(data), n ** (degree + 1), tuple(map(tuple, data)))
 
 

@@ -17,11 +17,12 @@ row mod p; they touch no other row, because column c is clear there, and a
 remainder left in the row becomes the pivot of its column.  Each step makes
 |p| smaller, so the step ends with p alone in its row and column, and the
 matrix is equivalent to diag(p, R) over the integers: row and column are
-dropped with the factor |p|.  After a +-1 pivot every remainder is 0, so
-that reduction is skipped.  Columns keep only their nonzero counts, and a
-scan of the remaining rows finds the rows of the pivot column: on the Berman
-boundary matrices that is faster than a column-to-rows index and raises peak
-memory less.  One gcd/lcm pass turns the diagonal into invariant factors,
+dropped with the factor |p|.  A +-1 pivot leaves no remainder: a row's
+quotient is its entry in column c times p, with no division, and the row
+reduction is skipped.  Columns keep only their nonzero counts, in a list
+indexed by column, and a scan of the remaining rows finds the rows of the
+pivot column: on the Berman boundary matrices that is faster than a
+column-to-rows index and raises peak memory less.  One gcd/lcm pass turns the diagonal into invariant factors,
 since diag(a, b) and diag(gcd(a, b), lcm(a, b)) are equivalent over the
 integers.
 
@@ -38,7 +39,6 @@ from __future__ import annotations
 import heapq
 import math
 import operator
-from collections import Counter
 from dataclasses import dataclass
 from typing import Collection, Sequence
 
@@ -93,7 +93,10 @@ def smith_normal_form(
     the submatrix of the kept rows.
     """
     rows = {i: dict(r) for i, r in enumerate(M.data) if r and i not in drop}
-    count = Counter(j for row in rows.values() for j in row)  # nonzeros per column
+    count = [0] * M.cols  # nonzeros per column
+    for row in rows.values():
+        for j in row:
+            count[j] += 1
     heap: list[tuple[int, int]] = []  # (length, row), filled below
     ones = 0
     factors: list[int] = []
@@ -110,20 +113,24 @@ def smith_normal_form(
         small = [j for j, v in prow.items() if -bound <= v <= bound]
         if not small:
             continue  # queued again if an update changes it
-        c = min(small, key=lambda j: (count[j], j))
+        c = min(zip(map(count.__getitem__, small), small))[1]
         while True:
             pv = prow.pop(c)
-            if pv != 1 and pv != -1:
+            unit = pv == 1 or pv == -1
+            if not unit:
                 matched = None  # later units may follow column operations
             left = []  # rows with a remainder in column c
             for i in [i for i, row in rows.items() if c in row]:
                 row = rows[i]
-                q, r = divmod(row.pop(c), pv)
-                if r:
-                    row[c] = r
-                    left.append(i)
-                if not q:
-                    continue
+                if unit:
+                    q = row.pop(c) * pv  # pv * pv = 1: no remainder
+                else:
+                    q, r = divmod(row.pop(c), pv)
+                    if r:
+                        row[c] = r
+                        left.append(i)
+                    if not q:
+                        continue
                 for j, v in prow.items():
                     w = row.get(j, 0) - q * v
                     if w:
@@ -144,7 +151,7 @@ def smith_normal_form(
                 p = min(left, key=lambda i: abs(rows[i][c]))
                 prow = rows[p]
                 continue
-            if pv == 1 or pv == -1:
+            if unit:
                 ones += 1
                 if matched is not None:
                     matched.add(c)
@@ -162,7 +169,7 @@ def smith_normal_form(
                     continue
                 factors.append(abs(pv))
             del rows[p]
-            del count[c]
+            count[c] = 0
             for j in prow:
                 count[j] -= 1
             break

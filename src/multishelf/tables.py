@@ -12,6 +12,7 @@ composite of the two column-y permutations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import getitem
 from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
 Row = tuple[int, ...]
@@ -62,13 +63,8 @@ def compose(op1: OpTable, op2: OpTable) -> OpTable:
     """Monoid composition: result[a][b] = op2[op1[a][b]][b] (op1 applied first)."""
     if op1.n != op2.n:
         raise ValueError(f"carrier mismatch: {op1.n} vs {op2.n}")
-    e1, e2 = op1.entries, op2.entries
-    return OpTable(
-        op1.n,
-        tuple(
-            tuple(e2[e1[a][b]][b] for b in range(op1.n)) for a in range(op1.n)
-        ),
-    )
+    cols = tuple(zip(*op2.entries))  # cols[b][c] = op2[c][b]
+    return OpTable(op1.n, tuple(tuple(map(getitem, cols, row)) for row in op1.entries))
 
 
 def perm_inverse(p: Permutation) -> Permutation:

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 import os
@@ -350,6 +351,22 @@ class TestHomologyCommand:
         assert code == 0
         doc = json.loads(out.read_text())
         assert len(doc["groups"]) == 2
+
+    @pytest.mark.parametrize(
+        "weights, digest",
+        [
+            ("1,-1", "fb4390e5d59dceec6706663b8b194d6023d26a6a05752a94dc6666cb4d29cda4"),
+            ("1,1", "91c5b72d877c5b81d08f0ee070c59daf9fdd086b7ec0566938ca52a89e7bfd58"),
+            ("2,5", "6bc4149b6f2dd9f1a4614e2383794af496b9b4a9fe698f3c5c0416a135bcd898"),
+        ],
+    )
+    def test_berman_document_bytes_pinned(self, berman_dir, tmp_path, weights, digest):
+        # sha256 of the written file: a faster homology kernel must leave
+        # every byte of the document as it is
+        out = tmp_path / "h.json"
+        berman = str(berman_dir / "berman-d6.json")
+        assert main(["homology", "--set", berman, "--weights", weights, "--max-degree", "3", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_bad_weights_names_argument(self, berman_dir, capsys):
         code = main(

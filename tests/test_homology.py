@@ -20,6 +20,7 @@ from multishelf import (
     relabel,
     right_trivial,
     smith_normal_form,
+    symmetric,
     verify_differential,
     verify_distributive,
 )
@@ -439,6 +440,36 @@ def faces_by_definition(op, degree):
     ]
 
 
+def boundary_by_definition(ops, weights, degree):
+    """Dense d_degree = sum_s w_s sum_i (-1)^i e_{d_i^s x}, entered face by
+    face and operation by operation, from faces_by_definition."""
+    n = ops[0].n
+    out = [[0] * n ** (degree + 1) for _ in range(n**degree)]
+    for op, w in zip(ops, weights):
+        for i, face in enumerate(faces_by_definition(op, degree)):
+            for x, f in enumerate(face):
+                out[f][x] += (-1) ** i * w
+    return tuple(map(tuple, out))
+
+
+def _definition_cases():
+    # (ops, weights): face 0 enters with the weight sum, so weights that sum
+    # to 0 (face 0 drops out), weights that do not, and zero weights
+    berman = (BERMAN_TAU, BERMAN_SIGMA)
+    cases = [
+        pytest.param(berman, w, id=f"berman-{_param_id(w)}") for w in ((1, -1), (2, -2), (1, 1), (2, 5))
+    ]
+    d3 = tuple(regular_embed(dihedral(3)).images)
+    cases.append(pytest.param(d3, (1, 0, -1, 2, 0, 1), id="dihedral:3-1,0,-1,2,0,1"))
+    rng = random.Random(29)
+    for n in (1, 2, 3):
+        racks = enumerate_racks(n).racks
+        for weights in ((1, -1), (3, -3), (1, 1), (2, -5), (1, 0, -2)):
+            ops = tuple(rng.choice(racks) for _ in weights)
+            cases.append(pytest.param(ops, weights, id=f"racks{n}-{_param_id(weights)}"))
+    return cases
+
+
 class TestFaceTables:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_random_tables_match_definition(self, n):
@@ -508,6 +539,12 @@ class TestBoundaryMatrix:
     def test_degree_out_of_range(self):
         with pytest.raises(ValueError):
             boundary_matrix(self.rt2_spec(max_degree=2), 3)
+
+    @pytest.mark.parametrize("ops, weights", _definition_cases())
+    def test_matches_definition(self, ops, weights):
+        spec = ChainSpec(DistributiveSet(ops[0].n, ops), weights, 3)
+        for d in (1, 2, 3):
+            assert dense(boundary_matrix(spec, d)) == boundary_by_definition(ops, weights, d)
 
     @pytest.mark.parametrize("name, weights, max_degree, expected", DIFFERENTIAL_CASES, ids=_param_id)
     def test_composition_is_zero_matrix(self, name, weights, max_degree, expected):
@@ -695,6 +732,45 @@ class TestHomologyGroups:
         spec = ChainSpec(make_distributive_set([BERMAN_TAU, BERMAN_SIGMA]), (1, -1), 3)
         homology_groups(spec)
         assert rows == [6, 36 - 5, 216 - 30]
+
+    @pytest.mark.parametrize(
+        "group, expected",
+        [
+            # (matched, factors) of d_1 and d_2: matched follows the pivot
+            # order, and picks the rows the next degree leaves out
+            (
+                "berman",
+                [
+                    ([0, 1, 2, 3, 6], [1] * 5),
+                    (
+                        [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 14, 16, 23, 24, 27, 29, 31, 35, 38,
+                         43, 44, 45, 60, 63, 67, 78, 88, 139, 164],
+                        [1] * 30,
+                    ),
+                ],
+            ),
+            ("symmetric:3", [([0], [1, 2, 2, 2, 2]), ([0, 1, 2, 3, 4, 5, 6, 14, 21, 28], [1] * 10 + [2] * 20)]),
+            ("dihedral:4", [([0], [1]), ([0, 1, 2, 3, 4, 5, 6, 7, 8, 16, 24, 32, 40, 48], [1] * 14)]),
+        ],
+        ids=["berman", "symmetric:3", "dihedral:4"],
+    )
+    def test_matched_pivot_columns_pinned(self, monkeypatch, group, expected):
+        got = []
+        snf = homology.smith_normal_form
+
+        def recorded(M, matched, drop):
+            factors = snf(M, matched, drop)
+            got.append((sorted(matched), factors))
+            return factors
+
+        monkeypatch.setattr(homology, "smith_normal_form", recorded)
+        if group == "berman":
+            ops, weights = [BERMAN_TAU, BERMAN_SIGMA], (1, -1)
+        else:
+            ops = list(regular_embed(symmetric(3) if group == "symmetric:3" else dihedral(4)).images)
+            weights = tuple(1 if i % 2 == 0 else -1 for i in range(len(ops)))  # alternating, sum 0
+        homology_groups(ChainSpec(make_distributive_set(ops), weights, 2))
+        assert got == expected
 
     def test_reduced_matrices_are_validated(self, monkeypatch):
         # each boundary matrix passes IntMatrix's checks once; the SNF leaves
