@@ -42,7 +42,7 @@ CONVENTION = "right-multiply-prefix/delete-face, signs (-1)^i, weighted sum"
 DEFAULT_MAX_DEGREE = 3
 DEFAULT_DIM_BUDGET = 50_000
 
-FaceTables = list[list[list[int]]]  # [degree][face i][basis tuple x] -> lex index of d_i x
+FaceTables = list[list[list[int]]]  # [degree][face i - 1][basis tuple x] -> lex index of d_i x
 
 
 class DimensionBudgetError(ValueError):
@@ -75,12 +75,12 @@ class HomologyGroup:
 
 
 def _face_tables(op: OpTable, top: int) -> FaceTables:
-    """Face tables of op in degrees 0..top: tables[d][i][x] is the lex index
-    of the face d_i of the x-th basis tuple of C_d, which enters the
-    differential with sign (-1)^i.  Degree 0's one face is the empty tuple.
+    """Face tables of op in degrees 0..top: tables[d][i - 1][x] is the lex
+    index of the face d_i, i = 1..d, of the x-th basis tuple of C_d, which
+    enters the differential with sign (-1)^i; face 0 reads no table.
 
     Built by the recurrence x = (y, v), index(x) = index(y) * n + v.  For
-    i < d the face d_i x = (d_i y, v) has index (d_i y) * n + v; the last
+    0 < i < d the face d_i x = (d_i y, v) has index (d_i y) * n + v; the last
     face d_d x = y * v, acted on componentwise, has index act[v][y], and
     act[v][(y, u)] = act[v][y] * n + u * v.  Each index k * n + c is read as
     children[k][c], so the tables of one degree share their int objects.
@@ -89,7 +89,7 @@ def _face_tables(op: OpTable, top: int) -> FaceTables:
     xs = range(n)
     cols = [[e[u][v] for u in xs] for v in xs]  # cols[v][u] = u * v
     act = [[0] for _ in xs]  # act[v][y] = index of y * v; C_{-1} holds the empty tuple
-    table = [[0] * n]
+    table: list[list[int]] = []
     tables = [table]
     for d in range(1, top + 1):
         children = [tuple(range(k * n, k * n + n)) for k in range(n ** (d - 1))]
@@ -120,7 +120,7 @@ def boundary_matrix(
         faces = _weighted_face_tables(spec, degree)
     n = spec.S.n
     signs = [-w if i % 2 else w for w in spec.weights if w for i in range(1, degree + 1)]
-    columns = [face for tables in faces for face in tables[degree][1:]]
+    columns = [face for tables in faces for face in tables[degree]]
     if w0 := sum(spec.weights):  # face 0: index x mod n**degree
         signs.append(w0)
         columns.append([*range(n**degree)] * n)
@@ -173,8 +173,8 @@ def verify_differential(spec: ChainSpec, faces: list[FaceTables] | None = None) 
             low_s, up_s = s[d], s[d + 1]
             for t in faces:
                 low_t, up_t = t[d], t[d + 1]
-                for j in range(2, d + 2):
-                    for i in range(1, j):
+                for j in range(1, d + 1):  # index k holds the face d_{k+1}
+                    for i in range(j):
                         if [low_s[i][f] for f in up_t[j]] != [low_t[j - 1][f] for f in up_s[i]]:
                             return False
     return True

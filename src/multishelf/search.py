@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import struct
 import time
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property, reduce
-from operator import and_, itemgetter
+from operator import and_, eq, itemgetter
 from typing import Callable, Optional, Sequence
 
 from .shelves import DistributiveSet, close_group
@@ -28,7 +29,6 @@ from .tables import (
     OpTable,
     Permutation,
     distributive_witness,
-    is_endomorphism,
     noninvertible_column,
     perm_inverse,
     relabel,
@@ -119,31 +119,39 @@ def _perm_index(n: int) -> dict[Permutation, int]:
 
 
 def _symmetric(n: int, deadline: Optional[float]) -> tuple:
-    """S_n on permutation indices, as (perms, conj): ``perms[k]`` is the
-    k-th permutation of the carrier in lexicographic order, so index order
-    is lex order, and ``conj[q][p]`` is x -> q(p(q^-1(x))).  The rows of the
-    generators (0 1) and x -> x+1 (one permutation at n = 2, none at n = 1)
-    come from the tuples; every other row, reached breadth first, is one
-    gather, since conjugating by h, then g, is ``conj[g][conj[h][p]]``.
-    The deadline is checked once per row."""
+    """S_n on permutation indices, as (perms, conj, mul): ``perms[k]`` is
+    the k-th permutation of the carrier in lexicographic order, so index
+    order is lex order, ``conj[q][p]`` is x -> q(p(q^-1(x))) and ``mul[q][a]``
+    is x -> q(a(x)), each ``mul`` row 2 bytes an entry (a memoryview cast
+    to 'H').  The rows of the generators (0 1) and x -> x+1 (one permutation
+    at n = 2, none at n = 1) come from the tuples; every other row, reached
+    breadth first as h g, g a generator, is the row of h gathered by the
+    row of g: ``conj[h][conj[g][p]]`` and ``mul[h][mul[g][a]]``.  The
+    deadline is checked once per row."""
     index = _perm_index(n)
     perms = list(index)
+    pack = struct.Struct(f"{len(perms)}H").pack
     conj: list = [tuple(range(len(perms)))] + [None] * (len(perms) - 1)
+    mul: list = [memoryview(pack(*conj[0])).cast("H")] + [None] * (len(perms) - 1)
     gens = {index[g]: g for g in ((1, 0) + tuple(range(2, n)), tuple(range(1, n)) + (0,))} if n > 1 else {}
+    gather = {}
     for k, g in gens.items():
         _check_deadline(deadline)
         ginv = perm_inverse(g)
         conj[k] = tuple(index[tuple(g[p[v]] for v in ginv)] for p in perms)
+        left = [index[tuple(map(g.__getitem__, p))] for p in perms]
+        mul[k] = memoryview(pack(*left)).cast("H")
+        gather[k] = itemgetter(*conj[k]), itemgetter(*left)  # n! > 1 indices, so each returns a tuple
     queue = list(gens)
     for h in queue:
-        row = itemgetter(*conj[h])  # n! > 1 indices, so it returns a tuple
-        for k, g in gens.items():
-            q = index[tuple(map(g.__getitem__, perms[h]))]  # h, then g
+        for k, (by_conj, by_mul) in gather.items():
+            q = mul[h][k]  # g, then h
             if conj[q] is None:
                 _check_deadline(deadline)
-                conj[q] = row(conj[k])
+                conj[q] = by_conj(conj[h])
+                mul[q] = memoryview(pack(*by_mul(mul[h]))).cast("H")
                 queue.append(q)
-    return perms, conj
+    return perms, conj, mul
 
 
 def _enumerate_pruned(n: int, deadline: Optional[float], sym: tuple) -> tuple[list[tuple[int, ...]], int]:
@@ -154,19 +162,30 @@ def _enumerate_pruned(n: int, deadline: Optional[float], sym: tuple) -> tuple[li
     takes the least permutation of each such orbit (12 of 120 at n = 5, 19
     of 720 at n = 6) and still meets every relabeling class.  Each newly
     assigned column is checked, in both directions, only against the
-    columns assigned so far; a candidate for the next free column is first
-    tested against the columns already set, without copying the assignment.
-    Every completion meets the constraint for all pairs, so it is a rack, but
-    it is returned unchecked: ``enumerate_racks`` checks the first completion
-    of each relabeling class.  Columns are indices into the tables ``sym``
-    that ``_symmetric(n, deadline)`` returns.  Returns (completions,
-    nodes_pruned), each completion as its tuple of column indices.
+    columns assigned so far.  A candidate p for the free column y first
+    needs column z = p(y) free or equal to p, and it is never p: then
+    propagation would have set column p(z) to p p p^-1 = p, and so on round
+    the cycle of p through z, which holds y.  So only the p with p(y) free
+    are visited, in increasing order from a list made once per set of free
+    columns; the others count as pruned without a look-up.  A visited
+    candidate is tested against the columns already set, without copying
+    the assignment.  Every completion meets the constraint for all pairs,
+    so it is a rack, but it is returned unchecked: ``enumerate_racks``
+    checks the first completion of each relabeling class.  Columns are
+    indices into the tables ``sym`` that ``_symmetric(n, deadline)``
+    returns.  Returns (completions, nodes_pruned), each completion as its
+    tuple of column indices.
     """
-    perms, conj = sym
+    perms, conj = sym[:2]
     fix0 = [q for q, qp in enumerate(perms) if qp[0] == 0]
     column0 = [p for p in range(len(perms)) if all(p <= conj[q][p] for q in fix0)]
     found: list[tuple[int, ...]] = []
     pruned = 0
+
+    @cache
+    def open_image(free: tuple[int, ...]) -> list[int]:
+        """The p that map y = free[0] to a free column, in increasing order."""
+        return [p for p, pp in enumerate(perms) if pp[free[0]] in free]
 
     def assign(cols: list[Optional[int]], y: int, p: int) -> bool:
         """Set column y to p and every column that forces; False on a conflict."""
@@ -197,20 +216,17 @@ def _enumerate_pruned(n: int, deadline: Optional[float], sym: tuple) -> tuple[li
     def extend(cols: list[Optional[int]]):
         nonlocal pruned
         _check_deadline(deadline)
-        try:
-            y = cols.index(None)
-        except ValueError:
+        free = tuple(z for z, c in enumerate(cols) if c is None)
+        if not free:
             found.append(tuple(cols))  # type: ignore[arg-type]
             return
+        y = free[0]
         assigned = [(z, c) for z, c in enumerate(cols) if c is not None]
-        for p in range(len(perms)) if y else column0:
-            # The first checks ``assign`` makes on popping y, read on cols
+        pruned += len(perms) if y else len(column0)
+        for p in open_image(free) if y else column0:
+            # The other checks ``assign`` makes on popping y, read on cols
             # before the copy: a value set there stays set in the trial.
             pp, cp = perms[p], conj[p]
-            w = cols[pp[y]]
-            if w is not None and w != p:
-                pruned += 1
-                continue
             for z, c in assigned:
                 w = cols[pp[z]]
                 if w is not None and w != cp[c]:
@@ -218,9 +234,8 @@ def _enumerate_pruned(n: int, deadline: Optional[float], sym: tuple) -> tuple[li
             else:
                 trial = list(cols)
                 if assign(trial, y, p):
+                    pruned -= 1
                     extend(trial)
-                    continue
-            pruned += 1
 
     extend([None] * n)
     return found, pruned
@@ -254,21 +269,24 @@ def enumerate_racks(n: int, deadline: Optional[float] = None) -> RackCatalog:
     """Complete catalog of racks on n points, on ``_symmetric`` indices.
     The completions of ``_enumerate_pruned`` meet every class.  Each one not
     yet swept, r, is checked with ``distributive_witness`` (one table per
-    class) and skipped if it fails.  Its image table lists the columns of
-    ``relabel(r, q)`` for every q: Aut(r) is the q whose image is r, and
-    each distinct image, one per coset ``q . Aut(r)``, is kept at its least
-    q; relabeling keeps self-distributivity, and the image's automorphism
-    group is ``q Aut(r) q^-1``.  Each image is keyed by its table's
-    row-major base-n encoding, and the racks are sorted on the keys, i.e.
-    in table order.  No other table is built.  Raises TimeoutError once
+    class) and skipped if it fails.  ``relabel(r, q)`` has column
+    ``conj[q][cols[y]]`` at q(y), so Aut(r) is the q with
+    ``conj[q][cols[y]] == cols[q(y)]`` for every y, and q a gives the same
+    image as q for a in Aut(r): one image is built per left coset
+    ``q . Aut(r)``, at its least q, the coset marked through ``mul[q]``.
+    Relabeling keeps self-distributivity, and the image's automorphism group
+    is ``q Aut(r) q^-1``.  Each image is keyed by its table's row-major
+    base-n encoding, and the racks are sorted on the keys, i.e. in table
+    order.  No other table is built.  Raises TimeoutError once
     ``time.monotonic()`` passes ``deadline``, checked once per class.
     """
     _check_size(n)
     sym = _symmetric(n, deadline)
     found, pruned = _enumerate_pruned(n, deadline, sym)
-    perms, conj = sym
-    # at[x](cols)[q] is cols[q^-1(x)]; the extra last index keeps a tuple at n = 1
-    at = [itemgetter(*ax, 0) for ax in zip(*map(perm_inverse, perms))]
+    perms, conj, mul = sym
+    # relabeled[q](t)[x] is t[q^-1(x)]; the extra last index keeps a tuple at n = 1
+    relabeled = [itemgetter(*perm_inverse(pp), 0) for pp in perms]
+    zero = [pp[0] for pp in perms]
     # Column p at b puts the digit p(a) at place (n-1-a)n + n-1-b of the key.
     base = [sum(v * n ** ((n - 1 - a) * n) for a, v in enumerate(pp)) for pp in perms]
     weight = [[w * n ** (n - 1 - b) for w in base] for b in range(n)]
@@ -281,14 +299,22 @@ def enumerate_racks(n: int, deadline: Optional[float] = None) -> RackCatalog:
         table = alpha_inverse([perms[c] for c in cols])
         if distributive_witness(table, table) is not None:
             continue
-        # images[q]: the columns of relabel(r, q), which has conj[q][cols[q^-1(x)]] at x
-        images = list(zip(*[[cq[c] for cq, c in zip(conj, ax(cols))] for ax in at]))
-        aut = [q for q, image in enumerate(images) if image == cols]
-        for image, q in dict(zip(reversed(images), reversed(range(len(perms))))).items():  # each at its least q
+        at0 = map(cols.__getitem__, zero)  # cols[q(0)] for every q
+        aut = list(itertools.compress(range(len(perms)), map(eq, map(itemgetter(cols[0]), conj), at0)))
+        for y in range(1, n):
+            c = cols[y]
+            aut = [q for q in aut if conj[q][c] == cols[perms[q][y]]]
+        # aut[0] is the identity, 0, which conj[q] fixes: listed twice, so a tuple
+        # comes out even when Aut(r) is trivial, and the mask sum counts bit 0 twice.
+        fixers, points = itemgetter(0, *aut), itemgetter(*cols, 0)
+        marked: set[int] = set()
+        for q in itertools.filterfalse(marked.__contains__, range(len(perms))):
+            marked.update(fixers(mul[q]))
             cq = conj[q]
-            mask = sum(1 << cq[a] for a in aut)
+            image = relabeled[q](points(cq))[:-1]
+            mask = sum(map((1).__lshift__, fixers(cq))) - 1
             swept[image] = (sum(map(list.__getitem__, weight, image)), cls, shared.setdefault(mask, mask))
-    del found, sym, perms, conj, images  # freed before the sort
+    del found, sym, perms, conj, mul  # freed before the sort
     columns = sorted(swept, key=swept.__getitem__)  # on the keys, which are distinct
     _, classes, masks = zip(*map(swept.__getitem__, columns))
     first: dict[int, int] = {}  # class -> index of its least rack
@@ -319,9 +345,10 @@ def compatibility_graph(catalog: RackCatalog, deadline: Optional[float] = None) 
     the racks whose automorphism mask holds p: the OR of the bitsets of the
     racks sharing each distinct mask that holds p.  So the candidates for
     the row of A are ``AND_{p in cols(A)} fixes[p]``, without A itself, and
-    the row keeps those whose columns all lie in Aut(A).  Raises
-    TimeoutError once ``time.monotonic()`` passes ``deadline``, which is
-    checked once per distinct mask and per row.
+    the row keeps those whose columns all lie in Aut(A); the row of the
+    right-trivial rack, every column the identity, is every other rack.
+    Raises TimeoutError once ``time.monotonic()`` passes ``deadline``,
+    which is checked once per distinct mask and per row.
     """
     columns, masks = catalog.columns, catalog.automorphisms
     fixes = [0] * math.factorial(catalog.n)
@@ -336,6 +363,9 @@ def compatibility_graph(catalog: RackCatalog, deadline: Optional[float] = None) 
     graph = {}
     for i in catalog.representatives:
         _check_deadline(deadline)
+        if not any(columns[i]):  # right-trivial: it fixes, and is fixed by, every rack
+            graph[i] = [*range(i), *range(i + 1, len(columns))]
+            continue
         aut = set(_ones(masks[i]))
         cands = _ones(reduce(and_, map(fixes.__getitem__, set(columns[i])), ~(1 << i)))
         graph[i] = list(itertools.compress(cands, map(aut.issuperset, map(columns.__getitem__, cands))))
@@ -364,9 +394,12 @@ def seed_catalog(n: int, seed_pair: tuple[OpTable, OpTable]) -> RackCatalog:
     for k, op in enumerate(seed_pair):
         _check_seed(n, op, k)
     index = _perm_index(n)
-    masks = tuple(sum(1 << k for p, k in index.items() if is_endomorphism(p, op)) for op in seed_pair)
+    masks = []
+    for e in (op.entries for op in seed_pair):  # p fixes e iff p(a * b) = p(a) * p(b) for all a, b
+        cells = [(a, b, v) for a, row in enumerate(e) for b, v in enumerate(row)]  # most p fail at the first
+        masks.append(sum(1 << k for p, k in index.items() if all(p[v] == e[p[a]][p[b]] for a, b, v in cells)))
     columns = tuple(tuple(index[c] for c in zip(*op.entries)) for op in seed_pair)
-    return RackCatalog(n, columns, (0, 1), masks)
+    return RackCatalog(n, columns, (0, 1), tuple(masks))
 
 
 def _commutation(perms: Sequence[Permutation]) -> Callable[[int, int], bool]:
@@ -396,7 +429,9 @@ def certify_no_nonabelian(
     a pair is the first rack of a class, and its partners are its row of
     the graph without the classes whose first rack comes before it.  Only
     non-commuting partners (see ``_commutation``) can give a non-abelian
-    group; they are closed in order, each pair's tables built then.  Each
+    group; they are closed in order, each pair's tables built then.  Every
+    partner's columns lie in Aut(A), so when Aut(A) commutes with every
+    column of A the row of A is only counted.  Each
     non-abelian group is listed once up to simultaneous relabeling: a
     closure's canonical form is only computed once a group of its order is
     listed, and each listed group's at most once.  ``budget`` seconds bound
@@ -415,7 +450,7 @@ def certify_no_nonabelian(
     partial = False
     try:
         catalog = enumerate_racks(n, deadline) if seed_pair is None else seed_catalog(n, seed_pair)
-        columns, orbit = catalog.columns, catalog.orbit
+        columns, orbit, masks = catalog.columns, catalog.orbit, catalog.automorphisms
         racks_found, nodes_pruned = len(columns), catalog.nodes_pruned
         graph = compatibility_graph(catalog, deadline)
         size = Counter(orbit)
@@ -425,8 +460,8 @@ def certify_no_nonabelian(
         for i, row in graph.items():
             _check_deadline(deadline)
             ca = columns[i]
-            if not any(ca):
-                continue  # every column the identity: it commutes with every rack
+            if all(itertools.starmap(commute, itertools.product(_ones(masks[i]), set(ca)))):
+                continue  # Aut(A) holds every partner's columns and commutes with A's
             for j in row:
                 if orbit[j] < i:
                     continue  # the pair of classes is swept from j's class

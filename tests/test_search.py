@@ -118,6 +118,79 @@ def enumerate_racks_brute_force(n):
     return sorted(racks, key=lambda t: t.entries)
 
 
+def enumerate_pruned_full_loop(n, sym):
+    """Reference backtrack that visits every candidate p of the free column
+    y in turn, rejecting it with the look-up on column p(y) first; the same
+    propagation as ``search._enumerate_pruned``."""
+    perms, conj = sym[:2]
+    fix0 = [q for q, qp in enumerate(perms) if qp[0] == 0]
+    column0 = [p for p in range(len(perms)) if all(p <= conj[q][p] for q in fix0)]
+    found, pruned = [], 0
+
+    def assign(cols, y, p):
+        cols[y] = p
+        new = [y]
+        while new:
+            x = new.pop()
+            sx = cols[x]
+            for z in range(n):
+                sz = cols[z]
+                if sz is None:
+                    continue
+                for w, req in ((perms[sz][x], conj[sz][sx]), (perms[sx][z], conj[sx][sz])):
+                    if cols[w] is None:
+                        cols[w] = req
+                        new.append(w)
+                    elif cols[w] != req:
+                        return False
+        return True
+
+    def extend(cols):
+        nonlocal pruned
+        if None not in cols:
+            found.append(tuple(cols))
+            return
+        y = cols.index(None)
+        assigned = [(z, c) for z, c in enumerate(cols) if c is not None]
+        for p in range(len(perms)) if y else column0:
+            pp, cp = perms[p], conj[p]
+            w = cols[pp[y]]
+            if (w is None or w == p) and all(cols[pp[z]] in (None, cp[c]) for z, c in assigned):
+                trial = list(cols)
+                if assign(trial, y, p):
+                    extend(trial)
+                    continue
+            pruned += 1
+
+    extend([None] * n)
+    return found, pruned
+
+
+def catalog_by_all_relabelings(n):
+    """Reference sweep: relabel the first completion of each class by every
+    one of the n! permutations with ``relabel``; Aut(r) is the q giving r
+    back, and an image's automorphisms are q Aut(r) q^-1.  Returns the
+    columns, orbit and automorphism masks in table order, and nodes_pruned."""
+    perms = sorted(itertools.permutations(range(n)))
+    index = {p: k for k, p in enumerate(perms)}
+    found, pruned = search._enumerate_pruned(n, None, search._symmetric(n, None))
+    swept = {}  # columns -> (table entries, class, mask)
+    for cls, cols in enumerate(found):
+        if cols in swept:
+            continue
+        rack = alpha_inverse([perms[c] for c in cols])
+        images = [relabel(rack, q) for q in perms]
+        aut = [perms[k] for k, image in enumerate(images) if image == rack]
+        for q, image in zip(perms, images):
+            qinv = perm_inverse(q)
+            mask = sum(1 << index[tuple(q[a[qinv[x]]] for x in range(n))] for a in aut)
+            swept.setdefault(tuple(index[image.column(y)] for y in range(n)), (image.entries, cls, mask))
+    columns = sorted(swept, key=swept.__getitem__)
+    first = {}
+    orbit = tuple(first.setdefault(swept[c][1], i) for i, c in enumerate(columns))
+    return tuple(columns), orbit, tuple(swept[c][2] for c in columns), pruned
+
+
 class TestEnumerateRacks:
     def test_n1(self):
         assert len(enumerate_racks(1).racks) == 1
@@ -200,6 +273,19 @@ class TestEnumerateRacks:
         catalog = enumerate_racks(n)
         met = {catalog.orbit[catalog.racks.index(r)] for r in racks}
         assert met == set(catalog.representatives)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_backtrack_matches_full_candidate_loop(self, n):
+        # Visiting only the candidates that pass the look-up on column p(y)
+        # keeps the completions, their order and the pruned-node count.
+        sym = search._symmetric(n, None)
+        assert search._enumerate_pruned(n, None, sym) == enumerate_pruned_full_loop(n, sym)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_coset_sweep_matches_all_relabelings(self, n):
+        catalog = enumerate_racks(n)
+        got = (catalog.columns, catalog.orbit, catalog.automorphisms, catalog.nodes_pruned)
+        assert got == catalog_by_all_relabelings(n)
 
     def test_known_isomorphism_class_counts(self):
         # racks on 1..5 points up to relabeling (OEIS A181771): 1, 2, 6, 19, 74
@@ -329,24 +415,26 @@ class TestEnumerateRacks:
 class TestSymmetricTables:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_tables_match_tuple_arithmetic(self, n):
-        perms, conj = search._symmetric(n, None)
+        perms, conj, mul = search._symmetric(n, None)
         assert perms == sorted(itertools.permutations(range(n)))  # index order is lex order
-        assert len(conj) == len(perms)
+        assert len(conj) == len(mul) == len(perms)
         for a, p in enumerate(perms):
             pinv = perm_inverse(p)
             for b, q in enumerate(perms):
                 assert perms[conj[a][b]] == tuple(p[q[x]] for x in pinv)
+                assert perms[mul[a][b]] == tuple(p[q[x]] for x in range(n))
 
     def test_n6_rows_match_tuple_arithmetic(self):
         # The rows of the two generators come from tuples, and every other
         # row from gathers: check both generators and a spread of the others.
-        perms, conj = search._symmetric(6, None)
+        perms, conj, mul = search._symmetric(6, None)
         index = {p: k for k, p in enumerate(perms)}
         generators = [index[(1, 0, 2, 3, 4, 5)], index[(1, 2, 3, 4, 5, 0)]]
         for a in generators + list(range(0, 720, 37)) + [719]:
             p = perms[a]
             pinv = perm_inverse(p)
             assert [perms[c] for c in conj[a]] == [tuple(p[q[x]] for x in pinv) for q in perms]
+            assert [perms[c] for c in mul[a]] == [tuple(p[v] for v in q) for q in perms]
 
 
 class TestCanonicalForm:
@@ -590,6 +678,21 @@ class TestCertify:
     def test_report_document_excludes_timing_by_default(self):
         doc = certify_no_nonabelian(2).to_document()
         assert list(doc["statistics"]) == ["nodes_pruned"]  # no timing key
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_skipped_rows_commute(self, n):
+        # The pair sweep skips the row of a representative A when Aut(A)
+        # commutes with every column of A: every partner then commutes with A.
+        catalog = enumerate_racks(n)
+        racks, perms = catalog.racks, sorted(itertools.permutations(range(n)))
+        commute = search._commutation(perms)
+        skipped = 0
+        for i, row in compatibility_graph(catalog).items():
+            aut = [k for k in range(len(perms)) if catalog.automorphisms[i] >> k & 1]
+            if all(commute(a, c) for a in aut for c in catalog.columns[i]):
+                skipped += 1
+                assert all(commutes(racks[i], racks[j]) for j in row)
+        assert skipped > 0
 
     def test_commutation_on_column_indices(self):
         catalog = enumerate_racks(4)
