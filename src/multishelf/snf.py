@@ -2,29 +2,44 @@
 
 Matrices keep each row's nonzero (column, value) pairs in column order, as
 Python ints: no overflow, and memory grows with the nonzeros.  The Smith
-normal form is one sparse elimination, after Dumas, Saunders and Villard ("On
+normal form is a sparse elimination, after Dumas, Saunders and Villard ("On
 efficient sparse integer matrix Smith normal form computations", J. Symbolic
-Comput. 2001).  Each nonzero row becomes a {column: value} dict, and rows come
-off a heap shortest first.  A row is a pivot candidate if it has an entry with
-|v| <= bound, and pivots on such an entry in the column with the fewest
-nonzeros.  Whenever the heap is empty with rows left, every row is queued and
-the bound becomes the least |v| over them, so it is 1 while units remain.
+Comput. 2001), in two phases over the same {column: value} dict rows.
 
-A pivot p in column c clears its column with floor quotients; if remainders
-stay, the row holding the least one becomes the pivot (Euclid down the
-column).  Once column c holds p alone, column operations reduce the pivot
-row mod p; they touch no other row, because column c is clear there, and a
-remainder left in the row becomes the pivot of its column.  Each step makes
-|p| smaller, so the step ends with p alone in its row and column, and the
-matrix is equivalent to diag(p, R) over the integers: row and column are
-dropped with the factor |p|.  A +-1 pivot leaves no remainder: a row's
-quotient is its entry in column c times p, with no division, and the row
-reduction is skipped.  Columns keep only their nonzero counts, in a list
-indexed by column, and a scan of the remaining rows finds the rows of the
-pivot column: on the Berman boundary matrices that is faster than a
-column-to-rows index and raises peak memory less.  One gcd/lcm pass turns the diagonal into invariant factors,
-since diag(a, b) and diag(gcd(a, b), lcm(a, b)) are equivalent over the
-integers.
+The first phase takes +-1 pivots in a fill-reducing order, column first
+(Markowitz's rule with the column count first; Duff, Erisman and Reid,
+"Direct Methods for Sparse Matrices"): each pivot is in the column with the
+fewest nonzeros, and in that column it is the shortest row holding +-1.  The
+columns that hold a +-1 when the phase starts wait in buckets by nonzero
+count, updated lazily (see _unit_pivots); the phase ends once no +-1 entry
+is left, or no queued column holds one.  A +-1 pivot leaves no remainder: a
+row's quotient is its entry in the pivot column times the pivot, with no
+division, and the pivot row needs no reduction, so row and column are
+dropped with the factor 1.  A pivot in a column with k nonzeros on a row
+with r of them changes at most (k - 1)(r - 1) entries, so this order keeps
+fill-in low.
+
+The second phase takes what is left.  Rows come off a heap shortest first.
+A row is a pivot candidate if it has an entry with |v| <= bound, and pivots
+on such an entry in the column with the fewest nonzeros.  Whenever the heap
+is empty with rows left, every row is queued and the bound becomes the
+least |v| over them.  A pivot p in column c clears its column with floor
+quotients; if remainders stay, the row holding the least one becomes the
+pivot (Euclid down the column).  Once column c holds p alone, column
+operations reduce the pivot row mod p; they touch no other row, because
+column c is clear there, and a remainder left in the row becomes the pivot
+of its column.  Each step makes |p| smaller, so the step ends with p alone
+in its row and column, and the matrix is equivalent to diag(p, R) over the
+integers: row and column are dropped with the factor |p|.  A +-1 pivot
+here, one the first phase left or one Euclid made, takes the same
+division-free path.
+
+Both phases keep the columns' nonzero counts in a list indexed by column,
+and find the rows of a pivot column by a scan of the remaining rows: on the
+Berman boundary matrices that is faster than a column-to-rows index and
+raises peak memory less.  One gcd/lcm pass turns the diagonal into
+invariant factors, since diag(a, b) and diag(gcd(a, b), lcm(a, b)) are
+equivalent over the integers.
 
 An optional output argument, a set, receives the column of each +-1 pivot
 taken before the first pivot of any other value.  Up to that pivot the
@@ -97,8 +112,8 @@ def smith_normal_form(
     for row in rows.values():
         for j in row:
             count[j] += 1
+    ones = _unit_pivots(rows, count, matched)
     heap: list[tuple[int, int]] = []  # (length, row), filled below
-    ones = 0
     factors: list[int] = []
     while rows:
         if not heap:
@@ -179,3 +194,73 @@ def smith_normal_form(
             g = math.gcd(factors[i], factors[j])
             factors[i], factors[j] = g, factors[i] // g * factors[j]
     return [1] * ones + factors
+
+
+def _unit_pivots(rows: dict[int, dict[int, int]], count: list[int], matched: set[int] | None) -> int:
+    """Take +-1 pivots column first; return how many.
+
+    Each pivot is in the column with the fewest nonzeros, and in that column
+    it is the shortest row that holds +-1.  The columns that hold a +-1 at
+    the start wait in buckets by their count, in column order, updated
+    lazily: a popped column whose count has grown goes to the back of the
+    bucket for its current count, and one whose count has fallen is taken
+    where it stands.  A popped column with no +-1 is dropped; the first one
+    after each pivot starts a look over the rows, and the phase ends when it
+    finds no +-1.  A +-1 that lands in a dropped column is left to the heap.
+    ``rows`` and ``count`` are updated in place, and ``matched``, if given,
+    receives each pivot's column.
+    """
+    cols = {j for row in rows.values() for j, v in row.items() if v == 1 or v == -1}
+    buckets: list[list[int]] = [[] for _ in range(len(rows) + 1)]
+    for j in sorted(cols):
+        buckets[count[j]].append(j)
+    ones = 0
+    seen = False  # a +-1 is known to remain since the last pivot
+    for level, queue in enumerate(buckets):
+        for c in queue:  # columns are only ever appended to later buckets
+            k = count[c]
+            if k > level:
+                buckets[k].append(c)
+                continue
+            if not k:
+                continue  # pivoted or emptied
+            hits = [i for i, row in rows.items() if c in row]
+            units = [i for i in hits if rows[i][c] in (1, -1)]
+            if not units:
+                if not seen:
+                    if not any(v == 1 or v == -1 for row in rows.values() for v in row.values()):
+                        return ones
+                    seen = True
+                continue
+            p = min(units, key=lambda i: len(rows[i]))
+            prow = rows.pop(p)
+            pv = prow.pop(c)
+            for i in hits:
+                if i == p:
+                    continue
+                row = rows[i]
+                q = row.pop(c) * pv  # pv * pv = 1: no remainder
+                for j, v in prow.items():
+                    w = row.get(j)
+                    if w is None:
+                        row[j] = -q * v
+                        count[j] += 1
+                    else:
+                        w -= q * v
+                        if w:
+                            row[j] = w
+                        else:
+                            del row[j]
+                            count[j] -= 1
+                if not row:
+                    del rows[i]
+            count[c] = 0
+            for j in prow:
+                count[j] -= 1
+            ones += 1
+            if matched is not None:
+                matched.add(c)
+            if not rows:
+                return ones
+            seen = False
+    return ones

@@ -385,12 +385,17 @@ class TestSmithNormalForm:
             ([[2, 0], [0, 1]], {1}),
             ([[2, 3]], set()),  # its unit appears only after column operations
             ([[2, 4], [6, 8]], set()),  # no +-1 entry
+            ([[2, 0, 6, 0], [4, 3, 0, 0], [0, 9, 5, 2], [0, 0, 0, 0]], set()),
+            # column 1 holds no +-1 until the pivot on row 0 turns its 3 into 1
+            ([[1, 2], [1, 3]], {0, 1}),
+            ([[1, 2, 0, 0], [1, 3, 0, 0], [0, 0, 2, 4], [0, 0, 4, 2]], {0, 1}),
         ],
-        ids=["unit-first", "unit-after-column-ops", "no-unit"],
+        ids=["unit-first", "unit-after-column-ops", "no-unit", "no-unit-4x4", "unit-made-by-update",
+             "unit-made-by-update-then-torsion"],
     )
     def test_matched_unit_pivot_columns(self, m, expected):
         matched = set()
-        assert smith_normal_form(int_matrix(m), matched) == smith_normal_form(int_matrix(m))
+        assert smith_normal_form(int_matrix(m), matched) == smith_normal_form(int_matrix(m)) == naive_snf(m)
         assert matched == expected
 
     def test_matched_columns_have_unimodular_minor(self):
@@ -409,6 +414,25 @@ class TestSmithNormalForm:
                 assert smith_normal_form(int_matrix(sub)) == [1] * len(cols)
             recorded += len(cols)
         assert recorded
+
+    def test_against_naive_oracle_at_working_sizes(self):
+        # 10-25 rows x 15-40 columns, mostly zero: the +-1 phase queues many
+        # columns, its updates make and destroy +-1 entries, and the heap
+        # phase gets what is left
+        rng = random.Random(31)
+        recorded = torsion = 0
+        for _ in range(60):
+            r, c = rng.randint(10, 25), rng.randint(15, 40)
+            m = [[rng.choice((0, 0, 0, 1, -1, 2, -3)) for _ in range(c)] for _ in range(r)]
+            matched = set()
+            f = smith_normal_form(int_matrix(m), matched)
+            assert f == naive_snf(m)
+            cols = sorted(matched)
+            sub = [[row[j] for j in cols] for row in m]
+            assert naive_snf(sub) == [1] * len(cols)
+            recorded += len(cols)
+            torsion += any(v > 1 for v in f)
+        assert recorded and torsion
 
     def test_drop_leaves_out_rows(self):
         # M without the rows R: the same factors as the explicit submatrix,
@@ -743,14 +767,14 @@ class TestHomologyGroups:
                 [
                     ([0, 1, 2, 3, 6], [1] * 5),
                     (
-                        [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 14, 16, 23, 24, 27, 29, 31, 35, 38,
-                         43, 44, 45, 60, 63, 67, 78, 88, 139, 164],
+                        [1, 2, 6, 9, 16, 23, 24, 27, 31, 36, 38, 39, 43, 44, 45, 49, 60, 63, 67, 78,
+                         79, 88, 90, 96, 105, 120, 139, 144, 170, 174],
                         [1] * 30,
                     ),
                 ],
             ),
-            ("symmetric:3", [([0], [1, 2, 2, 2, 2]), ([0, 1, 2, 3, 4, 5, 6, 14, 21, 28], [1] * 10 + [2] * 20)]),
-            ("dihedral:4", [([0], [1]), ([0, 1, 2, 3, 4, 5, 6, 7, 8, 16, 24, 32, 40, 48], [1] * 14)]),
+            ("symmetric:3", [([0], [1, 2, 2, 2, 2]), ([0, 1, 2, 3, 4, 5, 6, 14, 21, 30], [1] * 10 + [2] * 20)]),
+            ("dihedral:4", [([0], [1]), ([0, 1, 2, 3, 4, 5, 6, 7, 9, 17, 25, 33, 41, 49], [1] * 14)]),
         ],
         ids=["berman", "symmetric:3", "dihedral:4"],
     )
@@ -769,8 +793,11 @@ class TestHomologyGroups:
         else:
             ops = list(regular_embed(symmetric(3) if group == "symmetric:3" else dihedral(4)).images)
             weights = tuple(1 if i % 2 == 0 else -1 for i in range(len(ops)))  # alternating, sum 0
-        homology_groups(ChainSpec(make_distributive_set(ops), weights, 2))
+        spec = ChainSpec(make_distributive_set(ops), weights, 2)
+        homology_groups(spec)
         assert got == expected
+        # whatever the pivot order, leaving out the rows d_1 matched keeps d_2's factors
+        assert got[1][1] == snf(boundary_matrix(spec, 2))
 
     def test_reduced_matrices_are_validated(self, monkeypatch):
         # each boundary matrix passes IntMatrix's checks once; the SNF leaves
