@@ -4,58 +4,48 @@ Matrices keep each row's nonzero (column, value) pairs in column order, as
 Python ints: no overflow, and memory grows with the nonzeros.  The Smith
 normal form is a sparse elimination, after Dumas, Saunders and Villard ("On
 efficient sparse integer matrix Smith normal form computations", J. Symbolic
-Comput. 2001), in two phases over the same {column: value} dict rows.
+Comput. 2001), in one loop over {column: value} dict rows.
 
-The first phase takes +-1 pivots in a fill-reducing order, column first
-(Markowitz's rule with the column count first; Duff, Erisman and Reid,
-"Direct Methods for Sparse Matrices"): each pivot is in the column with the
-fewest nonzeros, and in that column it is the shortest row holding +-1.  The
-columns that hold a +-1 when the phase starts wait in buckets by nonzero
-count, updated lazily (see _unit_pivots); the phase ends once no +-1 entry
-is left, or no queued column holds one.  A +-1 pivot leaves no remainder: a
-row's quotient is its entry in the pivot column times the pivot, with no
-division, and the pivot row needs no reduction, so row and column are
-dropped with the factor 1.  A pivot in a column with k nonzeros on a row
-with r of them changes at most (k - 1)(r - 1) entries, so this order keeps
-fill-in low.
+Pivots are taken in a fill-reducing order, column first (Markowitz's rule
+with the column count first; Duff, Erisman and Reid, "Direct Methods for
+Sparse Matrices"): each pivot has |v| <= bound, it is in the column with
+the fewest nonzeros that holds such an entry, and in that column it is on
+the shortest row whose entry is within the bound.  A pivot in a column with
+k nonzeros on a row with r of them changes at most (k - 1)(r - 1) entries,
+so this order keeps fill-in low.  The loop runs in passes.  The first has
+bound 1, so it takes the +-1 pivots; each later one has the least |v| over
+the rows left.  A pass queues the columns that hold an entry within its
+bound in buckets by nonzero count, updated lazily (see _fewest_first), and
+ends when they are used up, or when the first column without such an entry
+after a pivot starts a look over the rows that finds none.
 
-The second phase takes what is left.  Rows come off a heap shortest first.
-A row is a pivot candidate if it has an entry with |v| <= bound, and pivots
-on such an entry in the column with the fewest nonzeros.  Whenever the heap
-is empty with rows left, every row is queued and the bound becomes the
-least |v| over them.  A pivot p in column c clears its column with floor
-quotients; if remainders stay, the row holding the least one becomes the
-pivot (Euclid down the column).  Once column c holds p alone, column
-operations reduce the pivot row mod p; they touch no other row, because
-column c is clear there, and a remainder left in the row becomes the pivot
-of its column.  Each step makes |p| smaller, so the step ends with p alone
-in its row and column, and the matrix is equivalent to diag(p, R) over the
-integers: row and column are dropped with the factor |p|.  A +-1 pivot
-here, one the first phase left or one Euclid made, takes the same
-division-free path.
+A +-1 pivot leaves no remainder: a row's quotient is its entry in the pivot
+column times the pivot, with no division, and the pivot row needs no
+reduction.  Any other pivot runs Euclid down its column and along its row
+until it stands alone (see _eliminate).  Either way the matrix is then
+equivalent to diag(p, R) over the integers, and row and column are dropped
+with the factor |p|.  The columns' nonzero counts are kept in a list indexed
+by column, and the rows of a pivot column are found by a scan of the
+remaining rows: on the Berman boundary matrices that is faster than a
+column-to-rows index and raises peak memory less.  One gcd/lcm pass turns
+the diagonal into invariant factors, since diag(a, b) and diag(gcd(a, b),
+lcm(a, b)) are equivalent over the integers.
 
-Both phases keep the columns' nonzero counts in a list indexed by column,
-and find the rows of a pivot column by a scan of the remaining rows: on the
-Berman boundary matrices that is faster than a column-to-rows index and
-raises peak memory less.  One gcd/lcm pass turns the diagonal into
-invariant factors, since diag(a, b) and diag(gcd(a, b), lcm(a, b)) are
-equivalent over the integers.
-
-An optional output argument, a set, receives the column of each +-1 pivot
-taken before the first pivot of any other value.  Up to that pivot the
-elimination has run row operations only, so with E their product the minor
-of E.M on the pivot rows and these columns is triangular with +-1 on its
-diagonal.  The optional ``drop`` holds rows of M to leave out: the SNF is
-that of M without them, and M itself is neither copied nor checked again.
-homology_groups passes the set one degree fills as the next degree's drop.
+An optional output argument, a set, receives the column of each pivot taken
+before the bound first exceeds 1: the +-1 pivots taken before the first
+pivot of any other value.  Up to that pivot the elimination has run row
+operations only, so with E their product the minor of E.M on the pivot rows
+and these columns is triangular with +-1 on its diagonal.  The optional
+``drop`` holds rows of M to leave out: the SNF is that of M without them,
+and M itself is neither copied nor checked again.  homology_groups passes
+the set one degree fills as the next degree's drop.
 """
 from __future__ import annotations
 
-import heapq
 import math
 import operator
 from dataclasses import dataclass
-from typing import Collection, Sequence
+from typing import Collection, Iterator, Sequence
 
 
 @dataclass(frozen=True)
@@ -112,82 +102,33 @@ def smith_normal_form(
     for row in rows.values():
         for j in row:
             count[j] += 1
-    ones = _unit_pivots(rows, count, matched)
-    heap: list[tuple[int, int]] = []  # (length, row), filled below
+    ones = 0
     factors: list[int] = []
+    bound = 1  # the largest |v| a pivot may have in this pass
     while rows:
-        if not heap:
-            # the largest |v| a pivot may have: 1 while units remain
-            bound = min(abs(v) for row in rows.values() for v in row.values())
-            heap = [(len(row), i) for i, row in rows.items()]
-            heapq.heapify(heap)
-        length, p = heapq.heappop(heap)
-        prow = rows.get(p)
-        if prow is None or len(prow) != length:
-            continue  # dropped, or queued again with its new length
-        small = [j for j, v in prow.items() if -bound <= v <= bound]
-        if not small:
-            continue  # queued again if an update changes it
-        c = min(zip(map(count.__getitem__, small), small))[1]
-        while True:
-            pv = prow.pop(c)
-            unit = pv == 1 or pv == -1
-            if not unit:
-                matched = None  # later units may follow column operations
-            left = []  # rows with a remainder in column c
-            for i in [i for i, row in rows.items() if c in row]:
-                row = rows[i]
-                if unit:
-                    q = row.pop(c) * pv  # pv * pv = 1: no remainder
-                else:
-                    q, r = divmod(row.pop(c), pv)
-                    if r:
-                        row[c] = r
-                        left.append(i)
-                    if not q:
-                        continue
-                for j, v in prow.items():
-                    w = row.get(j, 0) - q * v
-                    if w:
-                        if j not in row:
-                            count[j] += 1
-                        row[j] = w
-                    else:
-                        del row[j]
-                        count[j] -= 1
-                if row:
-                    heapq.heappush(heap, (len(row), i))
-                else:
-                    del rows[i]
-            count[c] = 1 + len(left)
-            if left:
-                prow[c] = pv
-                heapq.heappush(heap, (len(prow), p))
-                p = min(left, key=lambda i: abs(rows[i][c]))
-                prow = rows[p]
+        within = {j for row in rows.values() for j, v in row.items() if abs(v) <= bound}
+        seen = False  # an entry within the bound is known to remain since the last pivot
+        for c in _fewest_first(count, within, len(rows)):
+            hits = [i for i, row in rows.items() if c in row]
+            small = [i for i in hits if abs(rows[i][c]) <= bound]
+            if not small:
+                if not seen:
+                    if not any(abs(v) <= bound for row in rows.values() for v in row.values()):
+                        break
+                    seen = True
                 continue
-            if unit:
+            p = min(small, key=lambda i: len(rows[i]))
+            pv = _eliminate(rows, count, p, c, hits)
+            if pv == 1:
                 ones += 1
                 if matched is not None:
                     matched.add(c)
             else:
-                for j, v in list(prow.items()):
-                    r = v % pv
-                    if r:
-                        prow[j] = r
-                    else:
-                        del prow[j]
-                        count[j] -= 1
-                if prow:
-                    prow[c] = pv
-                    c = min(prow, key=lambda j: abs(prow[j]))
-                    continue
-                factors.append(abs(pv))
-            del rows[p]
-            count[c] = 0
-            for j in prow:
-                count[j] -= 1
-            break
+                factors.append(pv)
+            seen = False
+        bound = min((abs(v) for row in rows.values() for v in row.values()), default=0)
+        if bound > 1:
+            matched = None  # later units may follow column operations
     # a pass over i < j leaves d_i dividing every later entry
     for i in range(len(factors)):
         for j in range(i + 1, len(factors)):
@@ -196,71 +137,94 @@ def smith_normal_form(
     return [1] * ones + factors
 
 
-def _unit_pivots(rows: dict[int, dict[int, int]], count: list[int], matched: set[int] | None) -> int:
-    """Take +-1 pivots column first; return how many.
+def _fewest_first(count: list[int], cols: Collection[int], size: int) -> Iterator[int]:
+    """Yield ``cols`` fewest nonzeros first, as ``count`` changes.
 
-    Each pivot is in the column with the fewest nonzeros, and in that column
-    it is the shortest row that holds +-1.  The columns that hold a +-1 at
-    the start wait in buckets by their count, in column order, updated
-    lazily: a popped column whose count has grown goes to the back of the
-    bucket for its current count, and one whose count has fallen is taken
-    where it stands.  A popped column with no +-1 is dropped; the first one
-    after each pivot starts a look over the rows, and the phase ends when it
-    finds no +-1.  A +-1 that lands in a dropped column is left to the heap.
-    ``rows`` and ``count`` are updated in place, and ``matched``, if given,
-    receives each pivot's column.
+    The columns wait in buckets by count, in column order.  A column whose
+    count has grown since it was queued goes to the back of the bucket for
+    its current count, one whose count has fallen is yielded where it
+    stands, and an empty one is skipped.  No count exceeds ``size``.
     """
-    cols = {j for row in rows.values() for j, v in row.items() if v == 1 or v == -1}
-    buckets: list[list[int]] = [[] for _ in range(len(rows) + 1)]
+    buckets: list[list[int]] = [[] for _ in range(size + 1)]
     for j in sorted(cols):
         buckets[count[j]].append(j)
-    ones = 0
-    seen = False  # a +-1 is known to remain since the last pivot
     for level, queue in enumerate(buckets):
         for c in queue:  # columns are only ever appended to later buckets
             k = count[c]
             if k > level:
                 buckets[k].append(c)
+            elif k:
+                yield c
+
+
+def _eliminate(rows: dict[int, dict[int, int]], count: list[int], p: int, c: int, hits: list[int]) -> int:
+    """Clear the row and column of the pivot rows[p][c]; return |pivot|.
+
+    ``hits`` lists the rows that hold column c.  A pivot pv clears its
+    column: a row's quotient is its entry times pv if pv is +-1, which
+    leaves no remainder, and its floor quotient otherwise.  If remainders
+    stay, the row holding the least one becomes the pivot (Euclid down the
+    column).  Once column c holds pv alone, column operations reduce the
+    pivot row mod pv; they touch no other row, because column c is clear
+    there, and the least entry left in the row becomes the pivot of its
+    column.  Each step makes |pv| smaller, so the loop ends with pv alone in
+    its row and column, which are then removed.  ``rows`` and ``count`` are
+    updated in place.
+    """
+    prow = rows[p]
+    while True:
+        pv = prow.pop(c)
+        unit = pv == 1 or pv == -1
+        left = []  # rows with a remainder in column c
+        for i in hits:
+            if i == p:
                 continue
-            if not k:
-                continue  # pivoted or emptied
-            hits = [i for i, row in rows.items() if c in row]
-            units = [i for i in hits if rows[i][c] in (1, -1)]
-            if not units:
-                if not seen:
-                    if not any(v == 1 or v == -1 for row in rows.values() for v in row.values()):
-                        return ones
-                    seen = True
-                continue
-            p = min(units, key=lambda i: len(rows[i]))
-            prow = rows.pop(p)
-            pv = prow.pop(c)
-            for i in hits:
-                if i == p:
-                    continue
-                row = rows[i]
+            row = rows[i]
+            if unit:
                 q = row.pop(c) * pv  # pv * pv = 1: no remainder
-                for j, v in prow.items():
-                    w = row.get(j)
-                    if w is None:
-                        row[j] = -q * v
-                        count[j] += 1
+            else:
+                q, r = divmod(row.pop(c), pv)
+                if r:
+                    row[c] = r
+                    left.append(i)
+                if not q:
+                    continue
+            for j, v in prow.items():
+                w = row.get(j)
+                if w is None:
+                    row[j] = -q * v
+                    count[j] += 1
+                else:
+                    w -= q * v
+                    if w:
+                        row[j] = w
                     else:
-                        w -= q * v
-                        if w:
-                            row[j] = w
-                        else:
-                            del row[j]
-                            count[j] -= 1
-                if not row:
-                    del rows[i]
-            count[c] = 0
-            for j in prow:
-                count[j] -= 1
-            ones += 1
-            if matched is not None:
-                matched.add(c)
-            if not rows:
-                return ones
-            seen = False
-    return ones
+                        del row[j]
+                        count[j] -= 1
+            if not row:
+                del rows[i]
+        count[c] = 1 + len(left)
+        if left:
+            prow[c] = pv
+            hits = left + [p]
+            p = min(left, key=lambda i: abs(rows[i][c]))
+            prow = rows[p]
+            continue
+        if not unit:
+            for j, v in list(prow.items()):
+                r = v % pv
+                if r:
+                    prow[j] = r
+                else:
+                    del prow[j]
+                    count[j] -= 1
+            if prow:
+                prow[c] = pv
+                c = min(prow, key=lambda j: abs(prow[j]))
+                hits = [i for i, row in rows.items() if c in row]
+                continue
+        del rows[p]
+        count[c] = 0
+        for j in prow:
+            count[j] -= 1
+        return abs(pv)

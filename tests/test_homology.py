@@ -338,7 +338,8 @@ class TestSmithNormalForm:
             assert smith_normal_form(int_matrix(m)) == minor_gcd_snf(m)
 
     def test_units_only_after_elimination(self):
-        # every row an elimination changes is queued again, so the units that
+        # a pass ends only when no entry within its bound is left, and the
+        # next pass takes the least |v| over the rows left, so the units that
         # appear only after a step are found
         rng = random.Random(11)
         for k in range(120):
@@ -360,6 +361,22 @@ class TestSmithNormalForm:
             assert f == naive_snf(m)
             if r <= 5 and c <= 5:
                 assert f == minor_gcd_snf(m)
+
+    def test_no_unit_entries_at_working_sizes(self):
+        # the alphabet of the Berman weights 2,5: no pivot is a unit until
+        # Euclid makes one, so every pass after the first runs the Euclid path
+        # and nothing is matched
+        rng = random.Random(32)
+        torsion = 0
+        for _ in range(40):
+            r, c = rng.randint(10, 20), rng.randint(15, 30)
+            m = [[rng.choice((0, 0, 0, 0, 2, -2, 5, -5, 7)) for _ in range(c)] for _ in range(r)]
+            matched = set()
+            f = smith_normal_form(int_matrix(m), matched)
+            assert f == naive_snf(m)
+            assert matched == set()
+            torsion += any(v > 1 for v in f)
+        assert torsion
 
     def test_empty_rows_and_columns(self):
         rng = random.Random(13)
@@ -416,9 +433,9 @@ class TestSmithNormalForm:
         assert recorded
 
     def test_against_naive_oracle_at_working_sizes(self):
-        # 10-25 rows x 15-40 columns, mostly zero: the +-1 phase queues many
-        # columns, its updates make and destroy +-1 entries, and the heap
-        # phase gets what is left
+        # 10-25 rows x 15-40 columns, mostly zero: the bound-1 pass queues
+        # many columns, its updates make and destroy +-1 entries, and the
+        # later passes take what is left
         rng = random.Random(31)
         recorded = torsion = 0
         for _ in range(60):
@@ -683,8 +700,10 @@ class TestHomologyGroups:
             ((1, 1), 3, [(1, (3,)), (0, (6,)), (0, (3, 3))]),
             # a d_2 with no +-1 entry (0, +-2, +-5 and 7 only)
             ((2, 5), 2, [(1, (3,)), (0, (21,))]),
+            # the 216x1296 d_3 of those weights: Euclid pivots at size
+            ((2, 5), 3, [(1, (3,)), (0, (21,)), (0, (3, 3))]),
         ],
-        ids=["1,1", "2,5"],
+        ids=["1,1", "2,5", "2,5-d3"],
     )
     def test_berman_sum_weights_against_modular_ranks(self, weights, max_degree, expected):
         # rank mod p counts the invariant factors that p does not divide
