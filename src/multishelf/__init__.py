@@ -36,7 +36,6 @@ from .search import (
     RackCatalog,
     SearchReport,
     canonical_form,
-    canonical_form_set,
     certify_no_nonabelian,
     compatibility_graph,
     enumerate_racks,

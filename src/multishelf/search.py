@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import struct
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -48,19 +47,19 @@ class RackCatalog:
     ``columns[i][y]`` is the number of the column x -> x * y of the i-th
     rack.  ``orbit[i]`` is the index of the first rack in the class of the
     i-th; in table order that first rack is the least relabeling of each
-    member, i.e. its canonical form.  ``automorphisms[i]`` is the group of
-    relabelings that fix the i-th rack as a bitmask, bit k standing for the
-    k-th permutation.  ``nodes_pruned`` counts the pruned nodes of the
-    column backtrack that yields a rack of each class (0 for a seed
-    catalog).  The tables, ``racks``, are built on first read; the search
-    reads none of them.
+    member, i.e. its canonical form.  ``automorphisms[i]`` is the set of
+    the relabelings that fix the i-th rack.  ``nodes_pruned`` counts the
+    pruned nodes of the backtrack, and ``conj`` holds the ``_symmetric``
+    rows the catalog was built on (0 and none for a seed catalog).  The
+    tables, ``racks``, are built on first read; the search reads none.
     """
 
     n: int
     columns: tuple[tuple[int, ...], ...]
     orbit: tuple[int, ...]
-    automorphisms: tuple[int, ...]
+    automorphisms: tuple[frozenset[int], ...]
     nodes_pruned: int = 0
+    conj: tuple[tuple[int, ...], ...] = ()
 
     @cached_property
     def racks(self) -> tuple[OpTable, ...]:
@@ -122,26 +121,22 @@ def _symmetric(n: int, deadline: Optional[float]) -> tuple:
     """S_n on permutation indices, as (perms, conj, mul): ``perms[k]`` is
     the k-th permutation of the carrier in lexicographic order, so index
     order is lex order, ``conj[q][p]`` is x -> q(p(q^-1(x))) and ``mul[q][a]``
-    is x -> q(a(x)), each ``mul`` row 2 bytes an entry (a memoryview cast
-    to 'H').  The rows of the generators (0 1) and x -> x+1 (one permutation
-    at n = 2, none at n = 1) come from the tuples; every other row, reached
-    breadth first as h g, g a generator, is the row of h gathered by the
-    row of g: ``conj[h][conj[g][p]]`` and ``mul[h][mul[g][a]]``.  The
-    deadline is checked once per row."""
+    is x -> q(a(x)), each row a tuple.  The rows of the generators (0 1) and
+    x -> x+1 (one permutation at n = 2, none at n = 1) come from the tuples;
+    every other row, reached breadth first as h g, g a generator, is the row
+    of h gathered by the row of g: ``conj[h][conj[g][p]]`` and
+    ``mul[h][mul[g][a]]``.  The deadline is checked once per row."""
     index = _perm_index(n)
     perms = list(index)
-    pack = struct.Struct(f"{len(perms)}H").pack
     conj: list = [tuple(range(len(perms)))] + [None] * (len(perms) - 1)
-    mul: list = [memoryview(pack(*conj[0])).cast("H")] + [None] * (len(perms) - 1)
+    mul = list(conj)
     gens = {index[g]: g for g in ((1, 0) + tuple(range(2, n)), tuple(range(1, n)) + (0,))} if n > 1 else {}
-    gather = {}
     for k, g in gens.items():
         _check_deadline(deadline)
         ginv = perm_inverse(g)
         conj[k] = tuple(index[tuple(g[p[v]] for v in ginv)] for p in perms)
-        left = [index[tuple(map(g.__getitem__, p))] for p in perms]
-        mul[k] = memoryview(pack(*left)).cast("H")
-        gather[k] = itemgetter(*conj[k]), itemgetter(*left)  # n! > 1 indices, so each returns a tuple
+        mul[k] = tuple(index[tuple(map(g.__getitem__, p))] for p in perms)
+    gather = {k: (itemgetter(*conj[k]), itemgetter(*mul[k])) for k in gens}  # n! > 1 indices: tuples out
     queue = list(gens)
     for h in queue:
         for k, (by_conj, by_mul) in gather.items():
@@ -149,7 +144,7 @@ def _symmetric(n: int, deadline: Optional[float]) -> tuple:
             if conj[q] is None:
                 _check_deadline(deadline)
                 conj[q] = by_conj(conj[h])
-                mul[q] = memoryview(pack(*by_mul(mul[h]))).cast("H")
+                mul[q] = by_mul(mul[h])
                 queue.append(q)
     return perms, conj, mul
 
@@ -243,16 +238,23 @@ def _enumerate_pruned(n: int, deadline: Optional[float], sym: tuple) -> tuple[li
 
 def canonical_form(op: OpTable) -> OpTable:
     """Lexicographically least relabeling of the table; constant on orbits."""
-    return canonical_form_set((op,))[0]
+    return OpTable(op.n, min(relabel(op, pi).entries for pi in itertools.permutations(range(op.n))))
 
 
-def canonical_form_set(ops: Sequence[OpTable]) -> tuple[OpTable, ...]:
-    """Least (under lex order of the sorted table list) simultaneous relabeling."""
-    if not ops:
-        return ()
-    n = ops[0].n
-    best = min(tuple(sorted(relabel(op, pi).entries for op in ops)) for pi in itertools.permutations(range(n)))
-    return tuple(OpTable(n, e) for e in best)
+def _relabeling(n: int, conj: Sequence[tuple[int, ...]]) -> Callable[[int, Callable], tuple[int, ...]]:
+    """``relabel(q, itemgetter(*cols, 0))`` is the rack with columns ``cols``
+    relabeled by the q-th permutation, on the ``conj`` rows of ``_symmetric(n)``:
+    column ``conj[q][cols[y]]`` at q(y); the index 0 keeps a tuple at n = 1."""
+    at = [itemgetter(*perm_inverse(p), 0) for p in itertools.permutations(range(n))]
+    return lambda q, points: at[q](points(conj[q]))[:-1]
+
+
+def _closure_key(conj: Sequence[tuple[int, ...]], ops: Sequence[OpTable]) -> tuple:
+    """The least over all relabelings of the sorted columns of the racks ``ops``:
+    two families of racks get one key iff a relabeling maps one onto the other."""
+    index, relabel = _perm_index(ops[0].n), _relabeling(ops[0].n, conj)
+    points = [itemgetter(*map(index.__getitem__, zip(*op.entries)), 0) for op in ops]
+    return min(tuple(sorted(relabel(q, p) for p in points)) for q in range(len(conj)))
 
 
 def _check_size(n: int) -> None:
@@ -270,28 +272,27 @@ def enumerate_racks(n: int, deadline: Optional[float] = None) -> RackCatalog:
     The completions of ``_enumerate_pruned`` meet every class.  Each one not
     yet swept, r, is checked with ``distributive_witness`` (one table per
     class) and skipped if it fails.  ``relabel(r, q)`` has column
-    ``conj[q][cols[y]]`` at q(y), so Aut(r) is the q with
+    ``conj[q][cols[y]]`` at q(y) (``_relabeling``), so Aut(r) is the q with
     ``conj[q][cols[y]] == cols[q(y)]`` for every y, and q a gives the same
     image as q for a in Aut(r): one image is built per left coset
     ``q . Aut(r)``, at its least q, the coset marked through ``mul[q]``.
     Relabeling keeps self-distributivity, and the image's automorphism group
-    is ``q Aut(r) q^-1``.  Each image is keyed by its table's row-major
-    base-n encoding, and the racks are sorted on the keys, i.e. in table
-    order.  No other table is built.  Raises TimeoutError once
-    ``time.monotonic()`` passes ``deadline``, checked once per class.
+    is ``q Aut(r) q^-1``, gathered by ``conj[q]``.  Each image is keyed by
+    its table's row-major base-n encoding, and the racks are sorted on the
+    keys, i.e. in table order.  No other table is built.  Raises TimeoutError
+    once ``time.monotonic()`` passes ``deadline``, checked once per class.
     """
     _check_size(n)
     sym = _symmetric(n, deadline)
     found, pruned = _enumerate_pruned(n, deadline, sym)
     perms, conj, mul = sym
-    # relabeled[q](t)[x] is t[q^-1(x)]; the extra last index keeps a tuple at n = 1
-    relabeled = [itemgetter(*perm_inverse(pp), 0) for pp in perms]
+    relabel = _relabeling(n, conj)
     zero = [pp[0] for pp in perms]
     # Column p at b puts the digit p(a) at place (n-1-a)n + n-1-b of the key.
     base = [sum(v * n ** ((n - 1 - a) * n) for a, v in enumerate(pp)) for pp in perms]
     weight = [[w * n ** (n - 1 - b) for w in base] for b in range(n)]
-    shared: dict[int, int] = {}  # one object per distinct mask
-    swept: dict[tuple[int, ...], tuple[int, int, int]] = {}  # columns -> (key, class, mask)
+    shared: dict[frozenset[int], frozenset[int]] = {}  # one object per distinct group
+    swept: dict[tuple[int, ...], tuple[int, int, frozenset[int]]] = {}  # columns -> (key, class, Aut)
     for cls, cols in enumerate(found):
         if cols in swept:
             continue
@@ -304,22 +305,20 @@ def enumerate_racks(n: int, deadline: Optional[float] = None) -> RackCatalog:
         for y in range(1, n):
             c = cols[y]
             aut = [q for q in aut if conj[q][c] == cols[perms[q][y]]]
-        # aut[0] is the identity, 0, which conj[q] fixes: listed twice, so a tuple
-        # comes out even when Aut(r) is trivial, and the mask sum counts bit 0 twice.
+        # aut[0], the identity 0, is listed twice so that a tuple comes out when Aut(r) is trivial
         fixers, points = itemgetter(0, *aut), itemgetter(*cols, 0)
         marked: set[int] = set()
         for q in itertools.filterfalse(marked.__contains__, range(len(perms))):
             marked.update(fixers(mul[q]))
-            cq = conj[q]
-            image = relabeled[q](points(cq))[:-1]
-            mask = sum(map((1).__lshift__, fixers(cq))) - 1
-            swept[image] = (sum(map(list.__getitem__, weight, image)), cls, shared.setdefault(mask, mask))
-    del found, sym, perms, conj, mul  # freed before the sort
+            image = relabel(q, points)
+            group = frozenset(fixers(conj[q]))
+            swept[image] = (sum(map(list.__getitem__, weight, image)), cls, shared.setdefault(group, group))
+    del found, sym, perms, mul  # freed before the sort
     columns = sorted(swept, key=swept.__getitem__)  # on the keys, which are distinct
-    _, classes, masks = zip(*map(swept.__getitem__, columns))
+    _, classes, auts = zip(*map(swept.__getitem__, columns))
     first: dict[int, int] = {}  # class -> index of its least rack
     orbit = tuple(first.setdefault(c, i) for i, c in enumerate(classes))
-    return RackCatalog(n, tuple(columns), orbit, masks, pruned)
+    return RackCatalog(n, tuple(columns), orbit, auts, pruned, tuple(conj))
 
 
 def _ones(x: int) -> list[int]:
@@ -342,23 +341,23 @@ def compatibility_graph(catalog: RackCatalog, deadline: Optional[float] = None) 
     (``tables.is_endomorphism``, restricted to bijections).  So B is a
     partner of A, both ordered checks passing, iff each column of B lies in
     Aut(A) and each column of A in Aut(B).  The bitset ``fixes[p]`` holds
-    the racks whose automorphism mask holds p: the OR of the bitsets of the
-    racks sharing each distinct mask that holds p.  So the candidates for
+    the racks whose automorphism group holds p: the OR of the bitsets of the
+    racks sharing each distinct group that holds p.  So the candidates for
     the row of A are ``AND_{p in cols(A)} fixes[p]``, without A itself, and
     the row keeps those whose columns all lie in Aut(A); the row of the
     right-trivial rack, every column the identity, is every other rack.
     Raises TimeoutError once ``time.monotonic()`` passes ``deadline``,
-    which is checked once per distinct mask and per row.
+    which is checked once per distinct group and per row.
     """
-    columns, masks = catalog.columns, catalog.automorphisms
+    columns, auts = catalog.columns, catalog.automorphisms
     fixes = [0] * math.factorial(catalog.n)
-    by_mask: dict[int, list[int]] = {}
-    for j, m in enumerate(masks):
-        by_mask.setdefault(m, []).append(j)
-    for m, js in by_mask.items():
+    by_aut: dict[frozenset[int], list[int]] = {}
+    for j, aut in enumerate(auts):
+        by_aut.setdefault(aut, []).append(j)
+    for aut, js in by_aut.items():
         _check_deadline(deadline)
         bits = sum(1 << j for j in js)
-        for p in _ones(m):
+        for p in aut:
             fixes[p] |= bits
     graph = {}
     for i in catalog.representatives:
@@ -366,9 +365,8 @@ def compatibility_graph(catalog: RackCatalog, deadline: Optional[float] = None) 
         if not any(columns[i]):  # right-trivial: it fixes, and is fixed by, every rack
             graph[i] = [*range(i), *range(i + 1, len(columns))]
             continue
-        aut = set(_ones(masks[i]))
         cands = _ones(reduce(and_, map(fixes.__getitem__, set(columns[i])), ~(1 << i)))
-        graph[i] = list(itertools.compress(cands, map(aut.issuperset, map(columns.__getitem__, cands))))
+        graph[i] = list(itertools.compress(cands, map(auts[i].issuperset, map(columns.__getitem__, cands))))
     return graph
 
 
@@ -389,17 +387,17 @@ def _check_seed(n: int, op: OpTable, k: int) -> None:
 
 def seed_catalog(n: int, seed_pair: tuple[OpTable, OpTable]) -> RackCatalog:
     """The catalog of a seed pair: each table its own class, with its
-    automorphism mask and column indices.  Raises ValueError unless both
+    automorphism group and column indices.  Raises ValueError unless both
     tables are racks on n points."""
     for k, op in enumerate(seed_pair):
         _check_seed(n, op, k)
     index = _perm_index(n)
-    masks = []
+    auts = []
     for e in (op.entries for op in seed_pair):  # p fixes e iff p(a * b) = p(a) * p(b) for all a, b
         cells = [(a, b, v) for a, row in enumerate(e) for b, v in enumerate(row)]  # most p fail at the first
-        masks.append(sum(1 << k for p, k in index.items() if all(p[v] == e[p[a]][p[b]] for a, b, v in cells)))
+        auts.append(frozenset(k for p, k in index.items() if all(p[v] == e[p[a]][p[b]] for a, b, v in cells)))
     columns = tuple(tuple(index[c] for c in zip(*op.entries)) for op in seed_pair)
-    return RackCatalog(n, columns, (0, 1), tuple(masks))
+    return RackCatalog(n, columns, (0, 1), tuple(auts))
 
 
 def _commutation(perms: Sequence[Permutation]) -> Callable[[int, int], bool]:
@@ -431,10 +429,10 @@ def certify_no_nonabelian(
     non-commuting partners (see ``_commutation``) can give a non-abelian
     group; they are closed in order, each pair's tables built then.  Every
     partner's columns lie in Aut(A), so when Aut(A) commutes with every
-    column of A the row of A is only counted.  Each
-    non-abelian group is listed once up to simultaneous relabeling: a
-    closure's canonical form is only computed once a group of its order is
-    listed, and each listed group's at most once.  ``budget`` seconds bound
+    column of A the row of A is only counted.  Each non-abelian group is
+    listed once up to simultaneous relabeling: a closure's ``_closure_key``
+    is only computed once a group of its order is listed (never for a seed
+    pair), and each listed group's at most once.  ``budget`` seconds bound
     every phase; when they run out the conclusion is "partial" unless a
     non-abelian group was already found.  A negative or NaN budget raises
     ValueError, and so does a seed pair that ``seed_catalog`` rejects.
@@ -446,12 +444,12 @@ def certify_no_nonabelian(
     racks_found = compatible = nodes_pruned = 0
     nonabelian: list[dict] = []
     listed: dict[int, list[tuple[OpTable, ...]]] = {}  # closure order -> members of each listed group
-    canonical = cache(canonical_form_set)
     partial = False
     try:
         catalog = enumerate_racks(n, deadline) if seed_pair is None else seed_catalog(n, seed_pair)
-        columns, orbit, masks = catalog.columns, catalog.orbit, catalog.automorphisms
+        columns, orbit, auts = catalog.columns, catalog.orbit, catalog.automorphisms
         racks_found, nodes_pruned = len(columns), catalog.nodes_pruned
+        key = cache(lambda ops: _closure_key(catalog.conj, ops))
         graph = compatibility_graph(catalog, deadline)
         size = Counter(orbit)
         compatible = sum(size[i] * len(row) for i, row in graph.items()) // 2
@@ -460,7 +458,7 @@ def certify_no_nonabelian(
         for i, row in graph.items():
             _check_deadline(deadline)
             ca = columns[i]
-            if all(itertools.starmap(commute, itertools.product(_ones(masks[i]), set(ca)))):
+            if all(itertools.starmap(commute, itertools.product(auts[i], set(ca)))):
                 continue  # Aut(A) holds every partner's columns and commutes with A's
             for j in row:
                 if orbit[j] < i:
@@ -471,7 +469,7 @@ def certify_no_nonabelian(
                 a, b = (alpha_inverse([perms[c] for c in cols]) for cols in (ca, columns[j]))
                 closure = close_group(DistributiveSet(n, (a, b)))
                 same_order = listed.setdefault(closure.order, [])
-                if any(canonical(closure.ops) == canonical(ops) for ops in same_order):
+                if any(key(closure.ops) == key(ops) for ops in same_order):
                     continue
                 same_order.append(closure.ops)
                 pair = [list(map(list, a.entries)), list(map(list, b.entries))]

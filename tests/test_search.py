@@ -14,7 +14,6 @@ from multishelf import (
     DistributiveSet,
     OpTable,
     canonical_form,
-    canonical_form_set,
     certify_no_nonabelian,
     close_group,
     commutes,
@@ -45,10 +44,50 @@ def invertible_tables(n):
 
 
 def automorphisms_brute_force(op):
-    """Bitmask of the relabelings fixing op; bit k is the k-th permutation
-    in lexicographic order."""
+    """The indices of the relabelings fixing op, the k-th permutation in
+    lexicographic order as k."""
     perms = sorted(itertools.permutations(range(op.n)))
-    return sum(1 << k for k, p in enumerate(perms) if relabel(op, p) == op)
+    return {k for k, p in enumerate(perms) if relabel(op, p) == op}
+
+
+def canonical_form_set(ops):
+    """Reference key of a family of tables: the least (under lex order of
+    the sorted table list) simultaneous relabeling, by all n! ``relabel``s."""
+    n = ops[0].n
+    best = min(tuple(sorted(relabel(op, pi).entries for op in ops)) for pi in itertools.permutations(range(n)))
+    return tuple(OpTable(n, e) for e in best)
+
+
+def quandle_counts(catalog):
+    """(quandles, connected quandles) among the class representatives, read
+    off their columns: idempotent iff column x fixes x, connected iff the
+    column maps reach every point from 0."""
+    perms = sorted(itertools.permutations(range(catalog.n)))
+    quandles = connected = 0
+    for i in catalog.representatives:
+        cols = [perms[c] for c in catalog.columns[i]]
+        if all(col[x] == x for x, col in enumerate(cols)):
+            quandles += 1
+            reached, frontier = {0}, [0]
+            while frontier:
+                x = frontier.pop()
+                new = {col[x] for col in cols} - reached
+                reached |= new
+                frontier += new
+            connected += len(reached) == catalog.n
+    return quandles, connected
+
+
+def _recording_automorphisms(catalog, spread):
+    """The catalog with each Aut(r) a frozenset that records, in spread,
+    each time it is iterated."""
+
+    class Recorded(frozenset):
+        def __iter__(self):
+            spread.append(self)
+            return super().__iter__()
+
+    return dataclasses.replace(catalog, automorphisms=tuple(map(Recorded, catalog.automorphisms)))
 
 
 def _pair_document(pair):
@@ -58,19 +97,20 @@ def _pair_document(pair):
 def _count_calls(monkeypatch, pairs):
     """Make the catalog of an unseeded search the given rack pairs, in
     order, each table its own class, and record the closures and
-    canonical forms the search computes."""
+    closure keys the search computes."""
     seeds = [seed_catalog(6, tuple(pair)) for pair in pairs]
     catalog = search.RackCatalog(
         6,
         tuple(c for seed in seeds for c in seed.columns),
         tuple(range(2 * len(pairs))),
-        tuple(m for seed in seeds for m in seed.automorphisms),
+        tuple(a for seed in seeds for a in seed.automorphisms),
+        conj=tuple(search._symmetric(6, None)[1]),
     )
     monkeypatch.setattr(search, "enumerate_racks", lambda n, deadline: catalog)
     closures, keys = [], []
-    close, canonical = search.close_group, search.canonical_form_set
+    close, key = search.close_group, search._closure_key
     monkeypatch.setattr(search, "close_group", lambda S: closures.append(S) or close(S))
-    monkeypatch.setattr(search, "canonical_form_set", lambda o: keys.append(o) or canonical(o))
+    monkeypatch.setattr(search, "_closure_key", lambda conj, o: keys.append(o) or key(conj, o))
     return closures, keys
 
 
@@ -170,11 +210,12 @@ def catalog_by_all_relabelings(n):
     """Reference sweep: relabel the first completion of each class by every
     one of the n! permutations with ``relabel``; Aut(r) is the q giving r
     back, and an image's automorphisms are q Aut(r) q^-1.  Returns the
-    columns, orbit and automorphism masks in table order, and nodes_pruned."""
+    columns, orbit and automorphism index sets in table order, and
+    nodes_pruned."""
     perms = sorted(itertools.permutations(range(n)))
     index = {p: k for k, p in enumerate(perms)}
     found, pruned = search._enumerate_pruned(n, None, search._symmetric(n, None))
-    swept = {}  # columns -> (table entries, class, mask)
+    swept = {}  # columns -> (table entries, class, Aut)
     for cls, cols in enumerate(found):
         if cols in swept:
             continue
@@ -183,8 +224,8 @@ def catalog_by_all_relabelings(n):
         aut = [perms[k] for k, image in enumerate(images) if image == rack]
         for q, image in zip(perms, images):
             qinv = perm_inverse(q)
-            mask = sum(1 << index[tuple(q[a[qinv[x]]] for x in range(n))] for a in aut)
-            swept.setdefault(tuple(index[image.column(y)] for y in range(n)), (image.entries, cls, mask))
+            group = {index[tuple(q[a[qinv[x]]] for x in range(n))] for a in aut}
+            swept.setdefault(tuple(index[image.column(y)] for y in range(n)), (image.entries, cls, group))
     columns = sorted(swept, key=swept.__getitem__)
     first = {}
     orbit = tuple(first.setdefault(swept[c][1], i) for i, c in enumerate(columns))
@@ -289,7 +330,11 @@ class TestEnumerateRacks:
 
     def test_known_isomorphism_class_counts(self):
         # racks on 1..5 points up to relabeling (OEIS A181771): 1, 2, 6, 19, 74
-        assert [len(enumerate_racks(n).canonical) for n in (1, 2, 3, 4, 5)] == [1, 2, 6, 19, 74]
+        catalogs = [enumerate_racks(n) for n in (1, 2, 3, 4, 5)]
+        assert [len(c.canonical) for c in catalogs] == [1, 2, 6, 19, 74]
+        # quandles (OEIS A181769): 1, 1, 3, 7, 22; connected quandles
+        # (Vendramin 2012): 1, 0, 1, 1, 3
+        assert [quandle_counts(c) for c in catalogs] == [(1, 1), (1, 0), (3, 1), (7, 1), (22, 3)]
 
     def test_known_counts_n6(self, monkeypatch):
         # OEIS A181771 gives 353 racks on 6 points up to relabeling
@@ -300,9 +345,11 @@ class TestEnumerateRacks:
         assert (len(set(catalog.orbit)), len(columns), len(set(columns))) == (353, 36538, 36538)
         assert catalog.nodes_pruned == 1_050_371
         assert len(checked) == 353  # one check per class
+        # quandles (OEIS A181769) and connected quandles (Vendramin 2012) on 6 points
+        assert quandle_counts(catalog) == (73, 2)
         # Aut(r) and the class of r are the stabilizer and orbit of S_6 acting on r
         size = Counter(catalog.orbit)
-        assert all(bin(m).count("1") * size[o] == 720 for m, o in zip(catalog.automorphisms, catalog.orbit))
+        assert all(len(a) * size[o] == 720 for a, o in zip(catalog.automorphisms, catalog.orbit))
         # the last rack of every 18th class, most of them relabeled away from the class's first
         last = {o: j for j, o in enumerate(catalog.orbit)}
         perms = sorted(itertools.permutations(range(6)))
@@ -381,15 +428,15 @@ class TestEnumerateRacks:
         for j, rack in enumerate(catalog.racks):
             assert catalog.automorphisms[j] == automorphisms_brute_force(rack)
             class_size = catalog.orbit.count(catalog.orbit[j])
-            assert bin(catalog.automorphisms[j]).count("1") * class_size == math.factorial(n)
+            assert len(catalog.automorphisms[j]) * class_size == math.factorial(n)
 
     def test_seeded_automorphisms(self):
         catalog = seed_catalog(6, (BERMAN_TAU, BERMAN_SIGMA))
         relabelings = list(itertools.permutations(range(6)))
-        for rack, mask in zip(catalog.racks, catalog.automorphisms):
-            assert mask == automorphisms_brute_force(rack)
+        for rack, aut in zip(catalog.racks, catalog.automorphisms):
+            assert aut == automorphisms_brute_force(rack)
             class_size = len({relabel(rack, pi) for pi in relabelings})
-            assert bin(mask).count("1") * class_size == math.factorial(6)
+            assert len(aut) * class_size == math.factorial(6)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_columns(self, n):
@@ -513,12 +560,11 @@ class TestCompatibilityGraph:
             compatibility_graph(catalog, deadline=time.monotonic() - 1)
 
     def test_deadline_checked_while_the_bitsets_are_built(self, monkeypatch):
-        # The clock passes the deadline once the first mask's racks are added
-        # to the bitsets: the build must stop there, not after all the masks.
-        catalog = enumerate_racks(4)
+        # The clock passes the deadline once the first group's racks are added
+        # to the bitsets: the build must stop there, not after all the groups.
+        spread = []
+        catalog = _recording_automorphisms(enumerate_racks(4), spread)
         assert len(set(catalog.automorphisms)) > 1
-        ones, spread = search._ones, []
-        monkeypatch.setattr(search, "_ones", lambda x: spread.append(x) or ones(x))
         ticks = iter([0.0])
         monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=lambda: next(ticks, math.inf)))
         with pytest.raises(TimeoutError):
@@ -543,8 +589,8 @@ class TestCertify:
     def test_n6_seeded_berman(self, monkeypatch):
         monkeypatch.setattr(search, "_symmetric", _unreachable("a seeded search built the S_n tables"))
         monkeypatch.setattr(search, "enumerate_racks", _unreachable("a seeded search enumerated racks"))
-        # one closure, so no canonical form is needed to tell it from another
-        monkeypatch.setattr(search, "canonical_form_set", _unreachable("a canonical form was computed"))
+        # one closure, so no key is needed to tell it from another
+        monkeypatch.setattr(search, "_closure_key", _unreachable("a closure key was computed"))
         calls = _count_phases(monkeypatch, "compatibility_graph")
         report = certify_no_nonabelian(6, seed_pair=(BERMAN_TAU, BERMAN_SIGMA))
         assert report.conclusion == "nonabelian-found"
@@ -572,12 +618,15 @@ class TestCertify:
         report = certify_no_nonabelian(6)
         assert report.nonabelian_groups == [{"pair": _pair_document(pairs[0]), "closure_order": 6}]
         assert len(closures) == 6
-        assert len(keys) == len(closures)  # each closure's canonical form once
+        assert len(keys) == len(closures)  # each closure's key once
 
     def test_same_order_non_twin_listed(self, monkeypatch):
         # The second closure is made a family of order 6 that no relabeling
-        # maps onto the Berman group: a constant table stands in for a member.
+        # maps onto the Berman group: the cyclic group of the permutation
+        # rack a * b = a + 1 mod 6.
         images = regular_embed(symmetric(3)).images
+        shift = make_table(6, [[(a + 1) % 6] * 6 for a in range(6)])
+        cyclic = close_group(DistributiveSet(6, (shift,))).ops
         pairs = [(BERMAN_TAU, BERMAN_SIGMA), images[1:3]]
         closures, keys = _count_calls(monkeypatch, pairs)
         record = search.close_group
@@ -586,7 +635,7 @@ class TestCertify:
             cl = record(S)
             if len(closures) == 1:
                 return cl
-            return dataclasses.replace(cl, ops=cl.ops[:-1] + (make_table(6, [[0] * 6] * 6),))
+            return dataclasses.replace(cl, ops=cyclic)
 
         monkeypatch.setattr(search, "close_group", second_changed)
         report = certify_no_nonabelian(6)
@@ -594,6 +643,34 @@ class TestCertify:
             {"pair": _pair_document(pair), "closure_order": 6} for pair in pairs
         ]
         assert (len(closures), len(keys)) == (2, 2)
+
+    def test_closure_keys_match_canonical_form_set(self, monkeypatch):
+        # Every closure of the unseeded n = 6 sweep, relabelings of the Berman
+        # group, a cyclic group of the same order, and the six rotations of a
+        # rack with fewest automorphisms, least at other relabelings: two
+        # families get the same key iff the reference canonical forms agree.
+        catalogs, closures = [], []
+        enumerate_all, close = search.enumerate_racks, search.close_group
+        monkeypatch.setattr(search, "enumerate_racks", lambda *args: catalogs.append(enumerate_all(*args)) or catalogs[0])
+        monkeypatch.setattr(search, "close_group", lambda S: closures.append(close(S).ops) or close(S))
+        built = _count_phases(monkeypatch, "_symmetric")
+        certify_no_nonabelian(6)
+        assert built == ["_symmetric"]  # the keys gather the catalog's conjugation rows
+        berman = close(DistributiveSet(6, (BERMAN_TAU, BERMAN_SIGMA))).ops
+        moved = [tuple(relabel(op, pi) for op in berman[::-1]) for pi in [(3, 5, 0, 1, 4, 2), (5, 4, 3, 2, 1, 0)]]
+        shift = make_table(6, [[(a + 1) % 6] * 6 for a in range(6)])
+        catalog, perms = catalogs[0], sorted(itertools.permutations(range(6)))
+        rigid = min(range(len(catalog.columns)), key=lambda j: len(catalog.automorphisms[j]))  # |Aut| = 3
+        rack = alpha_inverse([perms[c] for c in catalog.columns[rigid]])
+        rotated = [(relabel(rack, [(x + k) % 6 for x in range(6)]),) for k in range(6)]
+        families = closures + [berman, *moved, close(DistributiveSet(6, (shift,))).ops, *rotated]
+        keys = [search._closure_key(catalog.conj, ops) for ops in families]
+        forms = [canonical_form_set(ops) for ops in families]
+        outcomes = set()
+        for (k1, f1), (k2, f2) in itertools.combinations(zip(keys, forms), 2):
+            assert (k1 == k2) == (f1 == f2)
+            outcomes.add(k1 == k2)
+        assert len(closures) > 1 and outcomes == {False, True}
 
     def test_seed_pair_carrier_must_match_n(self):
         with pytest.raises(ValueError, match="carrier 6, but n=5"):
@@ -654,10 +731,12 @@ class TestCertify:
 
     def test_deadline_checked_while_the_rows_are_built(self, monkeypatch):
         # The deadline passes once the catalog is built: the row phase stops
-        # before its first mask is spread over the bitsets, and the report
-        # counts the racks and no pair.
-        _expire_after(monkeypatch, "enumerate_racks")
+        # before its first automorphism group is spread over the bitsets and
+        # before its first row, and the report counts the racks and no pair.
         ones, spread = search._ones, []
+        catalog = _recording_automorphisms(enumerate_racks(5), spread)
+        monkeypatch.setattr(search, "enumerate_racks", lambda n, deadline: catalog)
+        _expire_after(monkeypatch, "enumerate_racks")
         monkeypatch.setattr(search, "_ones", lambda x: spread.append(x) or ones(x))
         report = certify_no_nonabelian(5, budget=3600)
         assert (report.conclusion, report.racks_found, report.compatible_pairs) == ("partial", 1708, 0)
@@ -688,8 +767,7 @@ class TestCertify:
         commute = search._commutation(perms)
         skipped = 0
         for i, row in compatibility_graph(catalog).items():
-            aut = [k for k in range(len(perms)) if catalog.automorphisms[i] >> k & 1]
-            if all(commute(a, c) for a in aut for c in catalog.columns[i]):
+            if all(commute(a, c) for a in catalog.automorphisms[i] for c in catalog.columns[i]):
                 skipped += 1
                 assert all(commutes(racks[i], racks[j]) for j in row)
         assert skipped > 0
