@@ -28,8 +28,8 @@ class SchemaError(ValueError):
 
 def _read_json(path: PathLike) -> dict:
     try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as e:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:  # JSON text is UTF-8
         raise SchemaError(str(path), "<document>", f"invalid JSON: {e}") from e
     if not isinstance(doc, dict):
         raise SchemaError(str(path), "<document>", "top level must be an object")

@@ -23,12 +23,14 @@ from functools import cache, cached_property, reduce
 from operator import and_, eq, itemgetter
 from typing import Callable, Optional, Sequence
 
-from .shelves import DistributiveSet, close_group
+from .shelves import CLOSURE_BUDGET, ClosureBudgetError, make_distributive_set
 from .tables import (
     OpTable,
     Permutation,
     distributive_witness,
+    generated,
     noninvertible_column,
+    perm_compose,
     perm_inverse,
     relabel,
 )
@@ -249,12 +251,12 @@ def _relabeling(n: int, conj: Sequence[tuple[int, ...]]) -> Callable[[int, Calla
     return lambda q, points: at[q](points(conj[q]))[:-1]
 
 
-def _closure_key(conj: Sequence[tuple[int, ...]], ops: Sequence[OpTable]) -> tuple:
-    """The least over all relabelings of the sorted columns of the racks ``ops``:
-    two families of racks get one key iff a relabeling maps one onto the other."""
-    index, relabel = _perm_index(ops[0].n), _relabeling(ops[0].n, conj)
-    points = [itemgetter(*map(index.__getitem__, zip(*op.entries)), 0) for op in ops]
-    return min(tuple(sorted(relabel(q, p) for p in points)) for q in range(len(conj)))
+def _closure_key(relabel: Callable[[int, Callable], tuple[int, ...]], members: Sequence[tuple[int, ...]]) -> tuple:
+    """The least over all relabelings of the sorted column indices of the
+    racks ``members``, each relabeled by ``relabel``, a ``_relabeling``: two
+    families of racks get one key iff a relabeling maps one onto the other."""
+    points = [itemgetter(*cols, 0) for cols in members]
+    return min(tuple(sorted(relabel(q, p) for p in points)) for q in range(math.factorial(len(members[0]))))
 
 
 def _check_size(n: int) -> None:
@@ -400,19 +402,6 @@ def seed_catalog(n: int, seed_pair: tuple[OpTable, OpTable]) -> RackCatalog:
     return RackCatalog(n, columns, (0, 1), tuple(auts))
 
 
-def _commutation(perms: Sequence[Permutation]) -> Callable[[int, int], bool]:
-    """Whether ``perms[x]`` and ``perms[y]`` commute, memoized on (x, y).
-    Column y of A;B is column y of A, then column y of B, so two racks
-    commute in the monoid iff their column-y permutations all commute."""
-
-    @cache
-    def commute(x: int, y: int) -> bool:
-        px, py = perms[x], perms[y]
-        return all(py[v] == px[w] for v, w in zip(px, py))
-
-    return commute
-
-
 def certify_no_nonabelian(
     n: int,
     budget: Optional[float] = None,
@@ -424,17 +413,20 @@ def certify_no_nonabelian(
     ``seed_catalog`` of ``seed_pair``, in its order, each table its own
     class, and on the catalog's ``compatibility_graph``; no labelled table
     is read.  All of it is invariant under relabeling, so the first rack of
-    a pair is the first rack of a class, and its partners are its row of
-    the graph without the classes whose first rack comes before it.  Only
-    non-commuting partners (see ``_commutation``) can give a non-abelian
-    group; they are closed in order, each pair's tables built then.  Every
-    partner's columns lie in Aut(A), so when Aut(A) commutes with every
-    column of A the row of A is only counted.  Each non-abelian group is
-    listed once up to simultaneous relabeling: a closure's ``_closure_key``
-    is only computed once a group of its order is listed (never for a seed
-    pair), and each listed group's at most once.  ``budget`` seconds bound
-    every phase; when they run out the conclusion is "partial" unless a
-    non-abelian group was already found.  A negative or NaN budget raises
+    a pair is the first rack of a class, and its partners are its row of the
+    graph without the classes whose first rack comes before it.  Column y of
+    A;B is A_y, then B_y, and a in Aut(A) has a A_y a^-1 = A_{a(y)}, so it
+    commutes with A_y iff ``ca[perms[a][y]] == ca[y]``.  A partner's columns
+    lie in Aut(A): the row of A is only counted when this holds for all a in
+    Aut(A) and all y, else B commutes with A iff
+    ``ca[perms[cb[y]][y]] == ca[y]`` for all y.  A non-commuting pair is
+    closed on column indices in ``close_group``'s order (identity, A, B,
+    ...) and listed unless a listed group of its order has its
+    ``_closure_key`` (one ``_relabeling`` for all keys; none for a seed
+    pair).  Only listed groups are built as tables, checked by
+    ``make_distributive_set``; the others are their relabelings.  ``budget``
+    seconds bound every phase; past them the conclusion is "partial" unless
+    a non-abelian group was already found.  A negative or NaN budget raises
     ValueError, and so does a seed pair that ``seed_catalog`` rejects.
     """
     _check_size(n)
@@ -443,37 +435,44 @@ def certify_no_nonabelian(
 
     racks_found = compatible = nodes_pruned = 0
     nonabelian: list[dict] = []
-    listed: dict[int, list[tuple[OpTable, ...]]] = {}  # closure order -> members of each listed group
+    listed: dict[int, list[tuple[tuple[int, ...], ...]]] = {}  # closure order -> members of each listed group
     partial = False
     try:
         catalog = enumerate_racks(n, deadline) if seed_pair is None else seed_catalog(n, seed_pair)
         columns, orbit, auts = catalog.columns, catalog.orbit, catalog.automorphisms
         racks_found, nodes_pruned = len(columns), catalog.nodes_pruned
-        key = cache(lambda ops: _closure_key(catalog.conj, ops))
+        relabeling = cache(lambda: _relabeling(n, catalog.conj))
+        key = cache(lambda members: _closure_key(relabeling(), members))
         graph = compatibility_graph(catalog, deadline)
         size = Counter(orbit)
         compatible = sum(size[i] * len(row) for i, row in graph.items()) // 2
-        perms = list(itertools.permutations(range(n)))
-        commute = _commutation(perms)
+        index = _perm_index(n)
+        perms = list(index)
+
+        def compose(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:  # columnwise, x first
+            return tuple([index[perm_compose(perms[p], perms[q])] for p, q in zip(x, y)])
+
         for i, row in graph.items():
             _check_deadline(deadline)
             ca = columns[i]
-            if all(itertools.starmap(commute, itertools.product(auts[i], set(ca)))):
+            if all(tuple(map(ca.__getitem__, perms[a])) == ca for a in auts[i]):
                 continue  # Aut(A) holds every partner's columns and commutes with A's
             for j in row:
                 if orbit[j] < i:
                     continue  # the pair of classes is swept from j's class
-                if all(map(commute, ca, columns[j])):
+                if all(ca[perms[b][y]] == ca[y] for y, b in enumerate(columns[j])):
                     continue  # commuting generators give an abelian group
                 _check_deadline(deadline)
-                a, b = (alpha_inverse([perms[c] for c in cols]) for cols in (ca, columns[j]))
-                closure = close_group(DistributiveSet(n, (a, b)))
-                same_order = listed.setdefault(closure.order, [])
-                if any(key(closure.ops) == key(ops) for ops in same_order):
+                members = tuple(generated((ca, columns[j]), (0,) * n, compose, CLOSURE_BUDGET) or ())
+                if not members:  # None: past the budget
+                    raise ClosureBudgetError(f"closure exceeded budget of {CLOSURE_BUDGET} tables")
+                same_order = listed.setdefault(len(members), [])
+                if any(key(members) == key(other) for other in same_order):
                     continue
-                same_order.append(closure.ops)
-                pair = [list(map(list, a.entries)), list(map(list, b.entries))]
-                nonabelian.append({"pair": pair, "closure_order": closure.order})
+                same_order.append(members)
+                ops = make_distributive_set([alpha_inverse([perms[c] for c in cols]) for cols in members]).ops
+                pair = [list(map(list, op.entries)) for op in ops[1:3]]  # A and B follow the identity
+                nonabelian.append({"pair": pair, "closure_order": len(members)})
     except TimeoutError:
         partial = True
 

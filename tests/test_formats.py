@@ -63,6 +63,17 @@ class TestTableRoundTrip:
         with pytest.raises(SchemaError, match="invalid JSON"):
             load_table(path)
 
+    @pytest.mark.parametrize("load", [load_table, load_set, load_group])
+    def test_not_utf8_names_the_file(self, tmp_path, load):
+        # JSON text is UTF-8: a stray 0xff byte is a fault of the document,
+        # reported with its path like any other malformed file.
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"n": 1, "table": [[0]], "note": "\xff"}')
+        with pytest.raises(SchemaError) as caught:
+            load(path)
+        assert (caught.value.path, caught.value.field) == (str(path), "<document>")
+        assert str(caught.value).startswith(f"{path}: field '<document>': invalid JSON: 'utf-8' codec can't decode")
+
 
 class TestSetRoundTrip:
     def test_round_trip_validates(self, tmp_path):

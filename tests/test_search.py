@@ -94,6 +94,33 @@ def _pair_document(pair):
     return [list(map(list, op.entries)) for op in pair]
 
 
+def _columns(ops):
+    """The column indices of each table, the k-th permutation of the carrier
+    in lexicographic order as k."""
+    index = {p: k for k, p in enumerate(sorted(itertools.permutations(range(ops[0].n))))}
+    return tuple(tuple(index[c] for c in zip(*op.entries)) for op in ops)
+
+
+def _tables(n, members):
+    """The table of each rack given by its column indices."""
+    perms = sorted(itertools.permutations(range(n)))
+    return tuple(alpha_inverse([perms[c] for c in cols]) for cols in members)
+
+
+def _recording_closures(monkeypatch):
+    """Record, as (seeds, members), each closure the pair sweep computes on
+    column indices through ``search.generated``."""
+    closures, close = [], search.generated
+
+    def recorded(*args):
+        members = close(*args)
+        closures.append((args[0], tuple(members)))
+        return members
+
+    monkeypatch.setattr(search, "generated", recorded)
+    return closures
+
+
 def _count_calls(monkeypatch, pairs):
     """Make the catalog of an unseeded search the given rack pairs, in
     order, each table its own class, and record the closures and
@@ -107,10 +134,9 @@ def _count_calls(monkeypatch, pairs):
         conj=tuple(search._symmetric(6, None)[1]),
     )
     monkeypatch.setattr(search, "enumerate_racks", lambda n, deadline: catalog)
-    closures, keys = [], []
-    close, key = search.close_group, search._closure_key
-    monkeypatch.setattr(search, "close_group", lambda S: closures.append(S) or close(S))
-    monkeypatch.setattr(search, "_closure_key", lambda conj, o: keys.append(o) or key(conj, o))
+    closures, keys = _recording_closures(monkeypatch), []
+    key = search._closure_key
+    monkeypatch.setattr(search, "_closure_key", lambda relabel, members: keys.append(members) or key(relabel, members))
     return closures, keys
 
 
@@ -615,29 +641,27 @@ class TestCertify:
         moved = (relabel(BERMAN_TAU, pi), relabel(BERMAN_SIGMA, pi))
         pairs = [(BERMAN_TAU, BERMAN_SIGMA), moved, images[1:3]]
         closures, keys = _count_calls(monkeypatch, pairs)
+        built = _count_phases(monkeypatch, "_relabeling")
         report = certify_no_nonabelian(6)
         assert report.nonabelian_groups == [{"pair": _pair_document(pairs[0]), "closure_order": 6}]
         assert len(closures) == 6
         assert len(keys) == len(closures)  # each closure's key once
+        assert built == ["_relabeling"]  # one relabeling for all the keys
 
     def test_same_order_non_twin_listed(self, monkeypatch):
         # The second closure is made a family of order 6 that no relabeling
-        # maps onto the Berman group: the cyclic group of the permutation
-        # rack a * b = a + 1 mod 6.
+        # maps onto the Berman group: its first three members, the identity
+        # and the pair, twice.  It is still a distributive family.
         images = regular_embed(symmetric(3)).images
-        shift = make_table(6, [[(a + 1) % 6] * 6 for a in range(6)])
-        cyclic = close_group(DistributiveSet(6, (shift,))).ops
         pairs = [(BERMAN_TAU, BERMAN_SIGMA), images[1:3]]
         closures, keys = _count_calls(monkeypatch, pairs)
-        record = search.close_group
+        record = search.generated
 
-        def second_changed(S):
-            cl = record(S)
-            if len(closures) == 1:
-                return cl
-            return dataclasses.replace(cl, ops=cyclic)
+        def second_changed(*args):
+            members = record(*args)
+            return members if len(closures) == 1 else members[:3] * 2
 
-        monkeypatch.setattr(search, "close_group", second_changed)
+        monkeypatch.setattr(search, "generated", second_changed)
         report = certify_no_nonabelian(6)
         assert report.nonabelian_groups == [
             {"pair": _pair_document(pair), "closure_order": 6} for pair in pairs
@@ -649,28 +673,61 @@ class TestCertify:
         # group, a cyclic group of the same order, and the six rotations of a
         # rack with fewest automorphisms, least at other relabelings: two
         # families get the same key iff the reference canonical forms agree.
-        catalogs, closures = [], []
-        enumerate_all, close = search.enumerate_racks, search.close_group
+        catalogs = []
+        enumerate_all = search.enumerate_racks
         monkeypatch.setattr(search, "enumerate_racks", lambda *args: catalogs.append(enumerate_all(*args)) or catalogs[0])
-        monkeypatch.setattr(search, "close_group", lambda S: closures.append(close(S).ops) or close(S))
-        built = _count_phases(monkeypatch, "_symmetric")
+        closures = _recording_closures(monkeypatch)
+        built = _count_phases(monkeypatch, "_symmetric", "_relabeling")
         certify_no_nonabelian(6)
-        assert built == ["_symmetric"]  # the keys gather the catalog's conjugation rows
-        berman = close(DistributiveSet(6, (BERMAN_TAU, BERMAN_SIGMA))).ops
+        # one S_6 build; the coset sweep's relabeling, then one for all the keys
+        assert built == ["_symmetric", "_relabeling", "_relabeling"]
+        berman = close_group(DistributiveSet(6, (BERMAN_TAU, BERMAN_SIGMA))).ops
         moved = [tuple(relabel(op, pi) for op in berman[::-1]) for pi in [(3, 5, 0, 1, 4, 2), (5, 4, 3, 2, 1, 0)]]
         shift = make_table(6, [[(a + 1) % 6] * 6 for a in range(6)])
         catalog, perms = catalogs[0], sorted(itertools.permutations(range(6)))
         rigid = min(range(len(catalog.columns)), key=lambda j: len(catalog.automorphisms[j]))  # |Aut| = 3
         rack = alpha_inverse([perms[c] for c in catalog.columns[rigid]])
         rotated = [(relabel(rack, [(x + k) % 6 for x in range(6)]),) for k in range(6)]
-        families = closures + [berman, *moved, close(DistributiveSet(6, (shift,))).ops, *rotated]
-        keys = [search._closure_key(catalog.conj, ops) for ops in families]
+        cyclic = close_group(DistributiveSet(6, (shift,))).ops
+        families = [_tables(6, members) for _, members in closures] + [berman, *moved, cyclic, *rotated]
+        relabeling = search._relabeling(6, catalog.conj)
+        keys = [search._closure_key(relabeling, _columns(ops)) for ops in families]
         forms = [canonical_form_set(ops) for ops in families]
         outcomes = set()
         for (k1, f1), (k2, f2) in itertools.combinations(zip(keys, forms), 2):
             assert (k1 == k2) == (f1 == f2)
             outcomes.add(k1 == k2)
         assert len(closures) > 1 and outcomes == {False, True}
+
+    @pytest.mark.parametrize(
+        "pair",
+        [
+            (BERMAN_TAU, BERMAN_SIGMA),
+            (BERMAN_SIGMA, BERMAN_TAU),
+            (relabel(BERMAN_TAU, (3, 5, 0, 1, 4, 2)), relabel(BERMAN_SIGMA, (3, 5, 0, 1, 4, 2))),
+            (relabel(BERMAN_SIGMA, (5, 4, 3, 2, 1, 0)), relabel(BERMAN_TAU, (5, 4, 3, 2, 1, 0))),
+        ],
+        ids=["tau-sigma", "sigma-tau", "moved-tau-sigma", "reversed-sigma-tau"],
+    )
+    def test_index_closure_of_a_seed_pair_matches_close_group(self, monkeypatch, pair):
+        # The one closure of a seeded search: the members of close_group, as
+        # column indices, in the same order, the seeds after the identity.
+        closures = _recording_closures(monkeypatch)
+        report = certify_no_nonabelian(6, seed_pair=pair)
+        assert [seeds for seeds, _ in closures] == [_columns(pair)]
+        assert closures[0][1] == _columns(close_group(DistributiveSet(6, pair)).ops)
+        assert report.nonabelian_groups == [{"pair": _pair_document(pair), "closure_order": 6}]
+
+    def test_index_closures_of_the_n6_sweep_match_close_group(self, monkeypatch):
+        # Every pair the unseeded n = 6 sweep closes fails to commute as
+        # tables, and its index closure has close_group's members in order.
+        closures = _recording_closures(monkeypatch)
+        certify_no_nonabelian(6)
+        assert len(closures) > 1
+        for seeds, members in closures:
+            a, b = _tables(6, seeds)
+            assert not commutes(a, b)
+            assert members == _columns(close_group(DistributiveSet(6, (a, b))).ops)
 
     def test_seed_pair_carrier_must_match_n(self):
         with pytest.raises(ValueError, match="carrier 6, but n=5"):
@@ -744,11 +801,24 @@ class TestCertify:
 
     def test_deadline_checked_before_the_pair_sweep(self, monkeypatch):
         # The deadline passes once the rows are built: the pairs are counted,
-        # and no partner is tested for commutation.
-        _expire_after(monkeypatch, "compatibility_graph")
-        monkeypatch.setattr(search, "_commutation", lambda perms: _unreachable("a pair was swept after the deadline"))
+        # and no row is swept, so no automorphism group is read for the
+        # commutation test and no pair is closed.
+        spread = []
+        catalog = _recording_automorphisms(enumerate_racks(5), spread)
+        monkeypatch.setattr(search, "enumerate_racks", lambda n, deadline: catalog)
+        graph = search.compatibility_graph
+
+        def graph_then_expire(*args):
+            rows = graph(*args)
+            spread.clear()  # the bitsets spread every group
+            monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=lambda: math.inf))
+            return rows
+
+        monkeypatch.setattr(search, "compatibility_graph", graph_then_expire)
+        monkeypatch.setattr(search, "generated", _unreachable("a pair was closed after the deadline"))
         report = certify_no_nonabelian(5, budget=3600)
         assert (report.conclusion, report.racks_found, report.compatible_pairs) == ("partial", 1708, 42651)
+        assert spread == []
 
     def test_budget_zero_reports_partial(self):
         report = certify_no_nonabelian(3, budget=0.0)
@@ -761,27 +831,52 @@ class TestCertify:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_skipped_rows_commute(self, n):
         # The pair sweep skips the row of a representative A when Aut(A)
-        # commutes with every column of A: every partner then commutes with A.
+        # commutes with every column of A, i.e. ca[a(y)] == ca[y] for every
+        # a in Aut(A) and every y: every partner then commutes with A.
         catalog = enumerate_racks(n)
         racks, perms = catalog.racks, sorted(itertools.permutations(range(n)))
-        commute = search._commutation(perms)
         skipped = 0
         for i, row in compatibility_graph(catalog).items():
-            if all(commute(a, c) for a in catalog.automorphisms[i] for c in catalog.columns[i]):
+            ca = catalog.columns[i]
+            if all(ca[perms[a][y]] == ca[y] for a in catalog.automorphisms[i] for y in range(n)):
                 skipped += 1
                 assert all(commutes(racks[i], racks[j]) for j in row)
         assert skipped > 0
 
     def test_commutation_on_column_indices(self):
+        # For every labelled rack A at n = 4 and every rack B whose columns
+        # lie in Aut(A), A;B = B;A iff ca[cb[y](y)] == ca[y] for every y.
         catalog = enumerate_racks(4)
-        commute = search._commutation(sorted(itertools.permutations(range(4))))
+        perms = sorted(itertools.permutations(range(4)))
         outcomes = set()
-        for a, ca in zip(catalog.racks, catalog.columns):
+        for a, ca, aut in zip(catalog.racks, catalog.columns, catalog.automorphisms):
             for b, cb in zip(catalog.racks, catalog.columns):
-                got = all(map(commute, ca, cb))
-                assert got == commutes(a, b)
-                outcomes.add(got)
+                if aut.issuperset(cb):
+                    got = all(ca[perms[q][y]] == ca[y] for y, q in enumerate(cb))
+                    assert got == commutes(a, b)
+                    outcomes.add(got)
         assert outcomes == {False, True}
+
+    @pytest.mark.parametrize("n, entries", [(1, 0), (2, 2), (3, 24), (4, 316), (5, 5406)])
+    def test_commutation_identities_on_every_row(self, n, entries):
+        # Both identities of the pair sweep against tables.commutes: Aut(A)
+        # commutes with every column of A iff ca[a(y)] == ca[y] for every a
+        # in Aut(A) and every y, each a as the table whose every column is a;
+        # and a partner B commutes with A iff ca[cb[y](y)] == ca[y] for every y.
+        catalog = enumerate_racks(n)
+        racks, perms = catalog.racks, sorted(itertools.permutations(range(n)))
+        seen, outcomes = 0, set()
+        for i, row in compatibility_graph(catalog).items():
+            ca, aut = catalog.columns[i], catalog.automorphisms[i]
+            centralized = all(ca[perms[a][y]] == ca[y] for a in aut for y in range(n))
+            assert centralized == all(commutes(alpha_inverse([perms[a]] * n), racks[i]) for a in aut)
+            outcomes.add(centralized)
+            for j in row:
+                got = all(ca[perms[b][y]] == ca[y] for y, b in enumerate(catalog.columns[j]))
+                assert got == commutes(racks[i], racks[j])
+                seen += 1
+        assert seen == entries
+        assert outcomes == ({True} if n < 3 else {False, True})
 
     @pytest.mark.parametrize(
         "n, digest",
