@@ -423,11 +423,13 @@ def certify_no_nonabelian(
     closed on column indices in ``close_group``'s order (identity, A, B,
     ...) and listed unless a listed group of its order has its
     ``_closure_key`` (one ``_relabeling`` for all keys; none for a seed
-    pair).  Only listed groups are built as tables, checked by
-    ``make_distributive_set``; the others are their relabelings.  ``budget``
-    seconds bound every phase; past them the conclusion is "partial" unless
-    a non-abelian group was already found.  A negative or NaN budget raises
-    ValueError, and so does a seed pair that ``seed_catalog`` rejects.
+    pair).  Only a listed group's pair is built as tables, checked by
+    ``make_distributive_set``; by the closure lemma of ``close_group`` that
+    certifies the group it generates, and the others are its relabelings.
+    ``budget`` seconds bound every phase; past them the conclusion is
+    "partial" unless a non-abelian group was already found.  A negative or
+    NaN budget raises ValueError, and so does a seed pair that
+    ``seed_catalog`` rejects.
     """
     _check_size(n)
     _check_budget(budget)
@@ -470,8 +472,8 @@ def certify_no_nonabelian(
                 if any(key(members) == key(other) for other in same_order):
                     continue
                 same_order.append(members)
-                ops = make_distributive_set([alpha_inverse([perms[c] for c in cols]) for cols in members]).ops
-                pair = [list(map(list, op.entries)) for op in ops[1:3]]  # A and B follow the identity
+                ops = [alpha_inverse([perms[c] for c in cols]) for cols in members[1:3]]  # A and B follow the identity
+                pair = [list(map(list, op.entries)) for op in make_distributive_set(ops).ops]
                 nonabelian.append({"pair": pair, "closure_order": len(members)})
     except TimeoutError:
         partial = True

@@ -24,12 +24,15 @@ column times the pivot, with no division, and the pivot row needs no
 reduction.  Any other pivot runs Euclid down its column and along its row
 until it stands alone (see _eliminate).  Either way the matrix is then
 equivalent to diag(p, R) over the integers, and row and column are dropped
-with the factor |p|.  The columns' nonzero counts are kept in a list indexed
-by column, and the rows of a pivot column are found by a scan of the
-remaining rows: on the Berman boundary matrices that is faster than a
-column-to-rows index and raises peak memory less.  One gcd/lcm pass turns
-the diagonal into invariant factors, since diag(a, b) and diag(gcd(a, b),
-lcm(a, b)) are equivalent over the integers.
+with the factor |p|.  Each column keeps a list of the rows that hold it,
+whose length is its nonzero count, so the rows of a pivot column are read
+off and sorted rather than found by a scan of every remaining row.  Rows
+are only ever deleted from ``rows``, so sorted order is the order of that
+scan.  Berman ``1,-1`` at degree 5 takes 1.4-1.7 s and peaks at 60 MB as a
+whole process with this index, against 2.8 s and 59 MB with the scan and
+1.3 s and 86 MB with a set per column (2-vCPU x86-64 VM, Python 3.11).
+One gcd/lcm pass turns the diagonal into invariant factors, since
+diag(a, b) and diag(gcd(a, b), lcm(a, b)) are equivalent over the integers.
 
 An optional output argument, a set, receives the column of each pivot taken
 before the bound first exceeds 1: the +-1 pivots taken before the first
@@ -98,18 +101,18 @@ def smith_normal_form(
     the submatrix of the kept rows.
     """
     rows = {i: dict(r) for i, r in enumerate(M.data) if r and i not in drop}
-    count = [0] * M.cols  # nonzeros per column
-    for row in rows.values():
+    rows_of: list[list[int]] = [[] for _ in range(M.cols)]  # column -> rows holding it
+    for i, row in rows.items():
         for j in row:
-            count[j] += 1
+            rows_of[j].append(i)
     ones = 0
     factors: list[int] = []
     bound = 1  # the largest |v| a pivot may have in this pass
     while rows:
         within = {j for row in rows.values() for j, v in row.items() if abs(v) <= bound}
         seen = False  # an entry within the bound is known to remain since the last pivot
-        for c in _fewest_first(count, within, len(rows)):
-            hits = [i for i, row in rows.items() if c in row]
+        for c in _fewest_first(rows_of, within, len(rows)):
+            hits = sorted(rows_of[c])
             small = [i for i in hits if abs(rows[i][c]) <= bound]
             if not small:
                 if not seen:
@@ -118,7 +121,7 @@ def smith_normal_form(
                     seen = True
                 continue
             p = min(small, key=lambda i: len(rows[i]))
-            pv = _eliminate(rows, count, p, c, hits)
+            pv = _eliminate(rows, rows_of, p, c, hits)
             if pv == 1:
                 ones += 1
                 if matched is not None:
@@ -137,8 +140,8 @@ def smith_normal_form(
     return [1] * ones + factors
 
 
-def _fewest_first(count: list[int], cols: Collection[int], size: int) -> Iterator[int]:
-    """Yield ``cols`` fewest nonzeros first, as ``count`` changes.
+def _fewest_first(rows_of: list[list[int]], cols: Collection[int], size: int) -> Iterator[int]:
+    """Yield ``cols`` fewest nonzeros first, as ``rows_of`` changes.
 
     The columns wait in buckets by count, in column order.  A column whose
     count has grown since it was queued goes to the back of the bucket for
@@ -147,17 +150,17 @@ def _fewest_first(count: list[int], cols: Collection[int], size: int) -> Iterato
     """
     buckets: list[list[int]] = [[] for _ in range(size + 1)]
     for j in sorted(cols):
-        buckets[count[j]].append(j)
+        buckets[len(rows_of[j])].append(j)
     for level, queue in enumerate(buckets):
         for c in queue:  # columns are only ever appended to later buckets
-            k = count[c]
+            k = len(rows_of[c])
             if k > level:
                 buckets[k].append(c)
             elif k:
                 yield c
 
 
-def _eliminate(rows: dict[int, dict[int, int]], count: list[int], p: int, c: int, hits: list[int]) -> int:
+def _eliminate(rows: dict[int, dict[int, int]], rows_of: list[list[int]], p: int, c: int, hits: list[int]) -> int:
     """Clear the row and column of the pivot rows[p][c]; return |pivot|.
 
     ``hits`` lists the rows that hold column c.  A pivot pv clears its
@@ -168,7 +171,7 @@ def _eliminate(rows: dict[int, dict[int, int]], count: list[int], p: int, c: int
     pivot row mod pv; they touch no other row, because column c is clear
     there, and the least entry left in the row becomes the pivot of its
     column.  Each step makes |pv| smaller, so the loop ends with pv alone in
-    its row and column, which are then removed.  ``rows`` and ``count`` are
+    its row and column, which are then removed.  ``rows`` and ``rows_of`` are
     updated in place.
     """
     prow = rows[p]
@@ -193,17 +196,17 @@ def _eliminate(rows: dict[int, dict[int, int]], count: list[int], p: int, c: int
                 w = row.get(j)
                 if w is None:
                     row[j] = -q * v
-                    count[j] += 1
+                    rows_of[j].append(i)
                 else:
                     w -= q * v
                     if w:
                         row[j] = w
                     else:
                         del row[j]
-                        count[j] -= 1
+                        rows_of[j].remove(i)
             if not row:
                 del rows[i]
-        count[c] = 1 + len(left)
+        rows_of[c] = left + [p]
         if left:
             prow[c] = pv
             hits = left + [p]
@@ -217,14 +220,14 @@ def _eliminate(rows: dict[int, dict[int, int]], count: list[int], p: int, c: int
                     prow[j] = r
                 else:
                     del prow[j]
-                    count[j] -= 1
+                    rows_of[j].remove(p)
             if prow:
                 prow[c] = pv
                 c = min(prow, key=lambda j: abs(prow[j]))
-                hits = [i for i, row in rows.items() if c in row]
+                hits = sorted(rows_of[c])
                 continue
         del rows[p]
-        count[c] = 0
+        rows_of[c] = []
         for j in prow:
-            count[j] -= 1
+            rows_of[j].remove(p)
         return abs(pv)

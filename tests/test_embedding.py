@@ -23,7 +23,7 @@ from multishelf import (
 )
 from multishelf import shelves
 from multishelf.fixtures import XOR, fixture, fixture_names
-from multishelf.tables import greedy_generators, is_endomorphism, perm_compose
+from multishelf.tables import compose, generated, greedy_generators, is_endomorphism, perm_compose
 
 
 class TestRegularEmbed:
@@ -96,6 +96,40 @@ class TestRegularEmbed:
         monkeypatch.setattr(embedding, "_image_table", lambda G, g: image_table(G, swap.get(g, g)))
         with pytest.raises(AssertionError, match=r"homomorphism fails at \(\d+,2\)"):
             regular_embed(G)
+
+    def test_rejects_image_not_left_equivariant(self, monkeypatch):
+        import multishelf.embedding as embedding
+
+        # one entry off the identity row of image 3, which is not a
+        # generator: the homomorphism and injectivity checks read identity
+        # rows only and distributivity is checked on generator images, so
+        # only left-equivariance sees it
+        G = symmetric(3)
+        assert _generators(G) == [1, 2]
+        image_table = embedding._image_table
+
+        def corrupted(G, g):
+            op = image_table(G, g)
+            return _corrupt_row(op, 2) if g == 3 else op
+
+        monkeypatch.setattr(embedding, "_image_table", corrupted)
+        with pytest.raises(AssertionError, match="image 3 is not left-equivariant at row 2"):
+            regular_embed(G)
+
+    @pytest.mark.parametrize(
+        "G", [symmetric(3), dihedral(4), dihedral(6), symmetric(4)], ids=["S3", "D4", "D6", "S4"]
+    )
+    def test_generator_checks_match_full_checks(self, G):
+        # the oracles check every image: distributivity of the whole image
+        # set, and T_g ; T_h = T_gh for all g and h as full tables
+        images = regular_embed(G).images
+        gens = _generators(G)
+        assert verify_distributive(images) is None
+        assert verify_distributive([images[s] for s in gens]) is None
+        assert set(generated([images[s] for s in gens], right_trivial(G.m), compose, G.m)) == set(images)
+        for g in range(G.m):
+            for h in range(G.m):
+                assert compose(images[g], images[h]) == images[G.mul[g][h]]
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("base", [symmetric(4), dihedral(6)], ids=["S4", "D6"])
@@ -255,6 +289,13 @@ def _corrupt(op, rng=None):
     return make_table(op.n, rows)
 
 
+def _corrupt_row(op, a):
+    """The table with entry (a, 0) moved to the next value."""
+    rows = [list(r) for r in op.entries]
+    rows[a][0] = (rows[a][0] + 1) % op.n
+    return make_table(op.n, rows)
+
+
 def _generators(G):
     return greedy_generators(range(G.m), G.identity, lambda h, s: G.mul[h][s], G.m)
 
@@ -322,7 +363,5 @@ class TestVerifyInverseImages:
         assert verify_inverse_images(regular_embed(G))
 
     def test_z2_image_is_involution(self):
-        from multishelf import compose
-
         E = regular_embed(cyclic(2))
         assert compose(E.images[1], E.images[1]) == right_trivial(2)

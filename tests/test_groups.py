@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from multishelf import (
@@ -20,8 +22,10 @@ class TestGroupFromTable:
             group_from_table(2, [[0, 1], [1, 1]], 0)
 
     def test_not_associative(self):
-        # a valid quasigroup table that is not a group
-        with pytest.raises(ValueError):
+        # a valid quasigroup table that is not a group; every element is its
+        # own two-sided inverse, and Light's test names a triple whose c is a
+        # generator: (2*1)*1 = 4*1 = 3, 2*(1*1) = 2*0 = 2
+        with pytest.raises(ValueError, match=r"not associative at \(2,1,1\)"):
             group_from_table(
                 5,
                 [
@@ -43,6 +47,59 @@ class TestGroupFromTable:
     def test_bad_identity(self):
         with pytest.raises(ValueError):
             group_from_table(2, [[0, 1], [1, 0]], 1)
+
+    @pytest.mark.parametrize("m", range(1, 6))
+    def test_light_test_matches_all_triples_on_latin_squares(self, m):
+        # every normalized Latin square (row and column 0 in order, so 0 is
+        # the identity): 1, 1, 1, 4 and 56 of them for m = 1..5, of which
+        # the groups are 1, 1, 1, 4 and 6
+        squares = _normalized_latin_squares(m)
+        assert len(squares) == [1, 1, 1, 4, 56][m - 1]
+        accepted = 0
+        for mul in squares:
+            try:
+                group_from_table(m, mul, 0)
+            except ValueError:
+                ok = False
+            else:
+                ok = True
+            assert ok == _associative(mul)
+            accepted += ok
+        assert accepted == [1, 1, 1, 4, 6][m - 1]
+
+    def test_light_test_checks_every_generator(self):
+        # identity 0 and two-sided inverses; greedy generators 1 (which
+        # generates {0, 1}) and 2; (ab)1 = a(b1) for all a, b, so only
+        # generator 2 sees that the product is not associative
+        mul = [[0, 1, 2, 3], [1, 0, 0, 1], [2, 3, 0, 1], [3, 2, 1, 0]]
+        assert all(mul[mul[a][b]][1] == mul[a][mul[b][1]] for a in range(4) for b in range(4))
+        assert not _associative(mul)
+        with pytest.raises(ValueError, match=r"not associative at \(\d,\d,2\)"):
+            group_from_table(4, mul, 0)
+
+
+def _normalized_latin_squares(m):
+    """Every m x m Latin square on {0..m-1} whose row 0 and column 0 are
+    0..m-1 in order, filled row by row."""
+    rows = [list(range(m))]
+
+    def fill(a):
+        if a == m:
+            yield [list(r) for r in rows]
+            return
+        for row in itertools.permutations(range(m)):
+            if row[0] == a and all(row[b] != r[b] for r in rows for b in range(m)):
+                rows.append(row)
+                yield from fill(a + 1)
+                rows.pop()
+
+    return list(fill(1))
+
+
+def _associative(mul):
+    """The reference: (ab)c = a(bc) over all m^3 triples."""
+    m = len(mul)
+    return all(mul[mul[a][b]][c] == mul[a][mul[b][c]] for a in range(m) for b in range(m) for c in range(m))
 
 
 class TestFamilies:

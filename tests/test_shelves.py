@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from multishelf import (
@@ -14,6 +16,7 @@ from multishelf import (
     right_trivial,
 )
 from multishelf import shelves
+from multishelf.tables import OpTable, generated
 from multishelf.fixtures import BERMAN_SIGMA, BERMAN_TAU, XOR
 from multishelf.search import enumerate_racks
 
@@ -132,6 +135,45 @@ class TestCloseGroup:
         cl = close_group(make_distributive_set([BERMAN_TAU, BERMAN_SIGMA]))
         again = close_group(make_distributive_set(cl.ops))
         assert set(again.ops) == set(cl.ops)
+
+    def test_non_distributive_seed_rejected(self):
+        # XOR is invertible but not self-distributive; a DistributiveSet
+        # built without make_distributive_set is caught at its seeds
+        with pytest.raises(DistributivityError, match=r"ops \(0,0\) violate .* \(0, 0, 1\)"):
+            close_group(shelves.DistributiveSet(2, (XOR,)))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_seed_check_matches_member_check(self, seed):
+        # the oracle checks every member of the closure, as close_group did
+        # before it checked the seeds only (the closure lemma)
+        rng = random.Random(seed)
+        d5 = regular_embed(dihedral(5)).images
+        families = [
+            [right_trivial(2)], [BERMAN_SIGMA], [BERMAN_TAU, BERMAN_SIGMA], [d5[1], d5[5]],
+            list(regular_embed(cyclic(3)).images), [regular_embed(cyclic(2)).images[1]], [XOR],
+        ]
+        racks = enumerate_racks(3).racks  # closures lie in S3^3, within the budget
+        for _ in range(60):
+            families.append([rng.choice(racks) for _ in range(rng.randint(1, 3))])
+            cols = [[rng.sample(range(3), 3) for _ in range(3)] for _ in range(rng.randint(1, 2))]
+            families.append([OpTable(3, tuple(zip(*c))) for c in cols])  # columns are permutations
+        outcomes = set()
+        for ops in families:
+            S = shelves.DistributiveSet(ops[0].n, tuple(ops))
+            members = generated(ops, right_trivial(S.n), compose, shelves.CLOSURE_BUDGET)
+            want = _raises(make_distributive_set, members)
+            assert _raises(close_group, S) == want
+            outcomes.add(want)
+        assert outcomes == {False, True}
+
+
+def _raises(check, arg):
+    """True iff check(arg) raises DistributivityError."""
+    try:
+        check(arg)
+    except DistributivityError:
+        return True
+    return False
 
 
 class TestLemmaAddingInverses:
