@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .groups import FiniteGroup
 from .shelves import verify_distributive
-from .tables import OpTable, greedy_generators, invert, right_trivial
+from .tables import OpTable, compose, greedy_generators, right_trivial
 
 
 @dataclass(frozen=True)
@@ -84,6 +84,7 @@ def regular_embed(G: FiniteGroup) -> RegularEmbedding:
 
 
 def verify_inverse_images(E: RegularEmbedding) -> bool:
-    """True iff the image of g^-1 is the composition inverse of the image of g."""
-    G = E.group
-    return all(E.images[G.inv[g]] == invert(E.images[g]) for g in range(G.m))
+    """True iff T_g ; T_{g^-1} is right-trivial for every g: exact, as ``compose``
+    works column by column and a one-sided inverse of a map on a finite set is two-sided."""
+    G, e = E.group, right_trivial(E.group.m)
+    return all(compose(E.images[g], E.images[G.inv[g]]) == e for g in range(G.m))

@@ -51,9 +51,9 @@ class RackCatalog:
     i-th; in table order that first rack is the least relabeling of each
     member, i.e. its canonical form.  ``automorphisms[i]`` is the set of
     the relabelings that fix the i-th rack.  ``nodes_pruned`` counts the
-    pruned nodes of the backtrack, and ``conj`` holds the ``_symmetric``
-    rows the catalog was built on (0 and none for a seed catalog).  The
-    tables, ``racks``, are built on first read; the search reads none.
+    pruned nodes of the backtrack, and ``conj`` the conjugation rows of
+    ``_symmetric``, the one S_n table the catalog was built on (0 and none for
+    a seed catalog).  The tables, ``racks``, are built on first read.
     """
 
     n: int
@@ -119,36 +119,34 @@ def _perm_index(n: int) -> dict[Permutation, int]:
     return {p: k for k, p in enumerate(itertools.permutations(range(n)))}
 
 
+def _generators(n: int) -> list[Permutation]:
+    """(0 1) and x -> x+1, which generate S_n; one permutation at n = 2, none at n = 1."""
+    return list(dict.fromkeys([(1, 0) + tuple(range(2, n)), tuple(range(1, n)) + (0,)])) if n > 1 else []
+
+
 def _symmetric(n: int, deadline: Optional[float]) -> tuple:
-    """S_n on permutation indices, as (perms, conj, mul): ``perms[k]`` is
-    the k-th permutation of the carrier in lexicographic order, so index
-    order is lex order, ``conj[q][p]`` is x -> q(p(q^-1(x))) and ``mul[q][a]``
-    is x -> q(a(x)), each row a tuple.  The rows of the generators (0 1) and
-    x -> x+1 (one permutation at n = 2, none at n = 1) come from the tuples;
-    every other row, reached breadth first as h g, g a generator, is the row
-    of h gathered by the row of g: ``conj[h][conj[g][p]]`` and
-    ``mul[h][mul[g][a]]``.  The deadline is checked once per row."""
+    """S_n on permutation indices, as (perms, conj): ``perms[k]`` is the k-th
+    permutation of the carrier in lexicographic order, and ``conj[q][p]`` is
+    x -> q(p(q^-1(x))), a tuple row.  The ``_generators``' rows come from the
+    tuples, every other row, of h g for a generator g, from the gather
+    ``conj[h][conj[g][p]]``: no product table.  Checks the deadline per row."""
     index = _perm_index(n)
     perms = list(index)
     conj: list = [tuple(range(len(perms)))] + [None] * (len(perms) - 1)
-    mul = list(conj)
-    gens = {index[g]: g for g in ((1, 0) + tuple(range(2, n)), tuple(range(1, n)) + (0,))} if n > 1 else {}
-    for k, g in gens.items():
+    gens = {index[g]: (g, perm_inverse(g)) for g in _generators(n)}
+    for k, (g, ginv) in gens.items():
         _check_deadline(deadline)
-        ginv = perm_inverse(g)
         conj[k] = tuple(index[tuple(g[p[v]] for v in ginv)] for p in perms)
-        mul[k] = tuple(index[tuple(map(g.__getitem__, p))] for p in perms)
-    gather = {k: (itemgetter(*conj[k]), itemgetter(*mul[k])) for k in gens}  # n! > 1 indices: tuples out
+    gather = [(g, itemgetter(*conj[k])) for k, (g, _) in gens.items()]  # n! > 1 indices: tuples out
     queue = list(gens)
     for h in queue:
-        for k, (by_conj, by_mul) in gather.items():
-            q = mul[h][k]  # g, then h
+        for g, by_conj in gather:
+            q = index[tuple(map(perms[h].__getitem__, g))]  # g, then h
             if conj[q] is None:
                 _check_deadline(deadline)
                 conj[q] = by_conj(conj[h])
-                mul[q] = by_mul(mul[h])
                 queue.append(q)
-    return perms, conj, mul
+    return perms, conj
 
 
 def _enumerate_pruned(n: int, deadline: Optional[float], sym: tuple) -> tuple[list[tuple[int, ...]], int]:
@@ -167,13 +165,11 @@ def _enumerate_pruned(n: int, deadline: Optional[float], sym: tuple) -> tuple[li
     columns; the others count as pruned without a look-up.  A visited
     candidate is tested against the columns already set, without copying
     the assignment.  Every completion meets the constraint for all pairs,
-    so it is a rack, but it is returned unchecked: ``enumerate_racks``
-    checks the first completion of each relabeling class.  Columns are
-    indices into the tables ``sym`` that ``_symmetric(n, deadline)``
-    returns.  Returns (completions, nodes_pruned), each completion as its
-    tuple of column indices.
+    so it is a rack; ``enumerate_racks`` checks one per class all the same.
+    Returns (completions, nodes_pruned), each completion a tuple of column
+    indices into ``sym``, the tables of ``_symmetric(n, deadline)``.
     """
-    perms, conj = sym[:2]
+    perms, conj = sym
     fix0 = [q for q, qp in enumerate(perms) if qp[0] == 0]
     column0 = [p for p in range(len(perms)) if all(p <= conj[q][p] for q in fix0)]
     found: list[tuple[int, ...]] = []
@@ -269,55 +265,57 @@ def _check_budget(budget: Optional[float]) -> None:
         raise ValueError(f"budget={budget} is not a number of seconds >= 0")
 
 
+def _self_distributive(cols: tuple[int, ...], perms: Sequence[Permutation], conj: Sequence[tuple[int, ...]]) -> bool:
+    """True iff the table with columns ``cols``, indices into ``_symmetric``, is self-distributive:
+    for permutation columns that is exactly sigma_{sigma_z(y)} = sigma_z sigma_y sigma_z^-1 for
+    all y, z (``translate.conjugation_condition``), and permutations agree iff their indices do."""
+    return all(cols[perms[cz][y]] == conj[cz][cy] for cz in cols for y, cy in enumerate(cols))
+
+
 def enumerate_racks(n: int, deadline: Optional[float] = None) -> RackCatalog:
     """Complete catalog of racks on n points, on ``_symmetric`` indices.
     The completions of ``_enumerate_pruned`` meet every class.  Each one not
-    yet swept, r, is checked with ``distributive_witness`` (one table per
-    class) and skipped if it fails.  ``relabel(r, q)`` has column
+    yet swept, r, is checked by ``_self_distributive`` (one check per class,
+    no table) and skipped if it fails.  ``relabel(r, q)`` has column
     ``conj[q][cols[y]]`` at q(y) (``_relabeling``), so Aut(r) is the q with
-    ``conj[q][cols[y]] == cols[q(y)]`` for every y, and q a gives the same
-    image as q for a in Aut(r): one image is built per left coset
-    ``q . Aut(r)``, at its least q, the coset marked through ``mul[q]``.
-    Relabeling keeps self-distributivity, and the image's automorphism group
-    is ``q Aut(r) q^-1``, gathered by ``conj[q]``.  Each image is keyed by
-    its table's row-major base-n encoding, and the racks are sorted on the
-    keys, i.e. in table order.  No other table is built.  Raises TimeoutError
-    once ``time.monotonic()`` passes ``deadline``, checked once per class.
-    """
+    ``conj[q][cols[y]] == cols[q(y)]`` for every y.  The ``_generators``
+    sweep the class breadth first, to every relabeling of r; Aut(g r) is
+    g Aut(r) g^-1, gathered by ``conj[g]``.  The racks are sorted on their
+    tables' row-major base-n encodings, i.e. in table order.  Raises
+    TimeoutError once ``time.monotonic()`` passes ``deadline``, checked once per class."""
     _check_size(n)
-    sym = _symmetric(n, deadline)
-    found, pruned = _enumerate_pruned(n, deadline, sym)
-    perms, conj, mul = sym
+    perms, conj = _symmetric(n, deadline)
+    found, pruned = _enumerate_pruned(n, deadline, (perms, conj))
     relabel = _relabeling(n, conj)
+    gens = [perms.index(g) for g in _generators(n)]
     zero = [pp[0] for pp in perms]
     # Column p at b puts the digit p(a) at place (n-1-a)n + n-1-b of the key.
     base = [sum(v * n ** ((n - 1 - a) * n) for a, v in enumerate(pp)) for pp in perms]
     weight = [[w * n ** (n - 1 - b) for w in base] for b in range(n)]
     shared: dict[frozenset[int], frozenset[int]] = {}  # one object per distinct group
-    swept: dict[tuple[int, ...], tuple[int, int, frozenset[int]]] = {}  # columns -> (key, class, Aut)
+    swept: dict[tuple[int, ...], tuple[int, frozenset[int]]] = {}  # columns -> (class, Aut)
     for cls, cols in enumerate(found):
         if cols in swept:
             continue
         _check_deadline(deadline)
-        table = alpha_inverse([perms[c] for c in cols])
-        if distributive_witness(table, table) is not None:
+        if not _self_distributive(cols, perms, conj):
             continue
         at0 = map(cols.__getitem__, zero)  # cols[q(0)] for every q
         aut = list(itertools.compress(range(len(perms)), map(eq, map(itemgetter(cols[0]), conj), at0)))
-        for y in range(1, n):
-            c = cols[y]
+        for y, c in enumerate(cols[1:], 1):
             aut = [q for q in aut if conj[q][c] == cols[perms[q][y]]]
-        # aut[0], the identity 0, is listed twice so that a tuple comes out when Aut(r) is trivial
-        fixers, points = itemgetter(0, *aut), itemgetter(*cols, 0)
-        marked: set[int] = set()
-        for q in itertools.filterfalse(marked.__contains__, range(len(perms))):
-            marked.update(fixers(mul[q]))
-            image = relabel(q, points)
-            group = frozenset(fixers(conj[q]))
-            swept[image] = (sum(map(list.__getitem__, weight, image)), cls, shared.setdefault(group, group))
-    del found, sym, perms, mul  # freed before the sort
-    columns = sorted(swept, key=swept.__getitem__)  # on the keys, which are distinct
-    _, classes, auts = zip(*map(swept.__getitem__, columns))
+        queue, group = [cols], frozenset(aut)
+        swept[cols] = (cls, shared.setdefault(group, group))
+        for r in queue:
+            points, aut = itemgetter(*r, 0), swept[r][1]
+            for g in gens:
+                image = relabel(g, points)
+                if image not in swept:
+                    group = frozenset(map(conj[g].__getitem__, aut))
+                    swept[image] = (cls, shared.setdefault(group, group))
+                    queue.append(image)
+    columns = sorted(swept, key=lambda cols: sum(map(list.__getitem__, weight, cols)))  # distinct keys
+    classes, auts = zip(*map(swept.__getitem__, columns))
     first: dict[int, int] = {}  # class -> index of its least rack
     orbit = tuple(first.setdefault(c, i) for i, c in enumerate(classes))
     return RackCatalog(n, tuple(columns), orbit, auts, pruned, tuple(conj))

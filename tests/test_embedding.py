@@ -5,6 +5,7 @@ import pytest
 
 from multishelf import (
     OpTable,
+    RegularEmbedding,
     close_group,
     commutes,
     cyclic,
@@ -23,7 +24,7 @@ from multishelf import (
 )
 from multishelf import shelves
 from multishelf.fixtures import XOR, fixture, fixture_names
-from multishelf.tables import compose, generated, greedy_generators, is_endomorphism, perm_compose
+from multishelf.tables import compose, generated, greedy_generators, invert, is_endomorphism, perm_compose
 
 
 class TestRegularEmbed:
@@ -361,6 +362,22 @@ class TestVerifyInverseImages:
     )
     def test_all_families(self, G):
         assert verify_inverse_images(regular_embed(G))
+
+    @pytest.mark.parametrize("G", [cyclic(4), symmetric(3), dihedral(4)])
+    def test_swapped_images_match_the_invert_oracle(self, G):
+        # The one-way composition check against the full inverse, on the
+        # embedding and on every copy of it with two images swapped: most
+        # swaps fail, and a swap of g with g^-1 or of two involutions holds.
+        E = regular_embed(G)
+        outcomes = set()
+        for g, h in [(0, 0), *itertools.combinations(range(G.m), 2)]:
+            images = list(E.images)
+            images[g], images[h] = images[h], images[g]
+            swapped = RegularEmbedding(G, tuple(images))
+            want = all(images[G.inv[k]] == invert(images[k]) for k in range(G.m))
+            assert verify_inverse_images(swapped) == want
+            outcomes.add(want)
+        assert outcomes == {False, True}
 
     def test_z2_image_is_involution(self):
         E = regular_embed(cyclic(2))

@@ -168,13 +168,21 @@ def _unreachable(what):
     return fail
 
 
-def _count_witness_calls(monkeypatch):
-    """Record the first table of each ``distributive_witness`` call made
-    from the search module."""
-    tables = []
-    check = search.distributive_witness
-    monkeypatch.setattr(search, "distributive_witness", lambda a, b: tables.append(a) or check(a, b))
-    return tables
+def _count_class_checks(monkeypatch):
+    """Record the columns of each ``_self_distributive`` check, and fail if
+    the search module builds or checks a table."""
+    checked = []
+    check = search._self_distributive
+    monkeypatch.setattr(search, "_self_distributive", lambda cols, *sym: checked.append(cols) or check(cols, *sym))
+    for name in ("OpTable", "alpha_inverse", "distributive_witness"):
+        monkeypatch.setattr(search, name, _unreachable(f"the search called {name}"))
+    return checked
+
+
+def _is_rack(n, cols):
+    """The table oracle: the table with these column indices is self-distributive."""
+    table = alpha_inverse([sorted(itertools.permutations(range(n)))[c] for c in cols])
+    return distributive_witness(table, table) is None
 
 
 def enumerate_racks_brute_force(n):
@@ -289,12 +297,17 @@ class TestEnumerateRacks:
             enumerate_racks(3, deadline=time.monotonic() - 1)
 
     def test_deadline_checked_before_the_first_class(self, monkeypatch):
-        # The deadline passes just after the backtrack returns: no class may
-        # be swept, so no class's table is built to be checked.
+        # Without a deadline each of the 19 classes is checked once before
+        # it is swept.  When the deadline passes just after the backtrack
+        # returns, no class may be swept, so none is checked.
+        checked = _count_class_checks(monkeypatch)
+        enumerate_racks(4)
+        assert len(checked) == 19
+        checked.clear()
         _expire_after(monkeypatch, "_enumerate_pruned")
-        monkeypatch.setattr(search, "alpha_inverse", _unreachable("a class was swept after the deadline"))
         with pytest.raises(TimeoutError):
             enumerate_racks(4, deadline=time.monotonic() + 3600)
+        assert checked == []
 
     def test_deadline_checked_while_the_tables_are_built(self, monkeypatch):
         # Building the S_6 tables takes longer than a 0.05 s budget, so the
@@ -364,8 +377,7 @@ class TestEnumerateRacks:
 
     def test_known_counts_n6(self, monkeypatch):
         # OEIS A181771 gives 353 racks on 6 points up to relabeling
-        checked = _count_witness_calls(monkeypatch)
-        monkeypatch.setattr(search, "OpTable", _unreachable("a catalog table was built"))
+        checked = _count_class_checks(monkeypatch)
         catalog = enumerate_racks(6)
         columns = catalog.columns
         assert (len(set(catalog.orbit)), len(columns), len(set(columns))) == (353, 36538, 36538)
@@ -403,31 +415,59 @@ class TestEnumerateRacks:
 
     @pytest.mark.parametrize("n, classes", [(4, 19), (5, 74)])
     def test_one_check_per_class(self, monkeypatch, n, classes):
-        checked = _count_witness_calls(monkeypatch)
+        # One completion of each class is checked, on its indices: no table
+        # is built, and the class counts are the known ones.
+        checked = _count_class_checks(monkeypatch)
         catalog = enumerate_racks(n)
-        assert len(checked) == len(catalog.canonical) == classes
-        assert {canonical_form(t) for t in checked} == set(catalog.canonical)
+        assert len(checked) == len(set(catalog.orbit)) == classes
+        index = {cols: j for j, cols in enumerate(catalog.columns)}
+        assert sorted(catalog.orbit[index[cols]] for cols in checked) == catalog.representatives
 
     def test_failed_check_drops_the_class(self, monkeypatch):
-        # A completion whose check fails is skipped, so a class all of whose
-        # tables fail the check is missing and the other classes are kept.
+        # Completions that are not racks, ahead of and among the backtrack's,
+        # are each checked and dropped with their classes; every rack class
+        # is kept as it is.
         full = enumerate_racks(4)
-        target = full.canonical[7]
-        members = {r for r, o in zip(full.racks, full.orbit) if full.racks[o] == target}
-        check = search.distributive_witness
-        monkeypatch.setattr(
-            search,
-            "distributive_witness",
-            lambda a, b: (0, 0, 0) if a in members else check(a, b),
-        )
+        found, pruned = search._enumerate_pruned(4, None, search._symmetric(4, None))
+        non_racks = [cols for cols in list(itertools.product(range(24), repeat=4))[::997] if not _is_rack(4, cols)]
+        assert len(non_racks) > 300
+        mixed = non_racks[:100] + [c for pair in itertools.zip_longest(found, non_racks[100:]) for c in pair if c is not None]
+        monkeypatch.setattr(search, "_enumerate_pruned", lambda n, deadline, sym: (mixed, pruned))
+        checked = _count_class_checks(monkeypatch)
         catalog = enumerate_racks(4)
-        assert catalog.canonical == tuple(c for c in full.canonical if c != target)
-        kept = [j for j, r in enumerate(full.racks) if r not in members]
-        assert catalog.racks == tuple(full.racks[j] for j in kept)
-        assert catalog.automorphisms == tuple(full.automorphisms[j] for j in kept)
-        assert catalog.columns == tuple(full.columns[j] for j in kept)
-        assert [catalog.racks[o] for o in catalog.orbit] == [full.racks[full.orbit[j]] for j in kept]
-        assert catalog.nodes_pruned == full.nodes_pruned
+        assert catalog == full
+        assert set(non_racks) <= set(checked)
+        assert not set(non_racks) & set(catalog.columns)
+
+    def test_index_check_matches_the_table_check(self):
+        # On every invertible table on 3 points, the check on column indices
+        # agrees with distributive_witness on the table.
+        perms, conj = search._symmetric(3, None)
+        outcomes = [
+            (search._self_distributive(cols, perms, conj), _is_rack(3, cols))
+            for cols in itertools.product(range(6), repeat=3)
+        ]
+        assert all(got == want for got, want in outcomes)
+        assert Counter(want for _, want in outcomes) == {False: 203, True: 13}
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_index_check_is_exact(self, monkeypatch, n):
+        # Every invertible table on n points as a completion (216 at n = 3,
+        # 331 776 at n = 4): each non-rack must be rejected and each class
+        # swept, so the catalog is the backtrack's, field by field.
+        full = enumerate_racks(n)
+        every = list(itertools.product(range(math.factorial(n)), repeat=n))
+        monkeypatch.setattr(search, "_enumerate_pruned", lambda n, deadline, sym: (every, full.nodes_pruned))
+        assert enumerate_racks(n) == full
+
+    def test_n6_catalog_pinned(self):
+        # sha256 of the whole catalog: columns, classes, automorphism groups
+        # (each as a sorted tuple) and pruned nodes.
+        catalog = enumerate_racks(6)
+        auts = tuple(tuple(sorted(a)) for a in catalog.automorphisms)
+        data = repr((catalog.columns, catalog.orbit, auts, catalog.nodes_pruned))
+        want = "60af765375312e154032e4f381029f3b6b84c70fb9cb87d72753a4bf960c9710"
+        assert hashlib.sha256(data.encode()).hexdigest() == want
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_canonical_matches_canonical_form(self, n):
@@ -488,26 +528,24 @@ class TestEnumerateRacks:
 class TestSymmetricTables:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_tables_match_tuple_arithmetic(self, n):
-        perms, conj, mul = search._symmetric(n, None)
+        perms, conj = search._symmetric(n, None)
         assert perms == sorted(itertools.permutations(range(n)))  # index order is lex order
-        assert len(conj) == len(mul) == len(perms)
+        assert len(conj) == len(perms)
         for a, p in enumerate(perms):
             pinv = perm_inverse(p)
             for b, q in enumerate(perms):
                 assert perms[conj[a][b]] == tuple(p[q[x]] for x in pinv)
-                assert perms[mul[a][b]] == tuple(p[q[x]] for x in range(n))
 
     def test_n6_rows_match_tuple_arithmetic(self):
         # The rows of the two generators come from tuples, and every other
         # row from gathers: check both generators and a spread of the others.
-        perms, conj, mul = search._symmetric(6, None)
+        perms, conj = search._symmetric(6, None)
         index = {p: k for k, p in enumerate(perms)}
         generators = [index[(1, 0, 2, 3, 4, 5)], index[(1, 2, 3, 4, 5, 0)]]
         for a in generators + list(range(0, 720, 37)) + [719]:
             p = perms[a]
             pinv = perm_inverse(p)
             assert [perms[c] for c in conj[a]] == [tuple(p[q[x]] for x in pinv) for q in perms]
-            assert [perms[c] for c in mul[a]] == [tuple(p[v] for v in q) for q in perms]
 
 
 class TestCanonicalForm:
@@ -679,7 +717,7 @@ class TestCertify:
         closures = _recording_closures(monkeypatch)
         built = _count_phases(monkeypatch, "_symmetric", "_relabeling")
         certify_no_nonabelian(6)
-        # one S_6 build; the coset sweep's relabeling, then one for all the keys
+        # one S_6 build; the class sweep's relabeling, then one for all the keys
         assert built == ["_symmetric", "_relabeling", "_relabeling"]
         berman = close_group(DistributiveSet(6, (BERMAN_TAU, BERMAN_SIGMA))).ops
         moved = [tuple(relabel(op, pi) for op in berman[::-1]) for pi in [(3, 5, 0, 1, 4, 2), (5, 4, 3, 2, 1, 0)]]
@@ -776,15 +814,16 @@ class TestCertify:
             certify_no_nonabelian(3, budget=budget)
 
     def test_unseeded_search_builds_no_table_for_the_labelled_racks(self, monkeypatch):
-        # The only tables are the 74 that the sweep checks, one per class:
-        # no pair closes at n = 5, and the catalog's tables are never read.
+        # No table is built: the sweep checks each class on its column
+        # indices, no pair closes at n = 5, and the catalog's tables are
+        # never read.
         monkeypatch.setattr(search, "OpTable", _unreachable("the search built a labelled table"))
         built, build = [], search.alpha_inverse
         monkeypatch.setattr(search, "alpha_inverse", lambda cols: built.append(cols) or build(cols))
         doc = json.dumps(certify_no_nonabelian(5).to_document(), sort_keys=True)
         want = "466a8f491e6aad3fe1d6ff768e571d020ec3031066111199b7aaca5624e7e5d3"  # as test_report_bytes_pinned
         assert hashlib.sha256(doc.encode()).hexdigest() == want
-        assert len(built) == 74
+        assert built == []
 
     def test_deadline_checked_while_the_rows_are_built(self, monkeypatch):
         # The deadline passes once the catalog is built: the row phase stops
