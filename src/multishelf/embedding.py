@@ -13,15 +13,14 @@ VM, Python 3.11).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .groups import FiniteGroup
 from .shelves import verify_distributive
 from .tables import OpTable, compose, greedy_generators, right_trivial
 
 
-@dataclass(frozen=True)
-class RegularEmbedding:
+class RegularEmbedding(NamedTuple):
     group: FiniteGroup
     images: tuple[OpTable, ...]
 

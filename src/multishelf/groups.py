@@ -2,8 +2,7 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .tables import greedy_generators, make_table, perm_compose, perm_inverse
 
@@ -15,8 +14,7 @@ class IdentityError(ValueError):
     """The named identity element is out of range or not a two-sided identity."""
 
 
-@dataclass(frozen=True)
-class FiniteGroup:
+class FiniteGroup(NamedTuple):
     """A group on {0..m-1} given by its full multiplication table."""
 
     m: int

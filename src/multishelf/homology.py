@@ -31,8 +31,8 @@ nothing is dropped.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
+from typing import NamedTuple, Sequence
 
 from .shelves import DistributiveSet
 from .snf import IntMatrix, integer, smith_normal_form
@@ -49,26 +49,24 @@ class DimensionBudgetError(ValueError):
     """A run would build chains of more dimensions than its budget allows."""
 
 
-@dataclass(frozen=True)
-class ChainSpec:
-    S: DistributiveSet
-    weights: tuple[int, ...]
-    max_degree: int = DEFAULT_MAX_DEGREE
+class ChainSpec(NamedTuple("ChainSpec", [("S", DistributiveSet), ("weights", tuple), ("max_degree", int)])):
+    """Weights and a top degree for the homology of ``S``, checked on every construction."""
 
-    def __post_init__(self):
-        if len(self.weights) != len(self.S.ops):
-            raise ValueError(
-                f"{len(self.weights)} weights for {len(self.S.ops)} operations"
-            )
+    __slots__ = ()
+
+    def __new__(cls, S: DistributiveSet, weights: Sequence[int], max_degree: int = DEFAULT_MAX_DEGREE):
+        if len(weights) != len(S.ops):
+            raise ValueError(f"{len(weights)} weights for {len(S.ops)} operations")
         # exact ints, as int_matrix keeps matrix entries: a weight may be a numpy integer
-        weights = tuple(integer(w, f"weight {k}") for k, w in enumerate(self.weights))
-        object.__setattr__(self, "weights", weights)
-        if self.max_degree < 0:
+        weights = tuple(integer(w, f"weight {k}") for k, w in enumerate(weights))
+        if max_degree < 0:
             raise ValueError("max_degree must be >= 0")
+        return super().__new__(cls, S, weights, max_degree)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # namedtuple's _make skips __new__; _replace calls it
 
 
-@dataclass(frozen=True)
-class HomologyGroup:
+class HomologyGroup(NamedTuple):
     degree: int
     free_rank: int
     torsion: tuple[int, ...]  # invariant factors > 1, in divisibility order

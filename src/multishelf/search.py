@@ -18,10 +18,9 @@ import itertools
 import math
 import time
 from collections import Counter
-from dataclasses import dataclass
 from functools import cache, cached_property, reduce
 from operator import and_, eq, itemgetter
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .shelves import CLOSURE_BUDGET, ClosureBudgetError, make_distributive_set
 from .tables import (
@@ -39,8 +38,16 @@ from .translate import alpha_inverse
 PRUNED_BOUND = 6
 
 
-@dataclass(frozen=True)
-class RackCatalog:
+class _Catalog(NamedTuple):
+    n: int
+    columns: tuple[tuple[int, ...], ...]
+    orbit: tuple[int, ...]
+    automorphisms: tuple[frozenset[int], ...]
+    nodes_pruned: int = 0
+    conj: tuple[tuple[int, ...], ...] = ()
+
+
+class RackCatalog(_Catalog):
     """Racks as column indices, with their relabeling classes and
     automorphism groups: in table order from ``enumerate_racks``, in the
     pair's order from ``seed_catalog``.
@@ -53,15 +60,10 @@ class RackCatalog:
     the relabelings that fix the i-th rack.  ``nodes_pruned`` counts the
     pruned nodes of the backtrack, and ``conj`` the conjugation rows of
     ``_symmetric``, the one S_n table the catalog was built on (0 and none for
-    a seed catalog).  The tables, ``racks``, are built on first read.
+    a seed catalog).  A ``typing.NamedTuple``, equal to the plain tuple of
+    its fields.  The tables, ``racks``, are built on first read and kept in
+    the instance ``__dict__`` (this subclass declares no ``__slots__``).
     """
-
-    n: int
-    columns: tuple[tuple[int, ...], ...]
-    orbit: tuple[int, ...]
-    automorphisms: tuple[frozenset[int], ...]
-    nodes_pruned: int = 0
-    conj: tuple[tuple[int, ...], ...] = ()
 
     @cached_property
     def racks(self) -> tuple[OpTable, ...]:
@@ -85,8 +87,7 @@ class RackCatalog:
         return tuple(self.racks[i] for i in self.representatives)
 
 
-@dataclass
-class SearchReport:
+class SearchReport(NamedTuple):
     n: int
     racks_found: int
     compatible_pairs: int

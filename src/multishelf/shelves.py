@@ -8,8 +8,7 @@ generating set of the family's columns.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .tables import (
     OpTable,
@@ -42,16 +41,14 @@ class ClosureBudgetError(RuntimeError):
     """Closure grew past CLOSURE_BUDGET tables."""
 
 
-@dataclass(frozen=True)
-class DistributiveSet:
+class DistributiveSet(NamedTuple):
     """A family of tables on one carrier, pairwise (including self) distributive."""
 
     n: int
     ops: tuple[OpTable, ...]
 
 
-@dataclass(frozen=True)
-class ClosureResult:
+class ClosureResult(NamedTuple):
     ops: tuple[OpTable, ...]
     kind: str  # always "group"
     abelian: bool  # the seeds commute pairwise

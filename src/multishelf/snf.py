@@ -47,15 +47,22 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
-from typing import Collection, Iterator, Sequence
+from typing import Collection, Iterator, NamedTuple, Sequence
 
 
-@dataclass(frozen=True)
-class IntMatrix:
-    rows: int
-    cols: int
-    data: tuple[tuple[tuple[int, int], ...], ...]  # row i: its (column, value) nonzeros
+class IntMatrix(NamedTuple("IntMatrix", [("rows", int), ("cols", int), ("data", tuple)])):
+    """Sparse integer matrix: ``data[i]`` holds the (column, value) nonzeros of
+    row i.  A ``typing.NamedTuple``, equal to the plain tuple of its fields;
+    every construction, ``_make`` and ``_replace`` included, is validated."""
+
+    __slots__ = ()
+
+    def __new__(cls, rows: int, cols: int, data: tuple):
+        self = super().__new__(cls, rows, cols, data)
+        self.__post_init__()
+        return self
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # namedtuple's _make skips __new__; _replace calls it
 
     def __post_init__(self):
         if len(self.data) != self.rows:

@@ -11,17 +11,15 @@ composite of the two column-y permutations.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import getitem
-from typing import Callable, Iterable, Optional, Sequence, TypeVar
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, TypeVar
 
 Row = tuple[int, ...]
 Permutation = tuple[int, ...]
 T = TypeVar("T")
 
 
-@dataclass(frozen=True, slots=True)
-class OpTable:
+class OpTable(NamedTuple):
     """An n x n table over {0..n-1}; entries[a][b] is a * b."""
 
     n: int

@@ -45,12 +45,15 @@ def test_openssl_loaded_by_no_search_or_fixture_run(tmp_path):
     # hashlib loads OpenSSL (_hashlib). A search computes no checksum, so it
     # must import neither; fixture pins come from CPython's built-in SHA-256
     # module, so a run that checks them must not load OpenSSL either, and the
-    # fixture listing must still print the pins.
+    # fixture listing must still print the pins. The records are
+    # typing.NamedTuple classes, so the search imports neither dataclasses
+    # nor the inspect module it pulls in.
     run = _python_m("-X", "importtime", "-m", "multishelf", "search", "--n", "3")
     assert run.returncode == 0, run.stderr
     imported = _imported(run)
     assert "multishelf.search" in imported
     assert "_hashlib" not in imported and "hashlib" not in imported
+    assert "dataclasses" not in imported and "inspect" not in imported
     run = _python_m("-m", "multishelf", "fixtures", "list")
     assert run.returncode == 0, run.stderr
     assert "berman-d6  sha256=a8c6c94ea76f17d0775b460c36b712d3ce18821e7ae023971da1c897bc9f9cee" in run.stdout

@@ -277,6 +277,14 @@ class TestIntMatrix:
         with pytest.raises(ValueError, match="rows"):
             IntMatrix(3, 2, ((), ()))
 
+    def test_replace_and_make_validate(self):
+        M = IntMatrix(1, 2, (((0, 1),),))
+        with pytest.raises(ValueError, match="1 rows stored, 5 declared"):
+            M._replace(rows=5)
+        with pytest.raises(ValueError, match="row 0"):
+            IntMatrix._make((1, 2, (((0, 1), (0, 2)),)))
+        assert M._replace(cols=3) == IntMatrix(1, 3, M.data)
+
     def test_int_matrix_rejects_ragged_rows(self):
         with pytest.raises(ValueError, match="ragged"):
             int_matrix([[1, 0], [1]])
@@ -954,6 +962,20 @@ class TestChainSpec:
         S = make_distributive_set([BERMAN_TAU, BERMAN_SIGMA])
         with pytest.raises(ValueError, match=f"weight {position}: .* is not an integer"):
             ChainSpec(S, weights, 2)
+
+    def test_replace_and_make_validate(self):
+        spec = ChainSpec(make_distributive_set([BERMAN_TAU, BERMAN_SIGMA]), (1, -1), 2)
+        with pytest.raises(ValueError, match="max_degree must be >= 0"):
+            spec._replace(max_degree=-1)
+        with pytest.raises(ValueError, match="weight 1: .* is not an integer"):
+            spec._replace(weights=(1, 0.5))
+        with pytest.raises(ValueError, match="1 weights for 2 operations"):
+            ChainSpec._make((spec.S, (1,), 2))
+
+    def test_replace_keeps_numpy_weights_as_ints(self):
+        np = pytest.importorskip("numpy")
+        spec = ChainSpec(make_distributive_set([BERMAN_TAU, BERMAN_SIGMA]), (1, -1), 2)
+        assert list(map(type, spec._replace(weights=(np.int64(1), -1)).weights)) == [int, int]
 
     def test_accepts_numpy_integer_weights(self):
         np = pytest.importorskip("numpy")

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -87,7 +86,7 @@ def _recording_automorphisms(catalog, spread):
             spread.append(self)
             return super().__iter__()
 
-    return dataclasses.replace(catalog, automorphisms=tuple(map(Recorded, catalog.automorphisms)))
+    return catalog._replace(automorphisms=tuple(map(Recorded, catalog.automorphisms)))
 
 
 def _pair_document(pair):
@@ -333,6 +332,13 @@ class TestEnumerateRacks:
         catalog = enumerate_racks(4)
         monkeypatch.setattr(search, "OpTable", OpTable)
         assert catalog.racks is catalog.racks
+
+    def test_catalog_defaults_and_one_build_of_its_tables(self):
+        catalog = enumerate_racks(4)
+        assert all(op is catalog.racks[i] for op, i in zip(catalog.canonical, catalog.representatives))
+        bare = search.RackCatalog(catalog.n, catalog.columns, catalog.orbit, catalog.automorphisms)
+        assert (bare.nodes_pruned, bare.conj) == (0, ())
+        assert bare.racks == catalog.racks and bare.racks is bare.racks
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_backtrack_meets_every_class_once_per_column0_orbit(self, n):
