@@ -9,6 +9,7 @@ exit 1.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from contextlib import contextmanager
@@ -193,6 +194,7 @@ def _cmd_homology(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # main parses with one parser per process
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="multishelf")
     sub = p.add_subparsers(dest="command", required=True)

@@ -11,7 +11,8 @@ convention is certified mechanically: homology is only reported after the
 face maps are checked against the presimplicial identities, which make the
 boundary square to zero.  A run builds the face tables of each operation
 with nonzero weight once, for every degree at the same time, by an integer
-recurrence on the lex index; that check and the boundary matrices share them.
+recurrence on the lex index, once the operation's entries are checked to be
+ints in [0, n); that check and the boundary matrices share them.
 The face d_0 drops x_0 and reads no table, so it is one map for every
 operation: a boundary matrix enters it once, weighted by the weight sum.
 
@@ -24,18 +25,22 @@ operations up to then: the minor U = (E d_{k-1})[R, P] on the pivot rows R
 is triangular with +-1 on its diagonal, so unimodular.  Since
 d_{k-1} d_k = 0, U d_k[P] = -(E d_{k-1})[R, not P] d_k[not P]: the rows P
 of d_k are integer combinations of its other rows, and deleting them leaves
-its invariant factors unchanged.  The SNF of d_k leaves them out itself
-(its ``drop`` argument), so each boundary matrix is built and checked once.
-With weights such as 2,5 no matrix has a +-1 entry, so P is empty and
-nothing is dropped.
+its invariant factors unchanged.
+
+Each degree is built once, from the face tables straight into the dict
+rows that snf.invariant_factors eliminates, without the rows P (with
+weights such as 2,5 no matrix has a +-1 entry, so P is empty).  This path
+builds no IntMatrix, whose check cannot fail here: columns come from a
+range, values are sums of int weights, and zeros are skipped.
 """
 from __future__ import annotations
 
 from itertools import chain
-from typing import NamedTuple, Sequence
+from operator import itemgetter
+from typing import Collection, NamedTuple, Sequence
 
 from .shelves import DistributiveSet
-from .snf import IntMatrix, integer, smith_normal_form
+from .snf import IntMatrix, integer, invariant_factors
 from .tables import OpTable
 
 CONVENTION = "right-multiply-prefix/delete-face, signs (-1)^i, weighted sum"
@@ -99,40 +104,49 @@ def _face_tables(op: OpTable, top: int) -> FaceTables:
 
 
 def _weighted_face_tables(spec: ChainSpec, top: int) -> list[FaceTables]:
-    """_face_tables(op, top) of each operation with nonzero weight, in order."""
+    """_face_tables(op, top) of each operation with nonzero weight, in order.
+    The tables index by the operation's entries, so each must be an int in
+    [0, n)."""
+    n = spec.S.n
+    for k, (op, w) in enumerate(zip(spec.S.ops, spec.weights)):
+        bad = [v for v in chain.from_iterable(op.entries) if type(v) is not int or not 0 <= v < n]
+        if w and bad:
+            raise ValueError(f"operation {k}: entry {bad[0]!r} is not an int in [0, {n})")
     return [_face_tables(op, top) for op, w in zip(spec.S.ops, spec.weights) if w]
 
 
-def boundary_matrix(
-    spec: ChainSpec, degree: int, faces: list[FaceTables] | None = None
-) -> IntMatrix:
-    """Matrix of the degree-n differential C_n -> C_{n-1}, lex basis order.
-
-    Face 0 enters once, with weight sum(spec.weights), and not at all when
-    that sum is 0.  ``faces`` holds the face tables of the weighted
-    operations, as homology_groups shares them; left out, they are built here.
-    """
+def boundary_matrix(spec: ChainSpec, degree: int) -> IntMatrix:
+    """Matrix of the degree-n differential C_n -> C_{n-1}, lex basis order:
+    the rows _boundary_rows builds, none dropped, as a checked IntMatrix."""
     if not (1 <= degree <= spec.max_degree):
         raise ValueError(f"degree {degree} outside [1, {spec.max_degree}]")
-    if faces is None:
-        faces = _weighted_face_tables(spec, degree)
+    rows = _boundary_rows(spec, degree, _weighted_face_tables(spec, degree))
+    data = tuple(tuple(rows.get(i, {}).items()) for i in range(spec.S.n**degree))
+    return IntMatrix(len(data), spec.S.n ** (degree + 1), data)
+
+
+def _boundary_rows(spec: ChainSpec, degree: int, faces: list[FaceTables], drop: Collection[int] = ()) -> dict:
+    """The nonzero rows of the degree-n differential not in ``drop``, as
+    {row: {column: value}}.  Column x collects the signed faces of the x-th
+    basis tuple, in increasing x, so rows and dicts are in increasing order.
+    Face 0 enters once, with weight sum(spec.weights), and not at all when
+    that sum is 0.
+    """
     n = spec.S.n
     signs = [-w if i % 2 else w for w in spec.weights if w for i in range(1, degree + 1)]
     columns = [face for tables in faces for face in tables[degree]]
     if w0 := sum(spec.weights):  # face 0: index x mod n**degree
         signs.append(w0)
         columns.append([*range(n**degree)] * n)
-    data = [[] for _ in range(n**degree)]  # row: its (column, value) pairs
-    # x runs in increasing order, so every row comes out sorted
+    data = [None if i in drop else {} for i in range(n**degree)]
     for x, xfaces in enumerate(zip(*columns)):
         entries = {}
         for face, sign in zip(xfaces, signs):
             entries[face] = entries.get(face, 0) + sign
-        pairs = {}  # one (x, v) pair per value, shared by every row it enters
         for face, v in entries.items():
-            if v:
-                data[face].append(pairs.setdefault(v, (x, v)))
-    return IntMatrix(len(data), n ** (degree + 1), tuple(map(tuple, data)))
+            if v and (row := data[face]) is not None:
+                row[x] = v
+    return {i: row for i, row in enumerate(data) if row}
 
 
 def _top_degree(spec: ChainSpec) -> int:
@@ -147,9 +161,10 @@ def verify_differential(spec: ChainSpec, faces: list[FaceTables] | None = None) 
 
     Checked on every basis tuple x of C_{d+1}, d = 1..top-1, and every
     1 <= i < j <= d+1 (Przytycki, Demonstratio Math. 2011), one identity at
-    a time over all x.  The identities with i = 0 hold for every pair of
-    operations, so they are not compared: d_0 drops x_0 and reads no table
-    entry, so d_0^s d_j^t x and d_{j-1}^t d_0^s x are both
+    a time over all x, each side one itemgetter gather of a degree-d face
+    table by a degree-(d+1) one.  The identities with i = 0 hold for every
+    pair of operations, so they are not compared: d_0 drops x_0 and reads no
+    table entry, so d_0^s d_j^t x and d_{j-1}^t d_0^s x are both
     (x_1*x_j, ..., x_{j-1}*x_j, x_{j+1}, ...), with * the operation t.
     The identities make the weighted differential square to zero for every
     weighting: in sum_{s,t} w_s w_t sum_{i,j} (-1)^(i+j) d_i^s d_j^t the
@@ -166,14 +181,17 @@ def verify_differential(spec: ChainSpec, faces: list[FaceTables] | None = None) 
     top = _top_degree(spec)
     if faces is None:
         faces = _weighted_face_tables(spec, top)
+    if not spec.S.n:
+        return True  # every chain group is 0, and itemgetter() takes no empty face
     for d in range(1, top):
-        for s in faces:
-            low_s, up_s = s[d], s[d + 1]
-            for t in faces:
-                low_t, up_t = t[d], t[d + 1]
+        gathers = [[itemgetter(*face) for face in tables[d + 1]] for tables in faces]
+        for s, up_s in zip(faces, gathers):
+            low_s = s[d]
+            for t, up_t in zip(faces, gathers):
+                low_t = t[d]
                 for j in range(1, d + 1):  # index k holds the face d_{k+1}
                     for i in range(j):
-                        if [low_s[i][f] for f in up_t[j]] != [low_t[j - 1][f] for f in up_s[i]]:
+                        if up_t[j](low_s[i]) != up_s[i](low_t[j - 1]):
                             return False
     return True
 
@@ -184,16 +202,15 @@ def homology_groups(
     """H_d = ker d_d / im d_{d+1} for d = 0..max_degree-1, via Smith normal form.
 
     The face tables of the weighted operations are built once, checked by
-    verify_differential and read by every boundary_matrix; each degree's
-    tables are dropped once its matrix is built.  ``dim_budget`` bounds the
-    rows of every face table and the columns of every matrix the run builds;
-    it is checked before any of them is built.
+    verify_differential and read by the builder of every degree; each
+    degree's tables are dropped once its rows are built.  ``dim_budget``
+    bounds the rows of every face table and the columns of every matrix the
+    run builds; it is checked before any of them is built.
 
-    Each SNF after the first leaves out the rows of d_d that the SNF of
-    d_{d-1} matched with +-1 pivots (see the module docstring); d_d itself
-    is passed as boundary_matrix built it.  Leaving them out is exact only
-    because d_{d-1} d_d = 0, and verify_differential guarantees that before
-    any matrix is built.
+    Each degree after the first is built without the rows of d_d that the
+    SNF of d_{d-1} matched with +-1 pivots (see the module docstring).
+    Leaving them out is exact only because d_{d-1} d_d = 0, and
+    verify_differential guarantees that before any row is built.
     """
     n = spec.S.n
     top = _top_degree(spec)
@@ -209,11 +226,11 @@ def homology_groups(
     factors = {}
     matched: set[int] = set()  # rows of d_d that d_{d-1}'s unit pivots matched
     for d in range(1, spec.max_degree + 1):
-        M = boundary_matrix(spec, d, faces)
+        rows = _boundary_rows(spec, d, faces, matched)
         for tables in faces:
-            tables[d] = None  # its last use, so the SNF runs without it
-        drop, matched = matched, set()
-        factors[d] = smith_normal_form(M, matched, drop)
+            tables[d] = None  # its last use, so the elimination runs without it
+        matched = set()
+        factors[d] = invariant_factors(rows, n ** (d + 1), matched)
     groups = []
     for d in range(spec.max_degree):
         above = factors[d + 1]

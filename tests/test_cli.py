@@ -355,6 +355,19 @@ class TestHomologyCommand:
         doc = json.loads(out.read_text())
         assert len(doc["groups"]) == 2
 
+    def test_out_does_not_carry_over(self, berman_dir, tmp_path, capsys):
+        # main reuses one parser per process: an --out given to one call is
+        # not a default of the next
+        out = tmp_path / "h.json"
+        args = ["homology", "--set", str(berman_dir / "berman-d6.json"), "--weights", "1,-1", "--max-degree", "2"]
+        assert main([*args, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        written = out.read_text()
+        out.unlink()
+        assert main(args) == 0
+        assert capsys.readouterr().out == written
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "weights, digest",
         [

@@ -7,6 +7,7 @@ import pytest
 from multishelf import (
     ChainSpec,
     DistributiveSet,
+    OpTable,
     boundary_matrix,
     cyclic,
     dihedral,
@@ -607,6 +608,18 @@ class TestBoundaryMatrix:
         assert verify_differential(spec) == squares_to_zero == expected
 
 
+def face_identities_by_comprehension(spec, faces):
+    """Oracle for verify_differential: each identity compared as two lists."""
+    for d in range(1, max(spec.max_degree, 2)):
+        for s in faces:
+            for t in faces:
+                for j in range(1, d + 1):
+                    for i in range(j):
+                        if [s[d][i][f] for f in t[d + 1][j]] != [t[d][j - 1][f] for f in s[d + 1][i]]:
+                            return False
+    return True
+
+
 class TestVerifyDifferential:
     def test_zero_weights_trivially_true(self):
         bad = DistributiveSet(2, (XOR,))  # deliberately unvalidated
@@ -672,6 +685,45 @@ class TestVerifyDifferential:
         for _ in range(5):
             w = tuple(rng.randint(-3, 3) for _ in range(3))
             assert verify_differential(ChainSpec(S, w, 3))
+
+    @pytest.mark.parametrize("n", [0, 1])
+    @pytest.mark.parametrize("max_degree", [1, 2, 3])
+    def test_tiny_carriers(self, n, max_degree):
+        # at n = 1 every face table gathers one index, and a one-index
+        # itemgetter returns it bare rather than in a tuple; at n = 0 every
+        # face table is empty
+        spec = ChainSpec(DistributiveSet(n, (OpTable(n, ((0,),) * n),)), (1,), max_degree)
+        assert verify_differential(spec)
+        assert [(h.free_rank, h.torsion) for h in homology_groups(spec)] == [(n, ())] + [(0, ())] * (max_degree - 1)
+
+    def test_agrees_with_comprehension_on_mutated_faces(self):
+        # one entry of Berman's face tables changed at a time, degrees <= 3
+        spec = ChainSpec(make_distributive_set([BERMAN_TAU, BERMAN_SIGMA]), (1, -1), 3)
+        faces = homology._weighted_face_tables(spec, 3)
+        assert verify_differential(spec, faces) and face_identities_by_comprehension(spec, faces)
+        rng = random.Random(38)
+        verdicts = []
+        for _ in range(60):
+            s, d = rng.randrange(2), rng.randint(1, 3)
+            face = faces[s][d][rng.randrange(d)]
+            x = rng.randrange(len(face))
+            kept, face[x] = face[x], rng.randrange(6**d)
+            verdicts.append(verify_differential(spec, faces))
+            assert verdicts[-1] == face_identities_by_comprehension(spec, faces)
+            face[x] = kept
+        assert verdicts.count(False) > 50
+
+    @pytest.mark.parametrize("entry", [-1, 3])
+    def test_refuses_entries_outside_the_carrier(self, entry):
+        bad = OpTable(3, ((0, 1, 2), (1, 2, 0), (2, 0, entry)))  # deliberately unvalidated
+        spec = ChainSpec(DistributiveSet(3, (right_trivial(3), bad)), (1, -1), 2)
+        message = f"operation 1: entry {entry} is not an int in \\[0, 3\\)"
+        with pytest.raises(ValueError, match=message):
+            verify_differential(spec)
+        with pytest.raises(ValueError, match=message):
+            boundary_matrix(spec, 1)
+        with pytest.raises(ValueError, match=message):
+            homology_groups(spec)
 
 
 class TestHomologyGroups:
@@ -771,15 +823,15 @@ class TestHomologyGroups:
         assert groups == expected
 
     def test_drops_rows_matched_by_previous_unit_pivots(self, monkeypatch):
-        # the rows that reach elimination: those of M not in drop
+        # the rows that reach elimination: the nonzero rows the builder keeps
         rows = []
-        snf = homology.smith_normal_form
+        factors = homology.invariant_factors
 
-        def recorded(M, matched, drop):
-            rows.append(sum(1 for i in range(M.rows) if i not in drop))
-            return snf(M, matched, drop)
+        def recorded(kept, cols, matched):
+            rows.append(len(kept))
+            return factors(kept, cols, matched)
 
-        monkeypatch.setattr(homology, "smith_normal_form", recorded)
+        monkeypatch.setattr(homology, "invariant_factors", recorded)
         spec = ChainSpec(make_distributive_set([BERMAN_TAU, BERMAN_SIGMA]), (1, -1), 3)
         homology_groups(spec)
         assert rows == [6, 36 - 5, 216 - 30]
@@ -807,14 +859,14 @@ class TestHomologyGroups:
     )
     def test_matched_pivot_columns_pinned(self, monkeypatch, group, expected):
         got = []
-        snf = homology.smith_normal_form
+        invariant_factors = homology.invariant_factors
 
-        def recorded(M, matched, drop):
-            factors = snf(M, matched, drop)
+        def recorded(rows, cols, matched):
+            factors = invariant_factors(rows, cols, matched)
             got.append((sorted(matched), factors))
             return factors
 
-        monkeypatch.setattr(homology, "smith_normal_form", recorded)
+        monkeypatch.setattr(homology, "invariant_factors", recorded)
         if group == "berman":
             ops, weights = [BERMAN_TAU, BERMAN_SIGMA], (1, -1)
         else:
@@ -824,21 +876,44 @@ class TestHomologyGroups:
         homology_groups(spec)
         assert got == expected
         # whatever the pivot order, leaving out the rows d_1 matched keeps d_2's factors
-        assert got[1][1] == snf(boundary_matrix(spec, 2))
+        assert got[1][1] == smith_normal_form(boundary_matrix(spec, 2))
 
-    def test_reduced_matrices_are_validated(self, monkeypatch):
-        # each boundary matrix passes IntMatrix's checks once; the SNF leaves
-        # out the matched rows without building a reduced copy
-        checked = []
+    @pytest.mark.parametrize(
+        "group, weights",
+        [
+            ("berman", (1, -1)),
+            ("berman", (1, 1)),
+            ("berman", (2, 5)),  # no +-1 entry: nothing is dropped
+            ("symmetric:3", "alternating"),
+            ("dihedral:4", "alternating"),
+        ],
+        ids=_param_id,
+    )
+    def test_eliminated_rows_are_the_validated_matrix(self, monkeypatch, group, weights):
+        # at every degree the rows homology_groups eliminates are those of the
+        # validated boundary_matrix without the dropped ones, in the same order
+        built = []
+        boundary_rows = homology._boundary_rows
 
-        class Recorded(IntMatrix):
-            def __post_init__(self):
-                checked.append(self.rows)
-                super().__post_init__()
+        def recorded(spec, d, faces, drop):
+            rows = boundary_rows(spec, d, faces, drop)
+            built.append((d, set(drop), [(i, list(row.items())) for i, row in rows.items()]))
+            return rows
 
-        monkeypatch.setattr(homology, "IntMatrix", Recorded)
-        homology_groups(ChainSpec(make_distributive_set([BERMAN_TAU, BERMAN_SIGMA]), (1, -1), 3))
-        assert checked == [6, 36, 216]
+        monkeypatch.setattr(homology, "_boundary_rows", recorded)
+        if group == "berman":
+            ops = [BERMAN_TAU, BERMAN_SIGMA]
+        else:
+            ops = list(regular_embed(symmetric(3) if group == "symmetric:3" else dihedral(4)).images)
+            weights = tuple(1 if i % 2 == 0 else -1 for i in range(len(ops)))  # alternating, sum 0
+        spec = ChainSpec(make_distributive_set(ops), weights, 3)
+        homology_groups(spec)
+        monkeypatch.undo()  # boundary_matrix builds its rows through the same builder
+        assert [d for d, *_ in built] == [1, 2, 3]
+        assert any(drop for _, drop, _ in built) == (weights != (2, 5))
+        for d, drop, rows in built:
+            kept = [(i, list(row)) for i, row in enumerate(boundary_matrix(spec, d).data) if row and i not in drop]
+            assert rows == kept
 
     @pytest.mark.parametrize(
         "ops, weights",
