@@ -6,7 +6,6 @@ from .tables import (
     commutes,
     compose,
     distributive_witness,
-    invert,
     is_idempotent,
     make_table,
     relabel,
@@ -41,7 +40,7 @@ from .search import (
     enumerate_racks,
     seed_catalog,
 )
-from .snf import IntMatrix, int_matrix, smith_normal_form
+from .snf import smith_normal_form
 from .homology import (
     ChainSpec,
     HomologyGroup,

@@ -28,19 +28,19 @@ of d_k are integer combinations of its other rows, and deleting them leaves
 its invariant factors unchanged.
 
 Each degree is built once, from the face tables straight into the dict
-rows that snf.invariant_factors eliminates, without the rows P (with
-weights such as 2,5 no matrix has a +-1 entry, so P is empty).  This path
-builds no IntMatrix, whose check cannot fail here: columns come from a
-range, values are sums of int weights, and zeros are skipped.
+rows that snf.smith_normal_form eliminates, without the rows P (with
+weights such as 2,5 no matrix has a +-1 entry, so P is empty).  They need
+no check: columns come from a range, values are sums of int weights, and
+zeros are skipped.
 """
 from __future__ import annotations
 
 from itertools import chain
-from operator import itemgetter
+from operator import index, itemgetter
 from typing import Collection, NamedTuple, Sequence
 
 from .shelves import DistributiveSet
-from .snf import IntMatrix, integer, invariant_factors
+from .snf import smith_normal_form
 from .tables import OpTable
 
 CONVENTION = "right-multiply-prefix/delete-face, signs (-1)^i, weighted sum"
@@ -54,6 +54,13 @@ class DimensionBudgetError(ValueError):
     """A run would build chains of more dimensions than its budget allows."""
 
 
+def integer(v: object, where: str) -> int:
+    """``operator.index(v)``, so numpy integers pass; a bool raises like any non-integer."""
+    if isinstance(v, bool) or not hasattr(v, "__index__"):
+        raise ValueError(f"{where}: {v!r} is not an integer")
+    return index(v)
+
+
 class ChainSpec(NamedTuple("ChainSpec", [("S", DistributiveSet), ("weights", tuple), ("max_degree", int)])):
     """Weights and a top degree for the homology of ``S``, checked on every construction."""
 
@@ -62,7 +69,7 @@ class ChainSpec(NamedTuple("ChainSpec", [("S", DistributiveSet), ("weights", tup
     def __new__(cls, S: DistributiveSet, weights: Sequence[int], max_degree: int = DEFAULT_MAX_DEGREE):
         if len(weights) != len(S.ops):
             raise ValueError(f"{len(weights)} weights for {len(S.ops)} operations")
-        # exact ints, as int_matrix keeps matrix entries: a weight may be a numpy integer
+        # exact ints, so matrix entries are too: a weight may be a numpy integer
         weights = tuple(integer(w, f"weight {k}") for k, w in enumerate(weights))
         if max_degree < 0:
             raise ValueError("max_degree must be >= 0")
@@ -115,14 +122,13 @@ def _weighted_face_tables(spec: ChainSpec, top: int) -> list[FaceTables]:
     return [_face_tables(op, top) for op, w in zip(spec.S.ops, spec.weights) if w]
 
 
-def boundary_matrix(spec: ChainSpec, degree: int) -> IntMatrix:
-    """Matrix of the degree-n differential C_n -> C_{n-1}, lex basis order:
-    the rows _boundary_rows builds, none dropped, as a checked IntMatrix."""
+def boundary_matrix(spec: ChainSpec, degree: int) -> dict:
+    """Matrix of the degree-n differential C_n -> C_{n-1}, lex basis order,
+    with n**(degree+1) columns: the rows _boundary_rows builds, none
+    dropped, as snf.smith_normal_form takes them."""
     if not (1 <= degree <= spec.max_degree):
         raise ValueError(f"degree {degree} outside [1, {spec.max_degree}]")
-    rows = _boundary_rows(spec, degree, _weighted_face_tables(spec, degree))
-    data = tuple(tuple(rows.get(i, {}).items()) for i in range(spec.S.n**degree))
-    return IntMatrix(len(data), spec.S.n ** (degree + 1), data)
+    return _boundary_rows(spec, degree, _weighted_face_tables(spec, degree))
 
 
 def _boundary_rows(spec: ChainSpec, degree: int, faces: list[FaceTables], drop: Collection[int] = ()) -> dict:
@@ -230,7 +236,7 @@ def homology_groups(
         for tables in faces:
             tables[d] = None  # its last use, so the elimination runs without it
         matched = set()
-        factors[d] = invariant_factors(rows, n ** (d + 1), matched)
+        factors[d] = smith_normal_form(rows, n ** (d + 1), matched)
     groups = []
     for d in range(spec.max_degree):
         above = factors[d + 1]

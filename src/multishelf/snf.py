@@ -1,10 +1,11 @@
-"""Exact-integer matrices and Smith normal form.
+"""Smith normal form of sparse integer matrices.
 
-Matrices keep each row's nonzero (column, value) pairs in column order, as
-Python ints: no overflow, and memory grows with the nonzeros.  The Smith
-normal form is a sparse elimination, after Dumas, Saunders and Villard ("On
-efficient sparse integer matrix Smith normal form computations", J. Symbolic
-Comput. 2001), in one loop over {column: value} dict rows.
+A matrix is the dict {row: {column: value}} of its nonzero rows, rows and
+columns in increasing order, values Python ints: no overflow, and memory
+grows with the nonzeros.  The Smith normal form is a sparse elimination,
+after Dumas, Saunders and Villard ("On efficient sparse integer matrix
+Smith normal form computations", J. Symbolic Comput. 2001), in one loop
+over these rows.
 
 Pivots are taken in a fill-reducing order, column first (Markowitz's rule
 with the column count first; Duff, Erisman and Reid, "Direct Methods for
@@ -41,79 +42,21 @@ pivot of any other value.  Up to that pivot the elimination has run row
 operations only, so with E their product the minor of E.M on the pivot rows
 and these columns is triangular with +-1 on its diagonal.
 
-invariant_factors is the loop, on dict rows; homology_groups builds them
-straight from its face tables.  smith_normal_form(M, matched, drop) is an
-adapter that builds them from an IntMatrix, without the rows in ``drop``.
+homology.boundary_matrix returns such rows, and homology_groups builds
+them straight from its face tables.
 """
 from __future__ import annotations
 
 import math
-import operator
-from typing import Collection, Iterator, NamedTuple, Sequence
+from typing import Collection, Iterator
 
 
-class IntMatrix(NamedTuple("IntMatrix", [("rows", int), ("cols", int), ("data", tuple)])):
-    """Sparse integer matrix: ``data[i]`` holds the (column, value) nonzeros of
-    row i.  A ``typing.NamedTuple``, equal to the plain tuple of its fields;
-    every construction, ``_make`` and ``_replace`` included, is validated."""
-
-    __slots__ = ()
-
-    def __new__(cls, rows: int, cols: int, data: tuple):
-        self = super().__new__(cls, rows, cols, data)
-        self.__post_init__()
-        return self
-
-    _make = classmethod(lambda cls, fields: cls(*fields))  # namedtuple's _make skips __new__; _replace calls it
-
-    def __post_init__(self):
-        if len(self.data) != self.rows:
-            raise ValueError(f"{len(self.data)} rows stored, {self.rows} declared")
-        for i, row in enumerate(self.data):
-            last = -1
-            for entry in row:
-                try:
-                    j, v = entry
-                except (TypeError, ValueError):
-                    raise ValueError(f"row {i}: {entry!r} is not a (column, value) pair") from None
-                if type(j) is not int or type(v) is not int:
-                    raise ValueError(f"row {i}: ({j!r}, {v!r}) is not a pair of ints")
-                if not (last < j < self.cols and v):
-                    raise ValueError(f"row {i}: ({j}, {v}) is zero, unsorted or out of range")
-                last = j
-
-
-def integer(v: object, where: str) -> int:
-    """``operator.index(v)``, so numpy integers pass; a bool raises like any non-integer."""
-    if isinstance(v, bool) or not hasattr(v, "__index__"):
-        raise ValueError(f"{where}: {v!r} is not an integer")
-    return operator.index(v)
-
-
-def int_matrix(data: Sequence[Sequence[int]]) -> IntMatrix:
-    cols = len(data[0]) if data else 0
-    if any(len(r) != cols for r in data):
-        raise ValueError(f"ragged rows: expected {cols} entries in each")
-    rows = [[integer(v, f"entry ({i},{j})") for j, v in enumerate(r)] for i, r in enumerate(data)]
-    return IntMatrix(len(rows), cols, tuple(tuple((j, v) for j, v in enumerate(r) if v) for r in rows))
-
-
-def smith_normal_form(
-    M: IntMatrix, matched: set[int] | None = None, drop: Collection[int] = ()
-) -> list[int]:
-    """Invariant factors d1 | d2 | ... (positive, nonzero ones only) of M
-    without the rows in ``drop``.  ``matched``, if given, receives the column
-    of each +-1 pivot taken before the first pivot of any other value.  The
-    kept rows keep their indices and order, so pivots, factors and
-    ``matched`` are those of the submatrix of the kept rows.
-    """
-    return invariant_factors({i: dict(r) for i, r in enumerate(M.data) if r and i not in drop}, M.cols, matched)
-
-
-def invariant_factors(rows: dict[int, dict[int, int]], cols: int, matched: set[int] | None = None) -> list[int]:
-    """smith_normal_form of the matrix with ``cols`` columns whose nonzero
-    rows ``rows`` maps to {column: value} dicts, both in increasing order
-    (ties between pivots go to the first); ``rows`` is consumed."""
+def smith_normal_form(rows: dict[int, dict[int, int]], cols: int, matched: set[int] | None = None) -> list[int]:
+    """Invariant factors d1 | d2 | ... (positive, nonzero ones only) of the
+    matrix with ``cols`` columns whose nonzero rows ``rows`` maps to
+    {column: value} dicts, both in increasing order (ties between pivots go
+    to the first); ``rows`` is consumed.  ``matched``, if given, receives
+    the columns of the +-1 pivots described above."""
     rows_of: list[list[int]] = [[] for _ in range(cols)]  # column -> rows holding it
     for i, row in rows.items():
         for j in row:

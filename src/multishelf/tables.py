@@ -131,15 +131,6 @@ def noninvertible_column(op: OpTable) -> Optional[int]:
     return None
 
 
-def invert(op: OpTable) -> OpTable:
-    """Composition inverse: each column is the inverse permutation of op's column."""
-    y = noninvertible_column(op)
-    if y is not None:
-        raise ValueError(f"table is not invertible: column {y} is not a permutation")
-    cols = [perm_inverse(op.column(y)) for y in range(op.n)]
-    return OpTable(op.n, tuple(zip(*cols)))
-
-
 def is_idempotent(op: OpTable) -> bool:
     """True iff a * a = a for all a."""
     return all(op.entries[a][a] == a for a in range(op.n))

@@ -16,7 +16,6 @@ import pytest
 from multishelf import (
     ChainSpec,
     DistributiveSet,
-    boundary_matrix,
     certify_no_nonabelian,
     close_group,
     commutes,
@@ -27,13 +26,10 @@ from multishelf import (
     distributive_witness,
     enumerate_racks,
     homology_groups,
-    int_matrix,
-    invert,
     alpha,
     make_distributive_set,
     regular_embed,
     right_trivial,
-    smith_normal_form,
     symmetric,
     verify_differential,
     verify_distributive,
@@ -41,12 +37,13 @@ from multishelf import (
 )
 from multishelf.fixtures import BERMAN_SIGMA, BERMAN_TAU
 
-from test_homology import naive_snf
+from test_homology import dense_snf, naive_snf
 from test_search import (
     compatible_pairs_brute_force,
     enumerate_racks_brute_force,
     invertible_tables,
 )
+from test_tables import invert
 
 
 # ---------------------------------------------------------------- criterion 1
@@ -247,7 +244,7 @@ def criterion_7():
     for _ in range(1000):
         r, c = rng.randint(1, 8), rng.randint(1, 8)
         m = [[rng.randint(-10, 10) for _ in range(c)] for _ in range(r)]
-        if smith_normal_form(int_matrix(m)) == naive_snf(m):
+        if dense_snf(m) == naive_snf(m):
             agreements += 1
     report["snf"] = {"matrices": 1000, "oracle_agreements": agreements}
 

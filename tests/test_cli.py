@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import multishelf
-from multishelf import compose, invert, make_table, right_trivial
+from multishelf import compose, make_table, right_trivial
 from multishelf.cli import main
 from multishelf.fixtures import BERMAN_SIGMA, BERMAN_TAU
 from multishelf.formats import load_table, save_table, set_document, write_document

@@ -24,7 +24,9 @@ from multishelf import (
 )
 from multishelf import shelves
 from multishelf.fixtures import XOR, fixture, fixture_names
-from multishelf.tables import compose, generated, greedy_generators, invert, is_endomorphism, perm_compose
+from multishelf.tables import compose, generated, greedy_generators, is_endomorphism, perm_compose
+
+from test_tables import invert
 
 
 class TestRegularEmbed:

@@ -4,7 +4,6 @@ from multishelf import (
     ChainSpec,
     ClosureResult,
     HomologyGroup,
-    IntMatrix,
     SearchReport,
     cyclic,
     enumerate_racks,
@@ -23,7 +22,6 @@ def _records():
         S,
         ClosureResult((op,), "group", True),
         regular_embed(cyclic(2)),
-        IntMatrix(1, 1, (((0, 1),),)),
         ChainSpec(S, (1,), 1),
         HomologyGroup(0, 1, ()),
         enumerate_racks(2),
@@ -31,7 +29,7 @@ def _records():
     ]
 
 
-@pytest.mark.parametrize("index", range(10), ids=[type(r).__name__ for r in _records()])
+@pytest.mark.parametrize("index", range(9), ids=[type(r).__name__ for r in _records()])
 def test_record_fields_cannot_be_assigned(index):
     record = _records()[index]
     for field in record._fields:

@@ -10,7 +10,6 @@ from multishelf import (
     compose,
     cyclic,
     dihedral,
-    invert,
     make_distributive_set,
     regular_embed,
     right_trivial,
@@ -19,6 +18,8 @@ from multishelf import shelves
 from multishelf.tables import OpTable, generated
 from multishelf.fixtures import BERMAN_SIGMA, BERMAN_TAU, XOR
 from multishelf.search import enumerate_racks
+
+from test_tables import invert
 
 
 class TestMakeDistributiveSet:

@@ -9,14 +9,23 @@ from multishelf import (
     commutes,
     compose,
     distributive_witness,
-    invert,
     is_idempotent,
     make_table,
     relabel,
     right_trivial,
 )
 from multishelf.fixtures import BERMAN_SIGMA, BERMAN_TAU, XOR
-from multishelf.tables import generated, noninvertible_column, perm_compose
+from multishelf.tables import generated, noninvertible_column, perm_compose, perm_inverse
+
+
+def invert(op):
+    """Oracle: the composition inverse, each column the inverse permutation
+    of op's column."""
+    y = noninvertible_column(op)
+    if y is not None:
+        raise ValueError(f"table is not invertible: column {y} is not a permutation")
+    cols = [perm_inverse(op.column(y)) for y in range(op.n)]
+    return OpTable(op.n, tuple(zip(*cols)))
 
 
 def all_tables(n):
