@@ -18,8 +18,8 @@ import itertools
 import math
 import time
 from collections import Counter
-from functools import cache, cached_property, reduce
-from operator import and_, eq, itemgetter
+from functools import cache, cached_property
+from operator import eq, itemgetter
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .shelves import CLOSURE_BUDGET, ClosureBudgetError, make_distributive_set
@@ -322,16 +322,6 @@ def enumerate_racks(n: int, deadline: Optional[float] = None) -> RackCatalog:
     return RackCatalog(n, tuple(columns), orbit, auts, pruned, tuple(conj))
 
 
-def _ones(x: int) -> list[int]:
-    """The positions of the set bits of x >= 0, in increasing order."""
-    digits, found = bin(x)[:1:-1], []  # least significant digit first
-    k = digits.find("1")
-    while k >= 0:
-        found.append(k)
-        k = digits.find("1", k + 1)
-    return found
-
-
 def compatibility_graph(catalog: RackCatalog, deadline: Optional[float] = None) -> dict[int, list[int]]:
     """Compatible partners of the first rack of each relabeling class, in
     increasing order.  The rows of the other racks are relabelings of these,
@@ -341,33 +331,23 @@ def compatibility_graph(catalog: RackCatalog, deadline: Optional[float] = None) 
     says exactly that every column ``x -> x B c`` is an automorphism of A
     (``tables.is_endomorphism``, restricted to bijections).  So B is a
     partner of A, both ordered checks passing, iff each column of B lies in
-    Aut(A) and each column of A in Aut(B).  The bitset ``fixes[p]`` holds
-    the racks whose automorphism group holds p: the OR of the bitsets of the
-    racks sharing each distinct group that holds p.  So the candidates for
-    the row of A are ``AND_{p in cols(A)} fixes[p]``, without A itself, and
-    the row keeps those whose columns all lie in Aut(A); the row of the
-    right-trivial rack, every column the identity, is every other rack.
-    Raises TimeoutError once ``time.monotonic()`` passes ``deadline``,
-    which is checked once per distinct group and per row.
+    Aut(A) and each column of A in Aut(B).  The racks are grouped by their
+    automorphism group; the row of A reads the groups that hold A's columns
+    and keeps their racks, A aside, whose columns all lie in Aut(A).  The
+    right-trivial rack needs no special case: every group holds its columns,
+    all the identity, and its Aut is all of S_n, so its row is every other
+    rack.  Raises TimeoutError once ``time.monotonic()`` passes
+    ``deadline``, which is checked once per row.
     """
     columns, auts = catalog.columns, catalog.automorphisms
-    fixes = [0] * math.factorial(catalog.n)
     by_aut: dict[frozenset[int], list[int]] = {}
     for j, aut in enumerate(auts):
         by_aut.setdefault(aut, []).append(j)
-    for aut, js in by_aut.items():
-        _check_deadline(deadline)
-        bits = sum(1 << j for j in js)
-        for p in aut:
-            fixes[p] |= bits
     graph = {}
     for i in catalog.representatives:
         _check_deadline(deadline)
-        if not any(columns[i]):  # right-trivial: it fixes, and is fixed by, every rack
-            graph[i] = [*range(i), *range(i + 1, len(columns))]
-            continue
-        cands = _ones(reduce(and_, map(fixes.__getitem__, set(columns[i])), ~(1 << i)))
-        graph[i] = list(itertools.compress(cands, map(auts[i].issuperset, map(columns.__getitem__, cands))))
+        cols, fixed = set(columns[i]), auts[i].issuperset
+        graph[i] = sorted(j for aut, js in by_aut.items() if aut >= cols for j in js if j != i and fixed(columns[j]))
     return graph
 
 

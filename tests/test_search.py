@@ -140,15 +140,17 @@ def _count_calls(monkeypatch, pairs):
 
 
 def _expire_after(monkeypatch, name):
-    """Make the clock pass every deadline once ``search.<name>`` returns."""
-    call = getattr(search, name)
+    """Make the clock pass every deadline once ``search.<name>`` returns;
+    the returned list gets one entry per clock read after that."""
+    call, reads = getattr(search, name), []
 
     def call_then_expire(*args):
         result = call(*args)
-        monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=lambda: math.inf))
+        monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=lambda: reads.append(name) or math.inf))
         return result
 
     monkeypatch.setattr(search, name, call_then_expire)
+    return reads
 
 
 def _count_phases(monkeypatch, *names):
@@ -629,17 +631,28 @@ class TestCompatibilityGraph:
         with pytest.raises(TimeoutError):
             compatibility_graph(catalog, deadline=time.monotonic() - 1)
 
-    def test_deadline_checked_while_the_bitsets_are_built(self, monkeypatch):
-        # The clock passes the deadline once the first group's racks are added
-        # to the bitsets: the build must stop there, not after all the groups.
-        spread = []
-        catalog = _recording_automorphisms(enumerate_racks(4), spread)
-        assert len(set(catalog.automorphisms)) > 1
-        ticks = iter([0.0])
-        monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=lambda: next(ticks, math.inf)))
+    def test_deadline_checked_once_per_row(self, monkeypatch):
+        # The clock is read once before each row and nowhere else.  When it
+        # passes the deadline after the first row, the second row's check
+        # stops the graph: the clock is read twice.
+        catalog = enumerate_racks(4)
+        reads = []
+        monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=lambda: reads.append(0) or 0.0))
+        compatibility_graph(catalog, deadline=1.0)
+        assert len(reads) == len(catalog.representatives) == 19
+        ticks, reads = iter([0.0]), []
+        monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=lambda: reads.append(0) or next(ticks, math.inf)))
         with pytest.raises(TimeoutError):
             compatibility_graph(catalog, deadline=1.0)
-        assert spread == [catalog.automorphisms[0]]
+        assert len(reads) == 2
+
+    def test_n6_rows_pinned(self):
+        # sha256 of every row at n = 6 (353 rows, 152 488 entries); the
+        # brute-force oracle above stops at n = 5.
+        graph = compatibility_graph(enumerate_racks(6))
+        assert (len(graph), sum(map(len, graph.values()))) == (353, 152488)
+        want = "1265582f8860bb11e4f568c1eda4ef3271fc4b9914566ca8d4aaf0532fe50f05"
+        assert hashlib.sha256(repr(sorted(graph.items())).encode()).hexdigest() == want
 
     def test_berman_pair_mutually_compatible(self):
         assert distributive_witness(BERMAN_TAU, BERMAN_SIGMA) is None
@@ -832,22 +845,18 @@ class TestCertify:
         assert built == []
 
     def test_deadline_checked_while_the_rows_are_built(self, monkeypatch):
-        # The deadline passes once the catalog is built: the row phase stops
-        # before its first automorphism group is spread over the bitsets and
-        # before its first row, and the report counts the racks and no pair.
-        ones, spread = search._ones, []
-        catalog = _recording_automorphisms(enumerate_racks(5), spread)
-        monkeypatch.setattr(search, "enumerate_racks", lambda n, deadline: catalog)
-        _expire_after(monkeypatch, "enumerate_racks")
-        monkeypatch.setattr(search, "_ones", lambda x: spread.append(x) or ones(x))
+        # The deadline passes once the catalog is built: the check before the
+        # first row is the only clock read after it, and the report counts
+        # the racks and no pair.
+        reads = _expire_after(monkeypatch, "enumerate_racks")
         report = certify_no_nonabelian(5, budget=3600)
         assert (report.conclusion, report.racks_found, report.compatible_pairs) == ("partial", 1708, 0)
-        assert spread == []
+        assert reads == ["enumerate_racks"]
 
     def test_deadline_checked_before_the_pair_sweep(self, monkeypatch):
         # The deadline passes once the rows are built: the pairs are counted,
-        # and no row is swept, so no automorphism group is read for the
-        # commutation test and no pair is closed.
+        # and no row is swept, so no automorphism group is iterated (the
+        # rows only test membership) and no pair is closed.
         spread = []
         catalog = _recording_automorphisms(enumerate_racks(5), spread)
         monkeypatch.setattr(search, "enumerate_racks", lambda n, deadline: catalog)
@@ -855,7 +864,6 @@ class TestCertify:
 
         def graph_then_expire(*args):
             rows = graph(*args)
-            spread.clear()  # the bitsets spread every group
             monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=lambda: math.inf))
             return rows
 
