@@ -1,10 +1,13 @@
-"""Finite groups as multiplication tables, plus standard families."""
+"""Finite groups as multiplication tables, standard families, and S_n on lex numbers."""
 from __future__ import annotations
 
 import itertools
-from typing import NamedTuple, Sequence
+import time
+from functools import cache
+from operator import itemgetter
+from typing import NamedTuple, Optional, Sequence
 
-from .tables import greedy_generators, make_table, perm_compose, perm_inverse
+from .tables import Permutation, greedy_generators, make_table, perm_compose, perm_inverse
 
 SYMMETRIC_DEGREE_BOUND = 5
 ISOMORPHISM_ORDER_BOUND = 8
@@ -94,19 +97,65 @@ def dihedral(k: int) -> FiniteGroup:
     return g
 
 
-def symmetric(k: int) -> FiniteGroup:
-    """S_k with elements the one-line permutations of {0..k-1} in lex order.
+class Lex(NamedTuple):
+    """S_n on numbers: ``perms[k]`` is the k-th permutation of {0..n-1} in lex order (the
+    identity is 0), ``index`` numbers each one, and ``generators`` are the numbers of (0 1)
+    and x -> x+1, which generate S_n (one number at n = 2, none at n = 1)."""
 
-    Product uses left-to-right application: (p.q)(x) = q(p(x)).
-    """
+    perms: tuple[Permutation, ...]
+    index: dict[Permutation, int]
+    generators: tuple[int, ...]
+
+    def then(self, p: int, q: int) -> int:
+        """The number of the p-th permutation, then the q-th: x -> q(p(x))."""
+        return self.index[perm_compose(self.perms[p], self.perms[q])]
+
+
+@cache
+def lex(n: int) -> Lex:
+    """S_n in lexicographic order, built once per n."""
+    perms = tuple(itertools.permutations(range(n)))
+    index = {p: k for k, p in enumerate(perms)}
+    gens = [(1, 0) + tuple(range(2, n)), tuple(range(1, n)) + (0,)] if n > 1 else []
+    return Lex(perms, index, tuple(dict.fromkeys(map(index.__getitem__, gens))))
+
+
+def check_deadline(deadline: Optional[float]) -> None:
+    if deadline is not None and time.monotonic() >= deadline:
+        raise TimeoutError("search deadline passed")
+
+
+def conjugation_table(n: int, deadline: Optional[float]) -> tuple:
+    """S_n on ``lex`` numbers, as (perms, conj): ``conj[q][p]`` numbers x -> q(p(q^-1(x))), a
+    tuple row.  The generators' rows come from their tuples, every other row, of h g for a
+    generator g, from the gather ``conj[h][conj[g][p]]``: no product table.  Checks the
+    deadline per row."""
+    perms, index, gens = sn = lex(n)
+    conj: list = [tuple(range(len(perms)))] + [None] * (len(perms) - 1)
+    for k in gens:
+        check_deadline(deadline)
+        g, ginv = perms[k], perm_inverse(perms[k])
+        conj[k] = tuple(index[tuple(g[p[v]] for v in ginv)] for p in perms)
+    gather = [(k, itemgetter(*conj[k])) for k in gens]  # n! > 1 numbers: tuples out
+    queue = list(gens)
+    for h in queue:
+        for k, by_conj in gather:
+            q = sn.then(k, h)
+            if conj[q] is None:
+                check_deadline(deadline)
+                conj[q] = by_conj(conj[h])
+                queue.append(q)
+    return perms, conj
+
+
+def symmetric(k: int) -> FiniteGroup:
+    """S_k on the ``lex`` numbers; the product applies left to right, (p.q)(x) = q(p(x))."""
     if not (1 <= k <= SYMMETRIC_DEGREE_BOUND):
         raise ValueError(f"degree {k} outside [1, {SYMMETRIC_DEGREE_BOUND}]")
-    perms = sorted(itertools.permutations(range(k)))
-    index = {p: i for i, p in enumerate(perms)}
-    m = len(perms)
-    mul = tuple(tuple(index[perm_compose(p, q)] for q in perms) for p in perms)
-    inv = tuple(index[perm_inverse(p)] for p in perms)
-    return FiniteGroup(m, mul, index[tuple(range(k))], inv)
+    sn = lex(k)
+    m = len(sn.perms)
+    mul = tuple(tuple(sn.then(p, q) for q in range(m)) for p in range(m))
+    return FiniteGroup(m, mul, 0, tuple(sn.index[perm_inverse(p)] for p in sn.perms))
 
 
 def is_abelian(G: FiniteGroup) -> bool:

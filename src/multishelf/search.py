@@ -22,6 +22,7 @@ from functools import cache, cached_property
 from operator import eq, itemgetter
 from typing import Callable, NamedTuple, Optional, Sequence
 
+from .groups import check_deadline, conjugation_table, lex
 from .shelves import CLOSURE_BUDGET, ClosureBudgetError, make_distributive_set
 from .tables import (
     OpTable,
@@ -29,7 +30,6 @@ from .tables import (
     distributive_witness,
     generated,
     noninvertible_column,
-    perm_compose,
     perm_inverse,
     relabel,
 )
@@ -52,24 +52,24 @@ class RackCatalog(_Catalog):
     automorphism groups: in table order from ``enumerate_racks``, in the
     pair's order from ``seed_catalog``.
 
-    Permutations of the carrier are numbered in lexicographic order, and
+    Permutations of the carrier are numbered as in ``groups.lex``, and
     ``columns[i][y]`` is the number of the column x -> x * y of the i-th
     rack.  ``orbit[i]`` is the index of the first rack in the class of the
     i-th; in table order that first rack is the least relabeling of each
     member, i.e. its canonical form.  ``automorphisms[i]`` is the set of
     the relabelings that fix the i-th rack.  ``nodes_pruned`` counts the
-    pruned nodes of the backtrack, and ``conj`` the conjugation rows of
-    ``_symmetric``, the one S_n table the catalog was built on (0 and none for
-    a seed catalog).  A ``typing.NamedTuple``, equal to the plain tuple of
-    its fields.  The tables, ``racks``, are built on first read and kept in
-    the instance ``__dict__`` (this subclass declares no ``__slots__``).
+    pruned nodes of the backtrack, and ``conj`` holds the rows of the one
+    ``conjugation_table`` the catalog was built on (0 and none for a seed
+    catalog).  A ``typing.NamedTuple``, equal to the plain tuple of its
+    fields.  The tables, ``racks``, are built on first read and kept in the
+    instance ``__dict__`` (this subclass declares no ``__slots__``).
     """
 
     @cached_property
     def racks(self) -> tuple[OpTable, ...]:
         """The table of each rack, built from its columns; equal rows are
         one object."""
-        perms = list(itertools.permutations(range(self.n)))
+        perms = lex(self.n).perms
         rows: dict = {}
         return tuple(
             OpTable(self.n, tuple([rows.setdefault(r, r) for r in zip(*map(perms.__getitem__, cols))]))
@@ -110,46 +110,6 @@ class SearchReport(NamedTuple):
         }
 
 
-def _check_deadline(deadline: Optional[float]) -> None:
-    if deadline is not None and time.monotonic() >= deadline:
-        raise TimeoutError("search deadline passed")
-
-
-def _perm_index(n: int) -> dict[Permutation, int]:
-    """The permutations of the carrier in lexicographic order, the k-th to k."""
-    return {p: k for k, p in enumerate(itertools.permutations(range(n)))}
-
-
-def _generators(n: int) -> list[Permutation]:
-    """(0 1) and x -> x+1, which generate S_n; one permutation at n = 2, none at n = 1."""
-    return list(dict.fromkeys([(1, 0) + tuple(range(2, n)), tuple(range(1, n)) + (0,)])) if n > 1 else []
-
-
-def _symmetric(n: int, deadline: Optional[float]) -> tuple:
-    """S_n on permutation indices, as (perms, conj): ``perms[k]`` is the k-th
-    permutation of the carrier in lexicographic order, and ``conj[q][p]`` is
-    x -> q(p(q^-1(x))), a tuple row.  The ``_generators``' rows come from the
-    tuples, every other row, of h g for a generator g, from the gather
-    ``conj[h][conj[g][p]]``: no product table.  Checks the deadline per row."""
-    index = _perm_index(n)
-    perms = list(index)
-    conj: list = [tuple(range(len(perms)))] + [None] * (len(perms) - 1)
-    gens = {index[g]: (g, perm_inverse(g)) for g in _generators(n)}
-    for k, (g, ginv) in gens.items():
-        _check_deadline(deadline)
-        conj[k] = tuple(index[tuple(g[p[v]] for v in ginv)] for p in perms)
-    gather = [(g, itemgetter(*conj[k])) for k, (g, _) in gens.items()]  # n! > 1 indices: tuples out
-    queue = list(gens)
-    for h in queue:
-        for g, by_conj in gather:
-            q = index[tuple(map(perms[h].__getitem__, g))]  # g, then h
-            if conj[q] is None:
-                _check_deadline(deadline)
-                conj[q] = by_conj(conj[h])
-                queue.append(q)
-    return perms, conj
-
-
 def _enumerate_pruned(n: int, deadline: Optional[float], sym: tuple) -> tuple[list[tuple[int, ...]], int]:
     """Backtrack over columns with propagation of the self-conjugation
     constraint sigma_{sigma_z(y)} = sigma_z sigma_y sigma_z^-1.
@@ -168,7 +128,7 @@ def _enumerate_pruned(n: int, deadline: Optional[float], sym: tuple) -> tuple[li
     the assignment.  Every completion meets the constraint for all pairs,
     so it is a rack; ``enumerate_racks`` checks one per class all the same.
     Returns (completions, nodes_pruned), each completion a tuple of column
-    indices into ``sym``, the tables of ``_symmetric(n, deadline)``.
+    indices into ``sym``, the tables of ``conjugation_table(n, deadline)``.
     """
     perms, conj = sym
     fix0 = [q for q, qp in enumerate(perms) if qp[0] == 0]
@@ -209,7 +169,7 @@ def _enumerate_pruned(n: int, deadline: Optional[float], sym: tuple) -> tuple[li
 
     def extend(cols: list[Optional[int]]):
         nonlocal pruned
-        _check_deadline(deadline)
+        check_deadline(deadline)
         free = tuple(z for z, c in enumerate(cols) if c is None)
         if not free:
             found.append(tuple(cols))  # type: ignore[arg-type]
@@ -242,9 +202,9 @@ def canonical_form(op: OpTable) -> OpTable:
 
 def _relabeling(n: int, conj: Sequence[tuple[int, ...]]) -> Callable[[int, Callable], tuple[int, ...]]:
     """``relabel(q, itemgetter(*cols, 0))`` is the rack with columns ``cols``
-    relabeled by the q-th permutation, on the ``conj`` rows of ``_symmetric(n)``:
+    relabeled by the q-th permutation, on the rows of ``conjugation_table(n)``:
     column ``conj[q][cols[y]]`` at q(y); the index 0 keeps a tuple at n = 1."""
-    at = [itemgetter(*perm_inverse(p), 0) for p in itertools.permutations(range(n))]
+    at = [itemgetter(*perm_inverse(p), 0) for p in lex(n).perms]
     return lambda q, points: at[q](points(conj[q]))[:-1]
 
 
@@ -267,28 +227,27 @@ def _check_budget(budget: Optional[float]) -> None:
 
 
 def _self_distributive(cols: tuple[int, ...], perms: Sequence[Permutation], conj: Sequence[tuple[int, ...]]) -> bool:
-    """True iff the table with columns ``cols``, indices into ``_symmetric``, is self-distributive:
+    """True iff the table with columns ``cols``, ``lex`` numbers, is self-distributive:
     for permutation columns that is exactly sigma_{sigma_z(y)} = sigma_z sigma_y sigma_z^-1 for
     all y, z (``translate.conjugation_condition``), and permutations agree iff their indices do."""
     return all(cols[perms[cz][y]] == conj[cz][cy] for cz in cols for y, cy in enumerate(cols))
 
 
 def enumerate_racks(n: int, deadline: Optional[float] = None) -> RackCatalog:
-    """Complete catalog of racks on n points, on ``_symmetric`` indices.
+    """Complete catalog of racks on n points, on ``lex`` numbers.
     The completions of ``_enumerate_pruned`` meet every class.  Each one not
     yet swept, r, is checked by ``_self_distributive`` (one check per class,
     no table) and skipped if it fails.  ``relabel(r, q)`` has column
     ``conj[q][cols[y]]`` at q(y) (``_relabeling``), so Aut(r) is the q with
-    ``conj[q][cols[y]] == cols[q(y)]`` for every y.  The ``_generators``
+    ``conj[q][cols[y]] == cols[q(y)]`` for every y.  The ``lex`` generators
     sweep the class breadth first, to every relabeling of r; Aut(g r) is
     g Aut(r) g^-1, gathered by ``conj[g]``.  The racks are sorted on their
     tables' row-major base-n encodings, i.e. in table order.  Raises
     TimeoutError once ``time.monotonic()`` passes ``deadline``, checked once per class."""
     _check_size(n)
-    perms, conj = _symmetric(n, deadline)
+    perms, conj = conjugation_table(n, deadline)
     found, pruned = _enumerate_pruned(n, deadline, (perms, conj))
-    relabel = _relabeling(n, conj)
-    gens = [perms.index(g) for g in _generators(n)]
+    relabel, gens = _relabeling(n, conj), lex(n).generators
     zero = [pp[0] for pp in perms]
     # Column p at b puts the digit p(a) at place (n-1-a)n + n-1-b of the key.
     base = [sum(v * n ** ((n - 1 - a) * n) for a, v in enumerate(pp)) for pp in perms]
@@ -298,7 +257,7 @@ def enumerate_racks(n: int, deadline: Optional[float] = None) -> RackCatalog:
     for cls, cols in enumerate(found):
         if cols in swept:
             continue
-        _check_deadline(deadline)
+        check_deadline(deadline)
         if not _self_distributive(cols, perms, conj):
             continue
         at0 = map(cols.__getitem__, zero)  # cols[q(0)] for every q
@@ -345,7 +304,7 @@ def compatibility_graph(catalog: RackCatalog, deadline: Optional[float] = None) 
         by_aut.setdefault(aut, []).append(j)
     graph = {}
     for i in catalog.representatives:
-        _check_deadline(deadline)
+        check_deadline(deadline)
         cols, fixed = set(columns[i]), auts[i].issuperset
         graph[i] = sorted(j for aut, js in by_aut.items() if aut >= cols for j in js if j != i and fixed(columns[j]))
     return graph
@@ -372,7 +331,7 @@ def seed_catalog(n: int, seed_pair: tuple[OpTable, OpTable]) -> RackCatalog:
     tables are racks on n points."""
     for k, op in enumerate(seed_pair):
         _check_seed(n, op, k)
-    index = _perm_index(n)
+    index = lex(n).index
     auts = []
     for e in (op.entries for op in seed_pair):  # p fixes e iff p(a * b) = p(a) * p(b) for all a, b
         cells = [(a, b, v) for a, row in enumerate(e) for b, v in enumerate(row)]  # most p fail at the first
@@ -427,14 +386,10 @@ def certify_no_nonabelian(
         graph = compatibility_graph(catalog, deadline)
         size = Counter(orbit)
         compatible = sum(size[i] * len(row) for i, row in graph.items()) // 2
-        index = _perm_index(n)
-        perms = list(index)
-
-        def compose(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:  # columnwise, x first
-            return tuple([index[perm_compose(perms[p], perms[q])] for p, q in zip(x, y)])
-
+        sn = lex(n)
+        perms, columnwise = sn.perms, lambda x, y: tuple(map(sn.then, x, y))  # x, then y, in each column
         for i, row in graph.items():
-            _check_deadline(deadline)
+            check_deadline(deadline)
             ca = columns[i]
             if all(tuple(map(ca.__getitem__, perms[a])) == ca for a in auts[i]):
                 continue  # Aut(A) holds every partner's columns and commutes with A's
@@ -443,8 +398,8 @@ def certify_no_nonabelian(
                     continue  # the pair of classes is swept from j's class
                 if all(ca[perms[b][y]] == ca[y] for y, b in enumerate(columns[j])):
                     continue  # commuting generators give an abelian group
-                _check_deadline(deadline)
-                members = tuple(generated((ca, columns[j]), (0,) * n, compose, CLOSURE_BUDGET) or ())
+                check_deadline(deadline)
+                members = tuple(generated((ca, columns[j]), (0,) * n, columnwise, CLOSURE_BUDGET) or ())
                 if not members:  # None: past the budget
                     raise ClosureBudgetError(f"closure exceeded budget of {CLOSURE_BUDGET} tables")
                 same_order = listed.setdefault(len(members), [])

@@ -17,8 +17,7 @@ so this order keeps fill-in low.  The loop runs in passes.  The first has
 bound 1, so it takes the +-1 pivots; each later one has the least |v| over
 the rows left.  A pass queues the columns that hold an entry within its
 bound in buckets by nonzero count, updated lazily (see _fewest_first), and
-ends when they are used up, or when the first column without such an entry
-after a pivot starts a look over the rows that finds none.
+ends when they are used up.
 
 A +-1 pivot leaves no remainder: a row's quotient is its entry in the pivot
 column times the pivot, with no division, and the pivot row needs no
@@ -66,15 +65,10 @@ def smith_normal_form(rows: dict[int, dict[int, int]], cols: int, matched: set[i
     bound = 1  # the largest |v| a pivot may have in this pass
     while rows:
         within = {j for row in rows.values() for j, v in row.items() if abs(v) <= bound}
-        seen = False  # an entry within the bound is known to remain since the last pivot
         for c in _fewest_first(rows_of, within, len(rows)):
             hits = sorted(rows_of[c])
             small = [i for i in hits if abs(rows[i][c]) <= bound]
             if not small:
-                if not seen:
-                    if not any(abs(v) <= bound for row in rows.values() for v in row.values()):
-                        break
-                    seen = True
                 continue
             p = min(small, key=lambda i: len(rows[i]))
             pv = _eliminate(rows, rows_of, p, c, hits)
@@ -84,7 +78,6 @@ def smith_normal_form(rows: dict[int, dict[int, int]], cols: int, matched: set[i
                     matched.add(c)
             else:
                 factors.append(pv)
-            seen = False
         bound = min((abs(v) for row in rows.values() for v in row.values()), default=0)
         if bound > 1:
             matched = None  # later units may follow column operations

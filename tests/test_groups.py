@@ -10,6 +10,7 @@ from multishelf import (
     is_abelian,
     symmetric,
 )
+from multishelf.groups import lex
 
 
 class TestGroupFromTable:
@@ -144,6 +145,43 @@ class TestFamilies:
     def test_non_isomorphic(self):
         assert not are_isomorphic(cyclic(6), dihedral(3))
         assert not are_isomorphic(cyclic(4), cyclic(5))
+
+
+class TestLex:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_lexicographic_numbering(self, n):
+        sn = lex(n)
+        assert list(sn.perms) == sorted(itertools.permutations(range(n)))
+        assert sn.perms[0] == tuple(range(n))
+        assert sn.index == {p: k for k, p in enumerate(sn.perms)}
+
+    def test_built_once_per_n(self):
+        assert lex(4) is lex(4)
+        assert lex(3) is not lex(4)
+
+    def test_generators(self):
+        # (0 1) and x -> x+1: none at n = 1, one permutation at n = 2
+        assert lex(1).generators == ()
+        assert lex(2).generators == (1,)
+        assert lex(3).generators == (2, 3)
+        assert [lex(3).perms[k] for k in lex(3).generators] == [(1, 0, 2), (1, 2, 0)]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_then_is_p_then_q(self, n):
+        sn = lex(n)
+        for a, p in enumerate(sn.perms):
+            for b, q in enumerate(sn.perms):
+                assert sn.perms[sn.then(a, b)] == tuple(q[p[x]] for x in range(n))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_symmetric_tables_match_tuple_arithmetic(self, k):
+        # embed-regular --group symmetric:k documents are written from these tables
+        perms = sorted(itertools.permutations(range(k)))
+        index = {p: i for i, p in enumerate(perms)}
+        G = symmetric(k)
+        assert G.mul == tuple(tuple(index[tuple(q[v] for v in p)] for q in perms) for p in perms)
+        assert G.inv == tuple(index[tuple(p.index(x) for x in range(k))] for p in perms)
+        assert G.identity == index[tuple(range(k))] == 0
 
 
 class TestAbelian:

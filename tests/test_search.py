@@ -28,7 +28,7 @@ from multishelf import (
     symmetric,
     verify_distributive,
 )
-from multishelf import search
+from multishelf import groups, search
 from multishelf.fixtures import BERMAN_SIGMA, BERMAN_TAU, XOR
 from multishelf.tables import noninvertible_column, perm_inverse
 from multishelf.translate import alpha_inverse
@@ -130,7 +130,7 @@ def _count_calls(monkeypatch, pairs):
         tuple(c for seed in seeds for c in seed.columns),
         tuple(range(2 * len(pairs))),
         tuple(a for seed in seeds for a in seed.automorphisms),
-        conj=tuple(search._symmetric(6, None)[1]),
+        conj=tuple(groups.conjugation_table(6, None)[1]),
     )
     monkeypatch.setattr(search, "enumerate_racks", lambda n, deadline: catalog)
     closures, keys = _recording_closures(monkeypatch), []
@@ -146,7 +146,7 @@ def _expire_after(monkeypatch, name):
 
     def call_then_expire(*args):
         result = call(*args)
-        monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=lambda: reads.append(name) or math.inf))
+        monkeypatch.setattr(groups, "time", SimpleNamespace(monotonic=lambda: reads.append(name) or math.inf))
         return result
 
     monkeypatch.setattr(search, name, call_then_expire)
@@ -249,7 +249,7 @@ def catalog_by_all_relabelings(n):
     nodes_pruned."""
     perms = sorted(itertools.permutations(range(n)))
     index = {p: k for k, p in enumerate(perms)}
-    found, pruned = search._enumerate_pruned(n, None, search._symmetric(n, None))
+    found, pruned = search._enumerate_pruned(n, None, groups.conjugation_table(n, None))
     swept = {}  # columns -> (table entries, class, Aut)
     for cls, cols in enumerate(found):
         if cols in swept:
@@ -313,7 +313,7 @@ class TestEnumerateRacks:
     def test_deadline_checked_while_the_tables_are_built(self, monkeypatch):
         # Building the S_6 tables takes longer than a 0.05 s budget, so the
         # deadline must stop the build itself, not only the backtrack after it.
-        build = search._symmetric
+        build = search.conjugation_table
         calls = []
 
         def recorded(*args):
@@ -322,7 +322,7 @@ class TestEnumerateRacks:
             calls.append("done")
             return sym
 
-        monkeypatch.setattr(search, "_symmetric", recorded)
+        monkeypatch.setattr(search, "conjugation_table", recorded)
         with pytest.raises(TimeoutError):
             enumerate_racks(6, deadline=time.monotonic())
         assert calls == ["start"]
@@ -344,7 +344,7 @@ class TestEnumerateRacks:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_backtrack_meets_every_class_once_per_column0_orbit(self, n):
-        sym = search._symmetric(n, None)
+        sym = groups.conjugation_table(n, None)
         found, _ = search._enumerate_pruned(n, None, sym)
         racks = [alpha_inverse([sym[0][c] for c in cols]) for cols in found]
         # The relabelings fixing 0 act on column 0 by conjugation.
@@ -366,7 +366,7 @@ class TestEnumerateRacks:
     def test_backtrack_matches_full_candidate_loop(self, n):
         # Visiting only the candidates that pass the look-up on column p(y)
         # keeps the completions, their order and the pruned-node count.
-        sym = search._symmetric(n, None)
+        sym = groups.conjugation_table(n, None)
         assert search._enumerate_pruned(n, None, sym) == enumerate_pruned_full_loop(n, sym)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -415,7 +415,7 @@ class TestEnumerateRacks:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_backtrack_completions_are_racks(self, n):
         # The backtrack returns its completions unchecked.
-        sym = search._symmetric(n, None)
+        sym = groups.conjugation_table(n, None)
         found, _ = search._enumerate_pruned(n, None, sym)
         for cols in found:
             table = alpha_inverse([sym[0][c] for c in cols])
@@ -436,7 +436,7 @@ class TestEnumerateRacks:
         # are each checked and dropped with their classes; every rack class
         # is kept as it is.
         full = enumerate_racks(4)
-        found, pruned = search._enumerate_pruned(4, None, search._symmetric(4, None))
+        found, pruned = search._enumerate_pruned(4, None, groups.conjugation_table(4, None))
         non_racks = [cols for cols in list(itertools.product(range(24), repeat=4))[::997] if not _is_rack(4, cols)]
         assert len(non_racks) > 300
         mixed = non_racks[:100] + [c for pair in itertools.zip_longest(found, non_racks[100:]) for c in pair if c is not None]
@@ -450,7 +450,7 @@ class TestEnumerateRacks:
     def test_index_check_matches_the_table_check(self):
         # On every invertible table on 3 points, the check on column indices
         # agrees with distributive_witness on the table.
-        perms, conj = search._symmetric(3, None)
+        perms, conj = groups.conjugation_table(3, None)
         outcomes = [
             (search._self_distributive(cols, perms, conj), _is_rack(3, cols))
             for cols in itertools.product(range(6), repeat=3)
@@ -536,8 +536,8 @@ class TestEnumerateRacks:
 class TestSymmetricTables:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_tables_match_tuple_arithmetic(self, n):
-        perms, conj = search._symmetric(n, None)
-        assert perms == sorted(itertools.permutations(range(n)))  # index order is lex order
+        perms, conj = groups.conjugation_table(n, None)
+        assert list(perms) == sorted(itertools.permutations(range(n)))  # index order is lex order
         assert len(conj) == len(perms)
         for a, p in enumerate(perms):
             pinv = perm_inverse(p)
@@ -547,7 +547,7 @@ class TestSymmetricTables:
     def test_n6_rows_match_tuple_arithmetic(self):
         # The rows of the two generators come from tuples, and every other
         # row from gathers: check both generators and a spread of the others.
-        perms, conj = search._symmetric(6, None)
+        perms, conj = groups.conjugation_table(6, None)
         index = {p: k for k, p in enumerate(perms)}
         generators = [index[(1, 0, 2, 3, 4, 5)], index[(1, 2, 3, 4, 5, 0)]]
         for a in generators + list(range(0, 720, 37)) + [719]:
@@ -637,11 +637,11 @@ class TestCompatibilityGraph:
         # stops the graph: the clock is read twice.
         catalog = enumerate_racks(4)
         reads = []
-        monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=lambda: reads.append(0) or 0.0))
+        monkeypatch.setattr(groups, "time", SimpleNamespace(monotonic=lambda: reads.append(0) or 0.0))
         compatibility_graph(catalog, deadline=1.0)
         assert len(reads) == len(catalog.representatives) == 19
         ticks, reads = iter([0.0]), []
-        monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=lambda: reads.append(0) or next(ticks, math.inf)))
+        monkeypatch.setattr(groups, "time", SimpleNamespace(monotonic=lambda: reads.append(0) or next(ticks, math.inf)))
         with pytest.raises(TimeoutError):
             compatibility_graph(catalog, deadline=1.0)
         assert len(reads) == 2
@@ -670,7 +670,7 @@ class TestCertify:
         assert report.conclusion == "commutative-only"
 
     def test_n6_seeded_berman(self, monkeypatch):
-        monkeypatch.setattr(search, "_symmetric", _unreachable("a seeded search built the S_n tables"))
+        monkeypatch.setattr(search, "conjugation_table", _unreachable("a seeded search built the S_n tables"))
         monkeypatch.setattr(search, "enumerate_racks", _unreachable("a seeded search enumerated racks"))
         # one closure, so no key is needed to tell it from another
         monkeypatch.setattr(search, "_closure_key", _unreachable("a closure key was computed"))
@@ -734,10 +734,10 @@ class TestCertify:
         enumerate_all = search.enumerate_racks
         monkeypatch.setattr(search, "enumerate_racks", lambda *args: catalogs.append(enumerate_all(*args)) or catalogs[0])
         closures = _recording_closures(monkeypatch)
-        built = _count_phases(monkeypatch, "_symmetric", "_relabeling")
+        built = _count_phases(monkeypatch, "conjugation_table", "_relabeling")
         certify_no_nonabelian(6)
         # one S_6 build; the class sweep's relabeling, then one for all the keys
-        assert built == ["_symmetric", "_relabeling", "_relabeling"]
+        assert built == ["conjugation_table", "_relabeling", "_relabeling"]
         berman = close_group(DistributiveSet(6, (BERMAN_TAU, BERMAN_SIGMA))).ops
         moved = [tuple(relabel(op, pi) for op in berman[::-1]) for pi in [(3, 5, 0, 1, 4, 2), (5, 4, 3, 2, 1, 0)]]
         shift = make_table(6, [[(a + 1) % 6] * 6 for a in range(6)])
@@ -864,7 +864,7 @@ class TestCertify:
 
         def graph_then_expire(*args):
             rows = graph(*args)
-            monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=lambda: math.inf))
+            monkeypatch.setattr(groups, "time", SimpleNamespace(monotonic=lambda: math.inf))
             return rows
 
         monkeypatch.setattr(search, "compatibility_graph", graph_then_expire)
