@@ -194,59 +194,54 @@ def _cmd_homology(args) -> int:
     return EXIT_OK
 
 
-@functools.cache  # main parses with one parser per process
-def build_parser() -> argparse.ArgumentParser:
+# name -> (handler, help, arguments as (flag, keywords)), in the order of the usage line
+COMMANDS = {
+    "fixtures": (_cmd_fixtures, "emit a bundled fixture (or 'list')", [
+        ("name", {}), ("--out", {"help": "directory to write table/set files into"})]),
+    "validate": (_cmd_validate, "validate a set file as a distributive set", [
+        ("--set", {"required": True}), ("--out", {})]),
+    "compose": (_cmd_compose, "compose two tables (left applied first)", [
+        ("--ops", {"nargs": 2, "required": True}), ("--out", {})]),
+    "embed-regular": (_cmd_embed_regular, "regular embedding of a group", [
+        ("--group", {"required": True, "help": "cyclic:k | dihedral:k | symmetric:k | file"}),
+        ("--out", {"required": True})]),
+    "alpha": (_cmd_alpha, "print column permutations of an invertible table", [("--op", {"required": True})]),
+    "check-conjugation": (_cmd_check_conjugation, "conjugation form of distributivity", [
+        ("--ops", {"nargs": 2, "required": True}), ("--out", {})]),
+    "search": (_cmd_search, "certify absence of non-abelian groups of racks", [
+        ("--n", {"type": int, "required": True}),
+        ("--budget", {"type": float, "help": "seconds before reporting partial"}),
+        ("--seed-pair", {"nargs": 2, "metavar": "FILE"}),
+        ("--report", {"help": "report file (default stdout)"})]),
+    "homology": (_cmd_homology, "multi-term distributive homology", [
+        ("--set", {"required": True}),
+        ("--weights", {"required": True, "help": "comma-separated integers"}),
+        ("--max-degree", {"type": int, "default": DEFAULT_MAX_DEGREE}),
+        ("--dim-budget", {"type": int, "default": DEFAULT_DIM_BUDGET}),
+        ("--out", {})]),
+}
+
+
+@functools.cache  # one parser per set of commands and process
+def build_parser(commands: tuple[str, ...] = tuple(COMMANDS)) -> argparse.ArgumentParser:
+    """The parser of ``commands``.  Each ``add_argument`` costs a help formatter, so ``main``
+    builds one command's parser when it can; its usage line still names every command (a
+    metavar on the full parser would rename the command in its errors)."""
     p = argparse.ArgumentParser(prog="multishelf")
-    sub = p.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("fixtures", help="emit a bundled fixture (or 'list')")
-    sp.add_argument("name")
-    sp.add_argument("--out", help="directory to write table/set files into")
-    sp.set_defaults(func=_cmd_fixtures)
-
-    sp = sub.add_parser("validate", help="validate a set file as a distributive set")
-    sp.add_argument("--set", required=True)
-    sp.add_argument("--out")
-    sp.set_defaults(func=_cmd_validate)
-
-    sp = sub.add_parser("compose", help="compose two tables (left applied first)")
-    sp.add_argument("--ops", nargs=2, required=True)
-    sp.add_argument("--out")
-    sp.set_defaults(func=_cmd_compose)
-
-    sp = sub.add_parser("embed-regular", help="regular embedding of a group")
-    sp.add_argument("--group", required=True, help="cyclic:k | dihedral:k | symmetric:k | file")
-    sp.add_argument("--out", required=True)
-    sp.set_defaults(func=_cmd_embed_regular)
-
-    sp = sub.add_parser("alpha", help="print column permutations of an invertible table")
-    sp.add_argument("--op", required=True)
-    sp.set_defaults(func=_cmd_alpha)
-
-    sp = sub.add_parser("check-conjugation", help="conjugation form of distributivity")
-    sp.add_argument("--ops", nargs=2, required=True)
-    sp.add_argument("--out")
-    sp.set_defaults(func=_cmd_check_conjugation)
-
-    sp = sub.add_parser("search", help="certify absence of non-abelian groups of racks")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--budget", type=float, help="seconds before reporting partial")
-    sp.add_argument("--seed-pair", nargs=2, metavar="FILE")
-    sp.add_argument("--report", help="report file (default stdout)")
-    sp.set_defaults(func=_cmd_search)
-
-    sp = sub.add_parser("homology", help="multi-term distributive homology")
-    sp.add_argument("--set", required=True)
-    sp.add_argument("--weights", required=True, help="comma-separated integers")
-    sp.add_argument("--max-degree", type=int, default=DEFAULT_MAX_DEGREE)
-    sp.add_argument("--dim-budget", type=int, default=DEFAULT_DIM_BUDGET)
-    sp.add_argument("--out")
-    sp.set_defaults(func=_cmd_homology)
+    metavar = None if commands == tuple(COMMANDS) else "{" + ",".join(COMMANDS) + "}"
+    sub = p.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in commands:
+        func, summary, arguments = COMMANDS[name]
+        sp = sub.add_parser(name, help=summary)
+        for flag, keywords in arguments:
+            sp.add_argument(flag, **keywords)
+        sp.set_defaults(func=func)
     return p
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(tuple(argv[:1]) if argv and argv[0] in COMMANDS else tuple(COMMANDS)).parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, KeyError) as e:  # includes SchemaError, DistributivityError

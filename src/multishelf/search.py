@@ -17,8 +17,9 @@ from __future__ import annotations
 import itertools
 import math
 import time
+from bisect import bisect_right
 from collections import Counter
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from operator import eq, itemgetter
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -240,21 +241,27 @@ def enumerate_racks(n: int, deadline: Optional[float] = None) -> RackCatalog:
     no table) and skipped if it fails.  ``relabel(r, q)`` has column
     ``conj[q][cols[y]]`` at q(y) (``_relabeling``), so Aut(r) is the q with
     ``conj[q][cols[y]] == cols[q(y)]`` for every y.  The ``lex`` generators
-    sweep the class breadth first, to every relabeling of r; Aut(g r) is
-    g Aut(r) g^-1, gathered by ``conj[g]``.  The racks are sorted on their
-    tables' row-major base-n encodings, i.e. in table order.  Raises
-    TimeoutError once ``time.monotonic()`` passes ``deadline``, checked once per class."""
+    sweep the class breadth first, to every relabeling of r, so each class
+    is one block of the sweep, recorded by where it starts.  Aut(g r) is
+    g Aut(r) g^-1, which depends only on Aut(r) and g: it is gathered by
+    ``conj[g]`` once per distinct group and generator, and each distinct
+    group is one object.  The racks are sorted on their tables' row-major
+    base-n encodings, i.e. in table order.  Raises TimeoutError once
+    ``time.monotonic()`` passes ``deadline``, checked once per class."""
     _check_size(n)
     perms, conj = conjugation_table(n, deadline)
     found, pruned = _enumerate_pruned(n, deadline, (perms, conj))
-    relabel, gens = _relabeling(n, conj), lex(n).generators
+    # ``_relabeling`` by each generator g, inlined: column conj[g][cols[y]] at g(y).
+    movers = [(g, conj[g], itemgetter(*perm_inverse(perms[g]))) for g in lex(n).generators]
     zero = [pp[0] for pp in perms]
     # Column p at b puts the digit p(a) at place (n-1-a)n + n-1-b of the key.
     base = [sum(v * n ** ((n - 1 - a) * n) for a, v in enumerate(pp)) for pp in perms]
     weight = [[w * n ** (n - 1 - b) for w in base] for b in range(n)]
     shared: dict[frozenset[int], frozenset[int]] = {}  # one object per distinct group
-    swept: dict[tuple[int, ...], tuple[int, frozenset[int]]] = {}  # columns -> (class, Aut)
-    for cls, cols in enumerate(found):
+    conjugate: dict[tuple[frozenset[int], int], frozenset[int]] = {}  # (Aut, g) -> g Aut g^-1
+    swept: dict[tuple[int, ...], frozenset[int]] = {}  # columns -> Aut, class after class
+    starts: list[int] = []  # sweep index of the first rack of each class
+    for cols in found:
         if cols in swept:
             continue
         check_deadline(deadline)
@@ -264,21 +271,28 @@ def enumerate_racks(n: int, deadline: Optional[float] = None) -> RackCatalog:
         aut = list(itertools.compress(range(len(perms)), map(eq, map(itemgetter(cols[0]), conj), at0)))
         for y, c in enumerate(cols[1:], 1):
             aut = [q for q in aut if conj[q][c] == cols[perms[q][y]]]
+        starts.append(len(swept))
         queue, group = [cols], frozenset(aut)
-        swept[cols] = (cls, shared.setdefault(group, group))
+        swept[cols] = shared.setdefault(group, group)
         for r in queue:
-            points, aut = itemgetter(*r, 0), swept[r][1]
-            for g in gens:
-                image = relabel(g, points)
+            points, aut = itemgetter(*r), swept[r]  # n > 1 once there is a generator
+            for g, row, at in movers:
+                image = at(points(row))
                 if image not in swept:
-                    group = frozenset(map(conj[g].__getitem__, aut))
-                    swept[image] = (cls, shared.setdefault(group, group))
+                    if (aut, g) not in conjugate:
+                        group = frozenset(map(row.__getitem__, aut))
+                        conjugate[aut, g] = shared.setdefault(group, group)
+                    swept[image] = conjugate[aut, g]
                     queue.append(image)
-    columns = sorted(swept, key=lambda cols: sum(map(list.__getitem__, weight, cols)))  # distinct keys
-    classes, auts = zip(*map(swept.__getitem__, columns))
-    first: dict[int, int] = {}  # class -> index of its least rack
-    orbit = tuple(first.setdefault(c, i) for i, c in enumerate(classes))
-    return RackCatalog(n, tuple(columns), orbit, auts, pruned, tuple(conj))
+    racks, auts = list(swept), list(swept.values())
+    del swept  # freed once read, as are the keys once sorted: about 50 MB of the peak at n = 7
+    keys = [sum(map(list.__getitem__, weight, cols)) for cols in racks]  # distinct
+    order = sorted(range(len(racks)), key=keys.__getitem__)
+    del keys
+    first: dict[int, int] = {}  # class, by its number in the sweep -> index of its least rack
+    orbit = tuple(map(first.setdefault, map(partial(bisect_right, starts), order), itertools.count()))
+    columns, auts = tuple(map(racks.__getitem__, order)), tuple(map(auts.__getitem__, order))
+    return RackCatalog(n, columns, orbit, auts, pruned, tuple(conj))
 
 
 def compatibility_graph(catalog: RackCatalog, deadline: Optional[float] = None) -> dict[int, list[int]]:

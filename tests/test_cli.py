@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import multishelf
-from multishelf import compose, make_table, right_trivial
+from multishelf import cli, compose, make_table, right_trivial
 from multishelf.cli import main
 from multishelf.fixtures import BERMAN_SIGMA, BERMAN_TAU
 from multishelf.formats import load_table, save_table, set_document, write_document
@@ -70,6 +70,81 @@ def test_openssl_loaded_by_no_search_or_fixture_run(tmp_path):
         assert "multishelf.fixtures" in imported
         assert "_hashlib" not in imported, args
     assert (tmp_path / "berman-d6.json").is_file()
+
+
+# Each command with its required arguments, which parse without reading a file.
+COMMAND_ARGS = {
+    "fixtures": ["list"],
+    "validate": ["--set", "s.json"],
+    "compose": ["--ops", "a.json", "b.json"],
+    "embed-regular": ["--group", "cyclic:3", "--out", "out"],
+    "alpha": ["--op", "a.json"],
+    "check-conjugation": ["--ops", "a.json", "b.json"],
+    "search": ["--n", "3"],
+    "homology": ["--set", "s.json", "--weights", "1,-1"],
+}
+
+
+def _parsed(parse, argv, capsys):
+    """(stdout, stderr, exit code) of a parse that exits, as for help or a usage error."""
+    with pytest.raises(SystemExit) as exit_:
+        parse(argv)
+    return (*capsys.readouterr(), exit_.value.code)
+
+
+class TestOneCommandParser:
+    # main builds only the parser of the command it runs; every usage
+    # line, help text, error and exit code must be the full parser's.
+    full = staticmethod(lambda argv: cli.build_parser(tuple(cli.COMMANDS)).parse_args(argv))
+
+    def test_command_table_in_usage_order(self):
+        assert list(COMMAND_ARGS) == list(cli.COMMANDS)
+
+    @pytest.mark.parametrize("name", list(COMMAND_ARGS))
+    def test_main_builds_one_command(self, monkeypatch, name):
+        built, build = [], cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda commands: built.append(commands) or build(commands))
+        with pytest.raises(SystemExit):
+            main([name, "--help"])
+        assert built == [(name,)]
+        assert list(build((name,))._subparsers._group_actions[0].choices) == [name]
+
+    @pytest.mark.parametrize("name", list(COMMAND_ARGS))
+    @pytest.mark.parametrize("case", ["help", "missing", "unrecognized"])
+    def test_same_output_as_the_full_parser(self, capsys, name, case):
+        required = COMMAND_ARGS[name]
+        argv = {
+            "help": [name, "--help"],
+            "missing": [name, *required[2:]],  # the first required argument left out
+            "unrecognized": [name, *required, "--bogus"],
+        }[case]
+        got, want = _parsed(main, argv, capsys), _parsed(self.full, argv, capsys)
+        assert got == want
+        out, err, code = want
+        assert code == (0 if case == "help" else 2)
+        assert (out.startswith(f"usage: multishelf {name} ") and not err) if case == "help" else (err and not out)
+        if case == "missing":
+            assert f"multishelf {name}: error: the following arguments are required: " in err
+        if case == "unrecognized":  # reported by the top-level parser, with its usage line
+            assert "{fixtures,validate,compose,embed-regular,alpha,check-conjugation,search,homology}" in err
+            assert err.endswith("multishelf: error: unrecognized arguments: --bogus\n")
+
+    @pytest.mark.parametrize("name", list(COMMAND_ARGS))
+    def test_same_namespace_as_the_full_parser(self, name):
+        argv = [name, *COMMAND_ARGS[name]]
+        assert cli.build_parser((name,)).parse_args(argv) == self.full(argv)
+
+    def test_top_level_runs_the_full_parser(self, capsys):
+        out, err, code = _parsed(main, ["--help"], capsys)
+        assert (err, code) == ("", 0) and all(f"    {name}" in out for name in COMMAND_ARGS)
+        out, err, code = _parsed(main, [], capsys)
+        assert (out, code) == ("", 2)
+        assert err.endswith("multishelf: error: the following arguments are required: command\n")
+        out, err, code = _parsed(main, ["nosuch"], capsys)
+        assert (out, code) == ("", 2)
+        assert "multishelf: error: argument command: invalid choice: 'nosuch'" in err
+        for argv in (["--help"], [], ["nosuch"], ["-h", "search"]):
+            assert _parsed(main, argv, capsys) == _parsed(self.full, argv, capsys)
 
 
 class TestFixturesCommand:

@@ -477,6 +477,21 @@ class TestEnumerateRacks:
         want = "60af765375312e154032e4f381029f3b6b84c70fb9cb87d72753a4bf960c9710"
         assert hashlib.sha256(data.encode()).hexdigest() == want
 
+    @pytest.mark.parametrize(
+        "n, classes, groups", [(1, 1, 1), (2, 2, 1), (3, 6, 5), (4, 19, 25), (5, 74, 108), (6, 353, 1018)]
+    )
+    def test_one_object_per_group_conjugated_once_per_generator(self, monkeypatch, n, classes, groups):
+        # Aut(g r) = g Aut(r) g^-1 depends only on Aut(r) and g, so the sweep
+        # builds one group per class and at most one per distinct group and
+        # generator (two generators): 240 at n = 5, not one per labelled rack.
+        built = []
+        monkeypatch.setattr(search, "frozenset", lambda *args: built.append(args) or frozenset(*args), raising=False)
+        catalog = enumerate_racks(n)
+        monkeypatch.undo()
+        auts = catalog.automorphisms
+        assert (len(catalog.representatives), len(set(auts)), len(set(map(id, auts)))) == (classes, groups, groups)
+        assert len(built) <= classes + 2 * groups
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_canonical_matches_canonical_form(self, n):
         catalog = enumerate_racks(n)
@@ -736,8 +751,8 @@ class TestCertify:
         closures = _recording_closures(monkeypatch)
         built = _count_phases(monkeypatch, "conjugation_table", "_relabeling")
         certify_no_nonabelian(6)
-        # one S_6 build; the class sweep's relabeling, then one for all the keys
-        assert built == ["conjugation_table", "_relabeling", "_relabeling"]
+        # one S_6 build; the class sweep relabels by the generators alone, then one relabeling for all the keys
+        assert built == ["conjugation_table", "_relabeling"]
         berman = close_group(DistributiveSet(6, (BERMAN_TAU, BERMAN_SIGMA))).ops
         moved = [tuple(relabel(op, pi) for op in berman[::-1]) for pi in [(3, 5, 0, 1, 4, 2), (5, 4, 3, 2, 1, 0)]]
         shift = make_table(6, [[(a + 1) % 6] * 6 for a in range(6)])
