@@ -126,21 +126,34 @@ def _enumerate_pruned(n: int, deadline: Optional[float], sym: tuple) -> tuple[li
     are visited, in increasing order from a list made once per set of free
     columns; the others count as pruned without a look-up.  A visited
     candidate is tested against the columns already set, without copying
-    the assignment.  Every completion meets the constraint for all pairs,
-    so it is a rack; ``enumerate_racks`` checks one per class all the same.
+    the assignment.
+
+    Column 0 also has no more fixed points than any other column.  That too
+    meets every class: let y be a point whose column has the fewest fixed
+    points; a relabeling sending y to 0 conjugates every column, and
+    conjugation keeps fixed-point counts, so its image has a column 0 with
+    the fewest; a relabeling q with q(0) = 0 then makes column 0 least in
+    its orbit, and it too keeps every count.  So once column 0 is set to p,
+    the candidates with fewer fixed points than p count as pruned without a
+    look-up.  Propagation needs no such check: each column it sets is a
+    conjugate of one already set, with as many fixed points.  Every
+    completion meets the constraint for all pairs, so it is a rack;
+    ``enumerate_racks`` checks one per class all the same.
     Returns (completions, nodes_pruned), each completion a tuple of column
     indices into ``sym``, the tables of ``conjugation_table(n, deadline)``.
     """
     perms, conj = sym
     fix0 = [q for q, qp in enumerate(perms) if qp[0] == 0]
     column0 = [p for p in range(len(perms)) if all(p <= conj[q][p] for q in fix0)]
+    fixed = [sum(map(eq, pp, range(n))) for pp in perms]
     found: list[tuple[int, ...]] = []
     pruned = 0
 
     @cache
-    def open_image(free: tuple[int, ...]) -> list[int]:
-        """The p that map y = free[0] to a free column, in increasing order."""
-        return [p for p, pp in enumerate(perms) if pp[free[0]] in free]
+    def open_image(free: tuple[int, ...], least: int) -> list[int]:
+        """The p with at least ``least`` fixed points that map y = free[0]
+        to a free column, in increasing order."""
+        return [p for p, pp in enumerate(perms) if pp[free[0]] in free and fixed[p] >= least]
 
     def assign(cols: list[Optional[int]], y: int, p: int) -> bool:
         """Set column y to p and every column that forces; False on a conflict."""
@@ -178,7 +191,7 @@ def _enumerate_pruned(n: int, deadline: Optional[float], sym: tuple) -> tuple[li
         y = free[0]
         assigned = [(z, c) for z, c in enumerate(cols) if c is not None]
         pruned += len(perms) if y else len(column0)
-        for p in open_image(free) if y else column0:
+        for p in open_image(free, fixed[cols[0]]) if y else column0:  # type: ignore[index]
             # The other checks ``assign`` makes on popping y, read on cols
             # before the copy: a value set there stays set in the trial.
             pp, cp = perms[p], conj[p]

@@ -343,7 +343,7 @@ class TestSearchCommand:
         assert json.loads(report.read_text())["conclusion"] == "partial"
 
     def test_budget_holds_at_n6(self, tmp_path):
-        # an unseeded n = 6 search takes about 1 s; the budget stops it long before
+        # an unseeded n = 6 search takes about 0.4 s; the budget stops it long before
         report = tmp_path / "r.json"
         start = time.monotonic()
         code = main(["search", "--n", "6", "--budget", "0.05", "--report", str(report)])

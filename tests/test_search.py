@@ -193,13 +193,20 @@ def enumerate_racks_brute_force(n):
     return sorted(racks, key=lambda t: t.entries)
 
 
+def fixed_points(p):
+    """The number of points the permutation p fixes."""
+    return sum(x == px for x, px in enumerate(p))
+
+
 def enumerate_pruned_full_loop(n, sym):
     """Reference backtrack that visits every candidate p of the free column
     y in turn, rejecting it with the look-up on column p(y) first; the same
-    propagation as ``search._enumerate_pruned``."""
+    propagation and the same cuts as ``search._enumerate_pruned``: column 0
+    least in its orbit, and no column with fewer fixed points than column 0."""
     perms, conj = sym[:2]
     fix0 = [q for q, qp in enumerate(perms) if qp[0] == 0]
     column0 = [p for p in range(len(perms)) if all(p <= conj[q][p] for q in fix0)]
+    fixed = [fixed_points(pp) for pp in perms]
     found, pruned = [], 0
 
     def assign(cols, y, p):
@@ -230,7 +237,8 @@ def enumerate_pruned_full_loop(n, sym):
         for p in range(len(perms)) if y else column0:
             pp, cp = perms[p], conj[p]
             w = cols[pp[y]]
-            if (w is None or w == p) and all(cols[pp[z]] in (None, cp[c]) for z, c in assigned):
+            few = y and fixed[p] < fixed[cols[0]]
+            if not few and (w is None or w == p) and all(cols[pp[z]] in (None, cp[c]) for z, c in assigned):
                 trial = list(cols)
                 if assign(trial, y, p):
                     extend(trial)
@@ -362,6 +370,24 @@ class TestEnumerateRacks:
         met = {catalog.orbit[catalog.racks.index(r)] for r in racks}
         assert met == set(catalog.representatives)
 
+    @pytest.mark.parametrize("n, completions", [(1, 1), (2, 2), (3, 7), (4, 24), (5, 144), (6, 959)])
+    def test_completions_are_the_racks_meeting_both_cuts(self, n, completions):
+        # The backtrack finds each labelled rack whose column 0 is least in
+        # its orbit under the relabelings fixing 0, and has no more fixed
+        # points than any other column, exactly once, and nothing else.
+        perms = sorted(itertools.permutations(range(n)))
+        fixing0 = [q for q in perms if q[0] == 0]
+        least = {p for p in perms if all(p <= tuple(q[p[x]] for x in perm_inverse(q)) for q in fixing0)}
+        want = {
+            cols
+            for cols in enumerate_racks(n).columns
+            if perms[cols[0]] in least
+            and fixed_points(perms[cols[0]]) == min(fixed_points(perms[c]) for c in cols)
+        }
+        found, _ = search._enumerate_pruned(n, None, groups.conjugation_table(n, None))
+        assert set(found) == want
+        assert len(found) == len(want) == completions
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_backtrack_matches_full_candidate_loop(self, n):
         # Visiting only the candidates that pass the look-up on column p(y)
@@ -389,7 +415,7 @@ class TestEnumerateRacks:
         catalog = enumerate_racks(6)
         columns = catalog.columns
         assert (len(set(catalog.orbit)), len(columns), len(set(columns))) == (353, 36538, 36538)
-        assert catalog.nodes_pruned == 1_050_371
+        assert catalog.nodes_pruned == 175_934
         assert len(checked) == 353  # one check per class
         # quandles (OEIS A181769) and connected quandles (Vendramin 2012) on 6 points
         assert quandle_counts(catalog) == (73, 2)
@@ -474,7 +500,7 @@ class TestEnumerateRacks:
         catalog = enumerate_racks(6)
         auts = tuple(tuple(sorted(a)) for a in catalog.automorphisms)
         data = repr((catalog.columns, catalog.orbit, auts, catalog.nodes_pruned))
-        want = "60af765375312e154032e4f381029f3b6b84c70fb9cb87d72753a4bf960c9710"
+        want = "2501c8ea7d6adee3848395f9335cb453562eeb98d33a463b18ab6f5fc44ac8b3"
         assert hashlib.sha256(data.encode()).hexdigest() == want
 
     @pytest.mark.parametrize(
@@ -855,7 +881,7 @@ class TestCertify:
         built, build = [], search.alpha_inverse
         monkeypatch.setattr(search, "alpha_inverse", lambda cols: built.append(cols) or build(cols))
         doc = json.dumps(certify_no_nonabelian(5).to_document(), sort_keys=True)
-        want = "466a8f491e6aad3fe1d6ff768e571d020ec3031066111199b7aaca5624e7e5d3"  # as test_report_bytes_pinned
+        want = "4ffb7fdb1a304cad6bae92afda308b192424e7e5b631ed69ee4c9861e23a7f11"  # as test_report_bytes_pinned
         assert hashlib.sha256(doc.encode()).hexdigest() == want
         assert built == []
 
@@ -951,21 +977,43 @@ class TestCertify:
         [
             (1, "85926df9cb1747d78a5d58f1388d104aec4ccf73b242dc66f3f03c2ad2875fba"),
             (2, "e7026ba742ec9073efd41fff4b3e11d175eb9ccce4af163de64d6e49a9b6e236"),
-            (3, "5a7a256314032a73d4e75821b44572192fe85490b88733cceed2fb743a4e5362"),
-            (4, "70020730de59475dc9d41e0fc2b91de081c411d5ea1d80b70cc7d5e7ac9a4d97"),
-            (5, "466a8f491e6aad3fe1d6ff768e571d020ec3031066111199b7aaca5624e7e5d3"),
+            (3, "6597f6ce7f62a4bb821cd07b0d787bea40d3572464915e49c659ac7d9484701c"),
+            (4, "ead595d83eaeb83d7a0bf047a6d5521eb776009e8ce8227e3cc0a2d573427886"),
+            (5, "4ffb7fdb1a304cad6bae92afda308b192424e7e5b631ed69ee4c9861e23a7f11"),
         ],
     )
     def test_report_bytes_pinned(self, n, digest):
-        # The whole report, nodes_pruned included: a faster search must
-        # leave every byte of it as it is.
+        # The whole report, nodes_pruned included.  A faster search must
+        # leave every byte of the answer as it is (test_report_answer_pinned);
+        # only nodes_pruned, the backtrack's own count, may move with it.
         doc = json.dumps(certify_no_nonabelian(n).to_document(), sort_keys=True)
         assert hashlib.sha256(doc.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize(
+        "n, seed_pair, digest",
+        [
+            (1, None, "3f9fd625d75eef08a99be360d9a7d09d2493fd006ecf2779b6a7120335b69c83"),
+            (2, None, "c2fbe6ab09a52c6c10142412f129e82e377bbd3d46b22bf9247ff9950a8cf2bb"),
+            (3, None, "5aff616c16222e8228bcc42fe67192ff561bbb7028d27a9235d4792928b072a9"),
+            (4, None, "56cf5b4dc38f71806a94d77dbf0209847712be69ae2d426e09b4b6524df0682a"),
+            (5, None, "9f2c66971e8567a5167bfee969ecbab2d7fa1ee942916a9082137065d2f0142e"),
+            (6, None, "8dfe0f53583d52e2deb6cb3098e2511a7c161faf924a585593b6765d660f244a"),
+            (6, (BERMAN_TAU, BERMAN_SIGMA), "0a04c874cff68fd538a037bff1aee2aa8cd4b6e60490cc41b4e907d8354e2186"),
+            (6, (BERMAN_SIGMA, BERMAN_TAU), "95a2391b8105330fa6de54cbd93c896f2cc1ea482664b89176904877ec6af07c"),
+        ],
+        ids=["n1", "n2", "n3", "n4", "n5", "n6", "n6-tau-sigma", "n6-sigma-tau"],
+    )
+    def test_report_answer_pinned(self, n, seed_pair, digest):
+        # The report without its statistics: the counts, the listed groups
+        # and pairs, and the conclusion, however the backtrack prunes.
+        doc = certify_no_nonabelian(n, seed_pair=seed_pair).to_document()
+        del doc["statistics"]
+        assert hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
         "seed_pair, digest",
         [
-            (None, "919c5f6dd46cf3343509fb742e19db33611cf83ef67cfcc6ba60c136f0642291"),
+            (None, "27eeefc66ab126703839a74df5154f6636d115f4e7526c468b009aca8148b72b"),
             ((BERMAN_TAU, BERMAN_SIGMA), "02867f4800f434ccef887a5effcda30b0f3dc9be8433892493162d2becc5798a"),
             ((BERMAN_SIGMA, BERMAN_TAU), "44ca4c4926187a75083c0d89366ce20c5255b018a65e79f67b7311de409bfea3"),
         ],
